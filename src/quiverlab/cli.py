@@ -405,10 +405,6 @@ def _build_parser():
         help="output rendering (csv only for tabular commands)",
     )
     common.add_argument("-o", "--output", help="write to this file instead of stdout")
-    common.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker cap; the current implementation is single threaded",
-    )
 
     top = argparse.ArgumentParser(prog="quiverlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

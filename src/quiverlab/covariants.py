@@ -187,6 +187,7 @@ def validate_chi_data(delta: ChiData, m: WeightVec, dims, q) -> list:
     in each source column / target row group; (6)/(7) each framing summand
     links to at most one fiber summand.
     """
+    dims.check(q)
     out = []
     src, tgt = _balance(delta, dims, q)
     if src != tgt:

@@ -7,9 +7,11 @@ matrices in this project are tiny, but there are many of them).
 Elimination strategy is pinned per field:
   * determinants over Q clear denominators row-wise and run fraction-free
     Bareiss on plain ints, so intermediate growth stays polynomial;
-  * over Q(i) the same Bareiss recurrence runs on Gaussian rationals
-    (division by the previous pivot is exact there as well);
-  * over F_p plain elimination with pivot products is already exact and fast.
+  * over Q(i) and F_p one Gaussian elimination with exact field division
+    multiplies the pivots.
+
+Linear systems in matrix unknowns, sum L X R = C, are assembled by
+`BlockSystem` from `vec(L X R) = kron(L, R^T) vec(X)`, with vec row-major.
 
 Zero-dimensional matrices (0 x k, k x 0) are legal everywhere; an empty
 product is a zero matrix of the right shape and det of the 0 x 0 matrix is 1.
@@ -283,24 +285,30 @@ def rank(a):
     return len(rref(a)[1])
 
 
-def kernel_basis(a):
-    """Basis of {x : a x = 0} as a list of column vectors.
+def _kernel_from_rref(R, pivots, ncols):
+    """Kernel basis of the first ncols columns of a reduced echelon form.
 
     Deterministic: one vector per free column, free coordinate set to 1,
-    pivot coordinates read off the reduced echelon form.
+    pivot coordinates read off R.
     """
-    field = a.field
-    R, pivots = rref(a)
+    field = R.field
     pivset = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivset]
     basis = []
-    for f in free:
-        vec = [field.zero()] * a.cols
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        vec = [field.zero()] * ncols
         vec[f] = field.one()
         for r, p in enumerate(pivots):
             vec[p] = -R[r, f]
         basis.append(Mat.column(field, vec))
     return basis
+
+
+def kernel_basis(a):
+    """Basis of {x : a x = 0} as a list of column vectors."""
+    R, pivots = rref(a)
+    return _kernel_from_rref(R, pivots, a.cols)
 
 
 class SolveResult(NamedTuple):
@@ -314,7 +322,8 @@ def solve_right(a, c):
     Raises NoSolution when inconsistent.  When underdetermined the particular
     solution has all free variables zero; `homogeneous` is a basis of
     ker(a), so the full solution set is particular + span(homogeneous) placed
-    column by column.
+    column by column.  One elimination serves both: the first a.cols columns
+    of rref([a | c]) are rref(a), with the same pivots.
     """
     if a.rows != c.rows:
         raise ShapeMismatch(f"solve {a.shape()} with rhs {c.shape()}")
@@ -329,7 +338,92 @@ def solve_right(a, c):
         for j in range(c.cols):
             x[p][j] = R[r, a.cols + j]
     part = Mat.from_rows(field, x) if a.cols else Mat.zeros(field, 0, c.cols)
-    return SolveResult(part, kernel_basis(a))
+    return SolveResult(part, _kernel_from_rref(R, pivots, a.cols))
+
+
+def kron(a, b):
+    """Kronecker product: entry (i p + k, j q + l) is a[i, j] b[k, l].
+
+    With row-major flattening, vec(L X R) = kron(L, R^T) vec(X).
+    """
+    a._check_same(b)
+    data = []
+    for i in range(a.rows):
+        arow = a.row_list(i)
+        for k in range(b.rows):
+            brow = b.row_list(k)
+            for x in arow:
+                data.extend(x * y for y in brow)
+    return Mat(a.field, a.rows * b.rows, a.cols * b.cols, data)
+
+
+class BlockSystem:
+    """Linear equations sum_k L_k X_k R_k = C in matrix unknowns X_k.
+
+    Unknowns are flattened row-major and stacked in declaration order;
+    equations are stacked in the order they are added, each row-major over
+    the entries of its C.  A term (L, key, R) contributes kron(L, R^T) in the
+    equation's rows and the unknown's columns; L or R None is the identity.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.blocks = {}  # key -> (first column, rows, cols), in declaration order
+        self.cols = 0
+        self._eqs = []    # (terms, C)
+
+    def unknown(self, key, rows, cols):
+        self.blocks[key] = (self.cols, rows, cols)
+        self.cols += rows * cols
+
+    def equation(self, terms, rhs):
+        """Add the equation sum of L X_key R over (L, key, R) in terms = rhs."""
+        for L, key, R in terms:
+            _, xr, xc = self.blocks[key]
+            left = (xr, xr) if L is None else L.shape()
+            right = (xc, xc) if R is None else R.shape()
+            if left != (rhs.rows, xr) or right != (xc, rhs.cols):
+                raise ShapeMismatch(f"term in {key!r} does not give a {rhs.shape()} matrix")
+        self._eqs.append((terms, rhs))
+
+    def matrix(self):
+        """The assembled coefficient matrix A and right-hand side column c."""
+        field = self.field
+        z = field.zero()
+        rows, rhs = [], []
+        for terms, c in self._eqs:
+            eq = [[z] * self.cols for _ in range(c.rows * c.cols)]
+            for L, key, R in terms:
+                off, xr, xc = self.blocks[key]
+                K = kron(
+                    Mat.identity(field, xr) if L is None else L,
+                    Mat.identity(field, xc) if R is None else R.transpose(),
+                )
+                for r, row in enumerate(eq):
+                    for j, y in enumerate(K.row_list(r), off):
+                        if y != z:  # skipping zeros leaves every sum as it is
+                            row[j] = row[j] + y
+            rows.extend(eq)
+            rhs.extend(c._d)
+        return (
+            Mat(field, len(rows), self.cols, [x for row in rows for x in row]),
+            Mat(field, len(rhs), 1, rhs),
+        )
+
+    def _split(self, x):
+        """A solution column as {key: block}."""
+        return {
+            key: Mat(self.field, r, c, x._d[off : off + r * c])
+            for key, (off, r, c) in self.blocks.items()
+        }
+
+    def solve(self):
+        """(particular, homogeneous basis), each solution as {key: block}.
+
+        Raises NoSolution when the equations are inconsistent.
+        """
+        sol = solve_right(*self.matrix())
+        return self._split(sol.particular), [self._split(h) for h in sol.homogeneous]
 
 
 def _det_bareiss_int(m):
@@ -356,32 +450,8 @@ def _det_bareiss_int(m):
     return sign * m[n - 1][n - 1]
 
 
-def _det_bareiss_field(m, field):
-    """Bareiss recurrence with exact field division (used over Q(i))."""
-    n = len(m)
-    z = field.zero()
-    sign = field.one()
-    prev = field.one()
-    for k in range(n - 1):
-        if m[k][k] == z:
-            for i in range(k + 1, n):
-                if m[i][k] != z:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return z
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - mik * rk[j]) / prev
-        prev = pk
-    return sign * m[n - 1][n - 1]
-
-
-def _det_naive_fp(m, field):
+def _det_field(m, field):
+    """Gaussian elimination with exact field division (Q(i), F_p; mutates m)."""
     n = len(m)
     z = field.zero()
     det = field.one()
@@ -423,9 +493,7 @@ def det(a):
             m.append([int(x * l) for x in row])
         d = _det_bareiss_int(m)
         return Fraction(d, scale)
-    if a.field.kind == "Fp":
-        return _det_naive_fp(a.to_lists(), a.field)
-    return _det_bareiss_field(a.to_lists(), a.field)
+    return _det_field(a.to_lists(), a.field)
 
 
 def inverse(a):

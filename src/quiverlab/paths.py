@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidQuiver, RangeViolation, ShapeMismatch
-from .linalg import Mat, is_invertible, solve_right
+from .errors import InvalidQuiver, NoSolution, RangeViolation, ShapeMismatch
+from .linalg import BlockSystem, Mat, is_invertible
 from .quiver import Quiver
-from .repspace import FramedPoint, GroupElement, group_act
+from .repspace import FramedPoint, GroupElement, group_act, identity_group
 
 
 @dataclass(frozen=True)
@@ -327,80 +327,21 @@ def hom_space(s: FramedPoint, t: FramedPoint) -> HomSolution:
     if s.field.name != t.field.name:
         raise ShapeMismatch("points live over different fields")
     q = s.quiver
-    field = s.field
-    vs = {vert: s.dims.v_of(q, vert) for vert in q.vertices}
-    vt = {vert: t.dims.v_of(q, vert) for vert in q.vertices}
-    offsets = {}
-    total = 0
+    system = BlockSystem(s.field)
     for vert in q.vertices:
-        offsets[vert] = total
-        total += vt[vert] * vs[vert]
-
-    rows = []
-    rhs = []
-
-    def add_left(vert, L, R):  # L . g_vert = R, L maps V_vert(t) somewhere
-        for r in range(L.rows):
-            for c in range(vs[vert]):
-                row = [field.zero()] * total
-                off = offsets[vert]
-                for k in range(vt[vert]):
-                    row[off + k * vs[vert] + c] = L[r, k]
-                rows.append(row)
-                rhs.append(R[r, c])
-
-    def add_right(vert, R0, R):  # g_vert . R0 = R
-        for r in range(vt[vert]):
-            for c in range(R0.cols):
-                row = [field.zero()] * total
-                off = offsets[vert]
-                for k in range(vs[vert]):
-                    row[off + r * vs[vert] + k] = R0[k, c]
-                rows.append(row)
-                rhs.append(R[r, c])
-
-    # g_{h1} B_h(s) - B_h(t) g_{h0} = 0, entrywise
-    for a in q.arrows:
-        rr = vt[a.h1]
-        cc = vs[a.h0]
-        Bs, Bt = s.B[a.id], t.B[a.id]
-        for r in range(rr):
-            for c in range(cc):
-                row = [field.zero()] * total
-                off1 = offsets[a.h1]
-                for k in range(vs[a.h1]):
-                    row[off1 + r * vs[a.h1] + k] = row[off1 + r * vs[a.h1] + k] + Bs[k, c]
-                off0 = offsets[a.h0]
-                for k in range(vt[a.h0]):
-                    row[off0 + k * vs[a.h0] + c] = row[off0 + k * vs[a.h0] + c] - Bt[r, k]
-                rows.append(row)
-                rhs.append(field.zero())
+        system.unknown(vert, t.dims.v_of(q, vert), s.dims.v_of(q, vert))
+    for a in q.arrows:  # g_{h1} B_h(s) - B_h(t) g_{h0} = 0
+        zero = Mat.zeros(s.field, t.dims.v_of(q, a.h1), s.dims.v_of(q, a.h0))
+        system.equation([(None, a.h1, s.B[a.id]), (-t.B[a.id], a.h0, None)], zero)
     for vert in q.vertices:
-        add_right(vert, s.gamma[vert], t.gamma[vert])   # g gamma(s) = gamma(t)
-        add_left(vert, t.delta[vert], s.delta[vert])    # delta(t) g = delta(s)
-
-    A = Mat(field, len(rows), total, [x for row in rows for x in row])
-    from .errors import NoSolution
-
+        system.equation([(None, vert, s.gamma[vert])], t.gamma[vert])  # g gamma(s) = gamma(t)
+        system.equation([(t.delta[vert], vert, None)], s.delta[vert])  # delta(t) g = delta(s)
     try:
-        sol = solve_right(A, Mat.column(field, rhs))
+        particular, basis = system.solve()
     except NoSolution:
         return HomSolution(False, None, ())
-
-    def unpack(vec):
-        blocks = {}
-        for vert in q.vertices:
-            off = offsets[vert]
-            blocks[vert] = Mat(
-                field, vt[vert], vs[vert],
-                [vec[off + k, 0] for k in range(vt[vert] * vs[vert])],
-            )
-        return Intertwiner(blocks)
-
     return HomSolution(
-        True,
-        unpack(sol.particular),
-        tuple(unpack(h) for h in sol.homogeneous),
+        True, Intertwiner(particular), tuple(Intertwiner(b) for b in basis)
     )
 
 
@@ -435,7 +376,7 @@ def orbit_equivalent(
             return OrbitDecision("no", reason=f"invariant mismatch at {ds_}")
 
     if all(s.dims.v_of(q, vert) == 0 for vert in q.vertices):
-        return OrbitDecision("yes", identity_like(s), "all fibers are zero")
+        return OrbitDecision("yes", identity_group(q, s.dims, s.field), "all fibers are zero")
 
     fwd = hom_space(s, t)
     bwd = hom_space(t, s)
@@ -474,9 +415,3 @@ def orbit_equivalent(
         "unknown", reason="positive-dimensional hom set, all tried combinations singular"
     )
 
-
-def identity_like(s: FramedPoint) -> GroupElement:
-    q = s.quiver
-    return GroupElement(
-        {vert: Mat.identity(s.field, s.dims.v_of(q, vert)) for vert in q.vertices}
-    )

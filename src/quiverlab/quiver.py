@@ -238,9 +238,10 @@ def _as_cartan(qc) -> CartanData:
     return cartan_data(qc)
 
 
-def _check_len(cd, vec, nm):
-    if len(vec) != cd.n:
-        raise ShapeMismatch(f"{nm} has length {len(vec)}, quiver has {cd.n} vertices")
+def _check_len(qc, vec, nm):
+    """qc is a Quiver or its CartanData; both know their vertex count n."""
+    if len(vec) != qc.n:
+        raise ShapeMismatch(f"{nm} has length {len(vec)}, quiver has {qc.n} vertices")
 
 
 def reflect_weight(qc, i, x: WeightVec) -> WeightVec:

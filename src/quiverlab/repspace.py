@@ -20,22 +20,24 @@ from fractions import Fraction
 
 from .errors import (
     FiberSampleFailed,
+    NoSolution,
+    QuiverLabError,
     ShapeMismatch,
     SingularBlock,
     WrongField,
 )
 from .fields import QQ, field_from_name
 from .linalg import (
+    BlockSystem,
     Mat,
     hstack,
     inverse,
     is_invertible,
     random_matrix,
     random_invertible,
-    solve_right,
     vstack,
 )
-from .quiver import Quiver, RootVec, WeightVec
+from .quiver import Quiver, RootVec, WeightVec, _check_len
 
 
 @dataclass(frozen=True)
@@ -51,24 +53,20 @@ class DimData:
     def v_of(self, q, vertex):
         return self.v[q.vertex_index(vertex)]
 
+    def check(self, q):
+        """ShapeMismatch unless d and v have one entry per vertex of q."""
+        _check_len(q, self.d, "d")
+        _check_len(q, self.v, "v")
+
     def space_dimension(self, q):
         """dim of the whole representation space: arrows + two framing blocks."""
+        self.check(q)
         vi = {vert: self.v_of(q, vert) for vert in q.vertices}
         arrows = sum(vi[a.h1] * vi[a.h0] for a in q.arrows)
         framing = sum(
             2 * self.d_of(q, vert) * self.v_of(q, vert) for vert in q.vertices
         )
         return arrows + framing
-
-
-@dataclass(frozen=True)
-class ParameterPair:
-    """Stability and deformation parameters (m, lambda); xi is the optional
-    real-form part used alongside the imaginary moment map."""
-
-    m: WeightVec
-    lam: WeightVec
-    xi: WeightVec | None = None
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,7 @@ class FramedPoint:
 
     def __post_init__(self):
         q = self.quiver
+        self.dims.check(q)
         for a in q.arrows:
             m = self.B.get(a.id)
             want = (self.dims.v_of(q, a.h1), self.dims.v_of(q, a.h0))
@@ -104,6 +103,7 @@ class FramedPoint:
 
     @classmethod
     def zero(cls, q, dims, field=QQ):
+        dims.check(q)
         B = {
             a.id: Mat.zeros(field, dims.v_of(q, a.h1), dims.v_of(q, a.h0))
             for a in q.arrows
@@ -121,6 +121,7 @@ class FramedPoint:
     @classmethod
     def random(cls, q, dims, field, rng, height=10):
         """Uniform garbage in the ambient space; no moment condition."""
+        dims.check(q)
         B = {
             a.id: random_matrix(field, dims.v_of(q, a.h1), dims.v_of(q, a.h0), rng, height)
             for a in q.arrows
@@ -152,9 +153,12 @@ class FramedPoint:
 
     @classmethod
     def from_json(cls, obj, quiver=None):
-        q = quiver if quiver is not None else Quiver.from_json(obj["quiver"])
-        f = field_from_name(obj["field"])
-        dims = DimData(WeightVec(tuple(obj["d"])), RootVec(tuple(obj["v"])))
+        q = quiver if quiver is not None else Quiver.from_json(_json_entry(obj, "quiver"))
+        f = field_from_name(_json_entry(obj, "field"))
+        dims = DimData(
+            WeightVec(tuple(_json_entry(obj, "d"))), RootVec(tuple(_json_entry(obj, "v")))
+        )
+        dims.check(q)
 
         def load_mat(rows_json, r, c):
             data = [f.parse(x) for row in rows_json for x in row]
@@ -163,22 +167,33 @@ class FramedPoint:
             return Mat(f, r, c, data)
 
         B = {
-            a.id: load_mat(obj["B"][a.id], dims.v_of(q, a.h1), dims.v_of(q, a.h0))
+            a.id: load_mat(_json_entry(obj, "B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
             for a in q.arrows
         }
         gamma = {
             vert: load_mat(
-                obj["gamma"][str(vert)], dims.v_of(q, vert), dims.d_of(q, vert)
+                _json_entry(obj, "gamma", str(vert)), dims.v_of(q, vert), dims.d_of(q, vert)
             )
             for vert in q.vertices
         }
         delta = {
             vert: load_mat(
-                obj["delta"][str(vert)], dims.d_of(q, vert), dims.v_of(q, vert)
+                _json_entry(obj, "delta", str(vert)), dims.d_of(q, vert), dims.v_of(q, vert)
             )
             for vert in q.vertices
         }
         return cls(q, dims, f, B, gamma, delta)
+
+
+def _json_entry(obj, *keys):
+    """obj[k1][k2]...; a missing entry is a QuiverLabError that names it."""
+    for n, key in enumerate(keys, 1):
+        try:
+            obj = obj[key]
+        except (KeyError, IndexError, TypeError):
+            path = "".join(f"[{k!r}]" for k in keys[:n])
+            raise QuiverLabError(f"point JSON has no entry {path}") from None
+    return obj
 
 
 @dataclass(frozen=True)
@@ -303,18 +318,6 @@ def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
 # -- fiber sampling ----------------------------------------------------------
 
 
-def _unknown_blocks(q, dims):
-    """Unknowns of the moment system: the eps = -1 half of the arrows plus all
-    delta blocks, in a fixed order."""
-    blocks = []
-    for a in sorted(q.arrows, key=lambda a: a.id):
-        if a.eps == -1:
-            blocks.append(("B", a.id, dims.v_of(q, a.h1), dims.v_of(q, a.h0)))
-    for vert in q.vertices:
-        blocks.append(("delta", vert, dims.d_of(q, vert), dims.v_of(q, vert)))
-    return blocks
-
-
 def sample_fiber(
     q,
     dims: DimData,
@@ -336,16 +339,10 @@ def sample_fiber(
     """
     import random as _random
 
+    dims.check(q)
+    _check_len(q, lam, "lambda")
     if rng is None:
         rng = _random.Random(seed)
-    n_eq = sum(dims.v_of(q, vert) ** 2 for vert in q.vertices)
-    blocks = _unknown_blocks(q, dims)
-    offsets = {}
-    total = 0
-    for kind, key, r, c in blocks:
-        offsets[(kind, key)] = total
-        total += r * c
-
     last_err = None
     for _ in range(retries):
         known_B = {
@@ -360,63 +357,35 @@ def sample_fiber(
             for vert in q.vertices
         }
 
-        rows = [[field.zero()] * total for _ in range(n_eq)]
-        rhs = [field.zero()] * n_eq
-        eq_base = 0
+        # unknowns: the eps = -1 arrows by id, then every delta block
+        system = BlockSystem(field)
+        for a in sorted(q.arrows, key=lambda a: a.id):
+            if a.eps == -1:
+                system.unknown(("B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
         for vert in q.vertices:
-            vi = dims.v_of(q, vert)
-            li = field.coerce(lam[q.vertex_index(vert)])
-            for r in range(vi):
-                rhs[eq_base + r * vi + r] = li
+            system.unknown(("delta", vert), dims.d_of(q, vert), dims.v_of(q, vert))
+        for vert in q.vertices:
+            terms = []
             for arr in q.arrows_into(vert):
-                w = dims.v_of(q, arr.h0)
-                if arr.eps == 1:
-                    # + B_h U(bar h): coeff of U[k, s] at entry (r, s) is B_h[r, k]
-                    bh = known_B[arr.id]
-                    off = offsets[("B", arr.bar)]
-                    for r in range(vi):
-                        for ss in range(vi):
-                            row = rows[eq_base + r * vi + ss]
-                            for k in range(w):
-                                row[off + k * vi + ss] += bh[r, k]
-                else:
-                    # - U(h) B_{bar h}: coeff of U[r, k] at entry (r, s) is -B_{bar h}[k, s]
-                    bb = known_B[arr.bar]
-                    off = offsets[("B", arr.id)]
-                    for r in range(vi):
-                        for ss in range(vi):
-                            row = rows[eq_base + r * vi + ss]
-                            for k in range(w):
-                                row[off + r * w + k] -= bb[k, ss]
-            gi = gamma[vert]
-            di = dims.d_of(q, vert)
-            off = offsets[("delta", vert)]
-            for r in range(vi):
-                for ss in range(vi):
-                    row = rows[eq_base + r * vi + ss]
-                    for k in range(di):
-                        row[off + k * vi + ss] += gi[r, k]
-            eq_base += vi * vi
-
-        A = Mat(field, n_eq, total, [x for row in rows for x in row])
+                if arr.eps == 1:  # + B_h U(bar h)
+                    terms.append((known_B[arr.id], ("B", arr.bar), None))
+                else:             # - U(h) B_{bar h}
+                    terms.append((None, ("B", arr.id), -known_B[arr.bar]))
+            terms.append((gamma[vert], ("delta", vert), None))
+            vi = dims.v_of(q, vert)
+            system.equation(terms, Mat.scalar(field, vi, lam[q.vertex_index(vert)]))
         try:
-            sol = solve_right(A, Mat.column(field, rhs))
-        except Exception as e:
+            x, homogeneous = system.solve()
+        except NoSolution as e:
             last_err = e
             continue
-        x = sol.particular
-        for h in sol.homogeneous:
-            x = x + h.scale(field.random(rng, height))
+        for h in homogeneous:
+            c = field.random(rng, height)
+            x = {key: m + h[key].scale(c) for key, m in x.items()}
 
         B = dict(known_B)
-        delta = {}
-        for kind, key, r, c in blocks:
-            off = offsets[(kind, key)]
-            m = Mat(field, r, c, [x[off + t, 0] for t in range(r * c)])
-            if kind == "B":
-                B[key] = m
-            else:
-                delta[key] = m
+        B.update({key: m for (kind, key), m in x.items() if kind == "B"})
+        delta = {key: m for (kind, key), m in x.items() if kind == "delta"}
         point = FramedPoint(q, dims, field, B, gamma, delta)
         if not moment_matches(point, lam):
             raise AssertionError("sampler produced a point off the fiber")

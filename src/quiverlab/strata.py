@@ -14,7 +14,7 @@ from .covariants import reachable_dims
 from .errors import BudgetExceeded, RangeViolation
 from .fields import PrimeField
 from .linalg import Mat
-from .quiver import RootVec, WeightVec, cartan_data, dominance
+from .quiver import RootVec, WeightVec, _check_len, cartan_data, dominance
 from .repspace import DimData, FramedPoint, moment_matches
 
 DEFAULT_BUDGET = 10_000_000
@@ -133,6 +133,7 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     """
     field = PrimeField(p)
     space_dim = dims.space_dimension(q)
+    _check_len(q, lam, "lambda")
     cap = _resolve_budget(budget)
     if p ** space_dim > cap:
         raise BudgetExceeded(

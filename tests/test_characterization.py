@@ -1,0 +1,194 @@
+"""Pinned exact outputs of the fiber sampler, the intertwiner solver, orbit
+decisions and reflections.
+
+Each case renders its result as canonical JSON (sorted keys, no spaces,
+entries through `field.dump`) and compares the sha256 of that text with a
+digest recorded from an earlier implementation.  Any change to the assembled
+linear systems or to the elimination that changes a sampled point, a
+particular solution, a kernel basis or a witness shows up here.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from quiverlab import (
+    QQ,
+    QQI,
+    DimData,
+    PrimeField,
+    RootVec,
+    WeightVec,
+    dynkin_quiver,
+    group_act,
+    hom_space,
+    orbit_equivalent,
+    random_group,
+    reflect_point,
+    sample_fiber,
+)
+
+
+def dump_mat(m):
+    return [[m.field.dump(x) for x in m.row_list(r)] for r in range(m.rows)]
+
+
+def dump_blocks(blocks):
+    return {str(k): dump_mat(m) for k, m in sorted(blocks.items())}
+
+
+def digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sample(name, d, v, lam, seed, field=QQ):
+    q = dynkin_quiver(name)
+    dims = DimData(WeightVec(d), RootVec(v))
+    return sample_fiber(q, dims, WeightVec(lam), seed=seed, field=field)
+
+
+# (quiver, d, v, lambda, seed, field): the A3 and D4 cases have a vertex with
+# v_i = 0 and one with d_i = 0
+FIBERS = {
+    "A1-Q": ("A1", (2,), (1,), (1,), 0, QQ),
+    "A2-Q": ("A2", (2, 1), (1, 1), (0, 0), 3, QQ),
+    "A3-Q-v0-d0": ("A3", (1, 0, 1), (1, 1, 0), (1, 2, 3), 5, QQ),
+    "A3-Q-unframed": ("A3", (0, 0, 0), (1, 2, 1), (0, 0, 0), 5, QQ),
+    "D4-Q-unframed": ("D4", (0, 0, 0, 0), (1, 1, 1, 2), (0, 0, 0, 0), 2, QQ),
+    "D4-Q": ("D4", (1, 0, 0, 1), (1, 1, 1, 2), (1, -1, 2, 1), 7, QQ),
+    "A2-Qi": ("A2", (1, 1), (1, 1), (1, 2), 11, QQI),
+    "A3-Qi-v0-d0": ("A3", (0, 1, 1), (0, 1, 2), (2, 1, -1), 13, QQI),
+    "A2-F7": ("A2", (2, 0), (1, 1), (1, 3), 17, PrimeField(7)),
+    "A2-F7-unframed": ("A2", (0, 0), (1, 1), (0, 0), 3, PrimeField(7)),
+    "A3-F7-v0-d0": ("A3", (1, 0, 2), (1, 1, 0), (0, 0, 5), 19, PrimeField(7)),
+    "D4-F101-v0-d0": ("D4", (1, 2, 0, 1), (1, 2, 1, 0), (3, 5, 7, 11), 23, PrimeField(101)),
+}
+
+FIBER_DIGESTS = {
+    "A1-Q": "7f395931fc3d3e7609d02acc85942526c7436dedca1bfff421c41b7270b3143e",
+    "A2-F7": "477c671c53a36e26958238bbcf3fc0223f97f1a2b5a07eeffe5020fa94d3406e",
+    "A2-F7-unframed": "56540ba407a415d552480bf34630a1a170fd186c9738bded15fdf3caebf271de",
+    "A2-Q": "3a9ca7f51be4872fa35774ec691db839945f7d68b545aba3f095151945f2c3bf",
+    "A2-Qi": "5224bc4ba56dcb2dd2abfe5a75f9ff6c33cad4bb7c36792d1c99e7f8dd6e0eec",
+    "A3-F7-v0-d0": "46bd5a4f6041d14596d197206a5eb14cc909ce261b1ee694c79c5d73fae93a8c",
+    "A3-Q-unframed": "128acc17de801f349c197bd85c6138ceb85982b3baf9b091fb22038f4a83e984",
+    "A3-Q-v0-d0": "0863a9c87e9d7e65f6a25be5a64e4409c85e4e0b54c4ab85b38158eaf8b1cb71",
+    "A3-Qi-v0-d0": "c19c6b481a1f3d1ee62b39d8672930a20938542b36eee2884dbb5567699d7ad4",
+    "D4-F101-v0-d0": "7e309514b8ca022452bb89437c49bae4451b4717359ade3093a0d63aa065c8e8",
+    "D4-Q": "66047182c14f31cde0edae35611db8b482f44b1f7a8aa02a323e3a1e36928427",
+    "D4-Q-unframed": "3b683057ecfb57a1ca47f53868e892abc237038dbe81960e4a12d0788fdb3d00",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIBERS))
+def test_sample_fiber_pinned(case):
+    s = sample(*FIBERS[case])
+    assert digest(s.to_json()) == FIBER_DIGESTS[case]
+
+
+def hom_json(h):
+    if not h.exists:
+        return {"exists": False}
+    return {
+        "exists": True,
+        "particular": dump_blocks(h.particular.blocks),
+        "basis": [dump_blocks(b.blocks) for b in h.basis],
+    }
+
+
+# (fiber case, group seed): hom_space(s, g.s) and hom_space(g.s, s); the
+# unframed cases have positive-dimensional hom sets
+HOMS = {
+    "A3-Q-unframed": ("A3-Q-unframed", 6),
+    "D4-Q-unframed": ("D4-Q-unframed", 7),
+    "A2-F7-unframed": ("A2-F7-unframed", 8),
+    "A2-Q": ("A2-Q", 1),
+    "A3-Q-v0-d0": ("A3-Q-v0-d0", 2),
+    "D4-Q": ("D4-Q", 3),
+    "A2-Qi": ("A2-Qi", 4),
+    "A3-F7-v0-d0": ("A3-F7-v0-d0", 5),
+}
+
+HOM_DIGESTS = {
+    "A2-F7-unframed": "9e5a5a75df15adfea6a1af94f8cb33f37b17b8d9ad75ccf8b1dc057964cd0be2",
+    "A2-Q": "1c6256da77e17d26c76a69d14fd010ad9d442e93c2dc4c9d034fd7e710ef0a8e",
+    "A2-Qi": "dc36994ba63a0b7e471aa5112720ee4d152572fd74dfb137739a07aaeb01dfa2",
+    "A3-F7-v0-d0": "222c829d2a1a8106c35e92ce3b1374843f3e58fd36ed510e79ab94e10d61571f",
+    "A3-Q-unframed": "f1c244cd321d47992321581c6f590140fdd3cda18f7a4b3b4d98a8ebfaec6732",
+    "A3-Q-v0-d0": "1cce528651d5e9a6d01d231c1466dfa05619c1cd078da7a96e1a18ecc21bcbdc",
+    "D4-Q": "39b6544be08f6b60ca644ac4b81d3a0ed2a2394a3534ca67444da1aa5899b5eb",
+    "D4-Q-unframed": "663d27d22c7b9f96e6152cfc1905d890936340724d18b4b9a7f152c100a600f9",
+    "between-fibers": "cc2828211de0b6e79e1f3a000c69399d170fd78a62a4a849bab52cb6e05a840a",
+}
+
+ORBIT_DIGESTS = {
+    "A2-F7-unframed": "d3ec628ecf10835bfe3b1f1f19c2129319735d773360972736ed2ea4f7419800",
+    "A2-Q": "92a029686129bed0685369d35f3f696b8414871ec7517cf8d8133a4eeb96381f",
+    "A2-Qi": "619cc78c0a466fbdf10cd14fd3a8898816757e95298d11e53a217a72a156efc4",
+    "A3-F7-v0-d0": "9b50b9185dee1b84acbd12a23c486e89b1de56fc54194f5a0d73c289efe58108",
+    "A3-Q-unframed": "5ab09ece5784fe64d8845ea205481aba6481d9d02e2f13870761ff9916c8d82c",
+    "A3-Q-v0-d0": "1796096f11f68e120bba434dde410263bd13f7d7f0c61267d6996e4bbf4a262a",
+    "D4-Q": "9933656b944ebe54a1f3cde809215edf63c93d53476cfbd72ec86824ad7cbb12",
+    "D4-Q-unframed": "c15ca5628b0a8c53a96cfe3b5e4fb1b168f3f7985d4c8d30387d0ba121015141",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOMS))
+def test_hom_space_pinned(case):
+    fiber, gseed = HOMS[case]
+    s = sample(*FIBERS[fiber])
+    t = group_act(random_group(s.quiver, s.dims, s.field, random.Random(gseed)), s)
+    got = {"fwd": hom_json(hom_space(s, t)), "bwd": hom_json(hom_space(t, s))}
+    assert digest(got) == HOM_DIGESTS[case]
+
+
+def test_hom_space_between_fibers_pinned():
+    s = sample("A2", (1, 1), (1, 1), (1, 2), 0)
+    t = sample("A2", (1, 1), (1, 1), (1, 2), 1)
+    u = sample("A2", (2, 1), (1, 1), (0, 0), 3)
+    got = [hom_json(hom_space(s, t)), hom_json(hom_space(t, s)), hom_json(hom_space(u, u))]
+    assert digest(got) == HOM_DIGESTS["between-fibers"]
+
+
+@pytest.mark.parametrize("case", sorted(HOMS))
+def test_orbit_witness_pinned(case):
+    fiber, gseed = HOMS[case]
+    s = sample(*FIBERS[fiber])
+    t = group_act(random_group(s.quiver, s.dims, s.field, random.Random(gseed)), s)
+    dec = orbit_equivalent(s, t)
+    got = {"kind": dec.kind, "reason": dec.reason, "witness": dump_blocks(dec.witness.blocks)}
+    assert digest(got) == ORBIT_DIGESTS[case]
+
+
+# (fiber case, vertex)
+REFLECTIONS = {
+    "A2-Q@1": ("A2-Q", 1),
+    "A3-Q-v0-d0@2": ("A3-Q-v0-d0", 2),
+    "D4-Q@3": ("D4-Q", 3),
+    "A2-Qi@2": ("A2-Qi", 2),
+}
+
+REFLECT_DIGESTS = {
+    "A2-Q@1": "5f32c22be450149b7fa6e992135763348c4e394b2d6b2d8133b156822d7e46c4",
+    "A2-Qi@2": "f70fd7a5d9af3437ed0539548cc7c915d64b8915f221da1ede608a76453bd6b7",
+    "A3-Q-v0-d0@2": "af3e33690feb040d84df13a69d4b6bcc6c4d22a75cb16c51e424639fe60d6430",
+    "D4-Q@3": "55409c0f59b342982003506144fdada9dc4a183903f297cbe025816a17f19443",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFLECTIONS))
+def test_reflect_point_pinned(case):
+    fiber, vertex = REFLECTIONS[case]
+    spec = FIBERS[fiber]
+    s = sample(*spec)
+    res = reflect_point(s, vertex, WeightVec(spec[3]))
+    got = {
+        "point": res.point.to_json(),
+        "side": res.side,
+        "lam": [str(c) for c in res.lam.coords],
+        "section": dump_mat(res.section),
+    }
+    assert digest(got) == REFLECT_DIGESTS[case]

@@ -5,10 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverlab import FramedPoint, WeightVec, moment_matches
+from quiverlab import FramedPoint, WeightVec, moment_matches, sample_fiber
 from quiverlab.cli import main, run
-from util import a1_point, cli_env
+from util import a1_point, a2_setup, cli_env
 
 
 def invoke(capsys, *argv):
@@ -293,6 +294,75 @@ class TestErrorsAndExitCodes:
     def test_main_returns_int(self, capsys):
         assert main(["info", "--quiver", "A1"]) == 0
         capsys.readouterr()
+
+    @staticmethod
+    def child(argv, cwd):
+        return subprocess.run(
+            [sys.executable, "-m", "quiverlab.cli", *argv],
+            capture_output=True, env=cli_env(), cwd=cwd, text=True,
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--quiver", "A2", "--d", "2,1", "--v", "1", "--lambda", "1,1"],
+         "v has length 1, quiver has 2 vertices"),
+        (["count", "--quiver", "A2", "--d", "2,1", "--v", "1", "--lambda", "1,1", "--p", "3"],
+         "v has length 1, quiver has 2 vertices"),
+    ], ids=["sample", "count"])
+    def test_wrong_vector_length(self, tmp_path, argv, message):
+        proc = self.child(argv, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("drop, message", [
+        (("quiver",), "point JSON has no entry ['quiver']"),
+        (("B", "h1"), "point JSON has no entry ['B']['h1']"),
+        (("delta", "2"), "point JSON has no entry ['delta']['2']"),
+    ], ids=["quiver", "B", "delta"])
+    def test_point_file_missing_key(self, tmp_path, drop, message):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0).to_json()
+        parent = obj
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(obj))
+        proc = self.child(["invariants", str(path)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+vectors = st.lists(st.integers(-1, 2), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cmd=st.sampled_from(["sample", "count", "strata", "reduce", "check-coxeter", "info"]),
+    quiver=st.sampled_from(["A1", "A2", "A3"]),
+    d=vectors,
+    v=vectors,
+    lam=vectors,
+)
+def test_fuzzed_vectors_end_in_an_exit_code(cmd, quiver, d, v, lam):
+    """Vectors of any length and sign end as exit 0, 1 or 2, never as an
+    uncaught exception; the enumeration, retry and trial budgets keep each
+    run small."""
+    argv = [cmd, "--quiver", quiver, f"--d={d}", f"--v={v}"]  # "=" lets "-1,..." through
+    extra = {
+        "sample": [f"--lambda={lam}", "--retries", "2"],
+        "count": [f"--lambda={lam}", "--p", "2", "--budget", "2000"],
+        "reduce": [f"--lambda={lam}"],
+        "check-coxeter": [f"--lambda={lam}", "--trials", "1"],
+    }
+    try:
+        code = run(argv + extra.get(cmd, []))
+    except SystemExit as e:  # argparse usage errors
+        code = e.code
+    assert code in (0, 1, 2)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Exact matrices: stacking, rref, kernels, solving, determinants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from quiverlab import (
     QQ,
     QQI,
+    BlockSystem,
     Mat,
     NoSolution,
     NotSquare,
     PrimeField,
     ShapeMismatch,
     SingularMatrix,
+    WrongField,
     column_space_basis,
     complete_to_basis,
     det,
@@ -23,6 +26,7 @@ from quiverlab import (
     inverse,
     is_invertible,
     kernel_basis,
+    kron,
     random_invertible,
     random_matrix,
     rank,
@@ -142,6 +146,17 @@ class TestSolve:
             for h in sol.homogeneous:
                 assert (a * h).is_zero()
 
+    @pytest.mark.parametrize("field", [QQ, QQI, PrimeField(7)])
+    def test_homogeneous_is_kernel_basis(self, field):
+        rng = random.Random(4)
+        for _ in range(20):
+            r, c = rng.randint(1, 4), rng.randint(1, 5)
+            a = random_matrix(field, r, c, rng, 3)
+            if rng.random() < 0.5:  # force a dependent row
+                a = vstack([a, a.submatrix([0], range(c))])
+            b = a * random_matrix(field, c, 2, rng, 3)
+            assert solve_right(a, b).homogeneous == kernel_basis(a)
+
 
 class TestDet:
     def test_small_values(self):
@@ -191,6 +206,27 @@ class TestDet:
                 - a[0, 1] * a[1, 0] * a[2, 2]
             )
             assert det(a) == sarrus
+
+    @pytest.mark.parametrize("field", [QQI, PrimeField(7)])
+    def test_field_det_matches_leibniz(self, field):
+        rng = random.Random(22)
+        for n in range(1, 5):
+            for _ in range(8):
+                a = random_matrix(field, n, n, rng, 3)
+                if n > 1 and rng.random() < 0.5:
+                    # zero column 0 above the last row: elimination must swap
+                    a = Mat(field, n, n, [
+                        field.zero() if k % n == 0 and k < n * (n - 1) else x
+                        for k, x in enumerate(a._d)
+                    ])
+                want = field.zero()
+                for perm in itertools.permutations(range(n)):
+                    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                    term = field.from_int(-1 if inversions % 2 else 1)
+                    for r in range(n):
+                        term = term * a[r, perm[r]]
+                    want = want + term
+                assert det(a) == want
 
 
 class TestInverse:
@@ -274,3 +310,89 @@ def test_det_transpose_and_product(a, b):
         == det(a.submatrix(range(min(a.rows, a.cols)), range(min(a.rows, a.cols))).transpose())
     if a.rows == a.cols == b.rows == b.cols:
         assert det(a * b) == det(a) * det(b)
+
+
+class TestKron:
+    def test_blocks(self):
+        a = mat(QQ, [[1, 2]])
+        b = mat(QQ, [[0, 1], [1, 0]])
+        assert kron(a, b) == mat(QQ, [[0, 1, 0, 2], [1, 0, 2, 0]])
+        assert kron(Mat.zeros(QQ, 0, 2), b).shape() == (0, 4)
+
+    def test_matches_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(5)
+        for _ in range(20):
+            a = random_matrix(QQ, rng.randint(1, 3), rng.randint(1, 3), rng, 5)
+            b = random_matrix(QQ, rng.randint(1, 3), rng.randint(1, 3), rng, 5)
+            na, nb = (np.array(M.to_lists(), dtype=object) for M in (a, b))
+            want = np.kron(na, nb)
+            assert kron(a, b).to_lists() == want.tolist()
+
+    def test_row_major_vec_identity(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(6)
+        for _ in range(20):
+            p, m, n, q = (rng.randint(1, 3) for _ in range(4))
+            L = random_matrix(QQ, p, m, rng, 5)
+            X = random_matrix(QQ, m, n, rng, 5)
+            R = random_matrix(QQ, n, q, rng, 5)
+            vec_x = Mat(QQ, m * n, 1, list(X._d))
+            lhs = kron(L, R.transpose()) * vec_x
+            assert lhs._d == (L * X * R)._d  # row-major vec of L X R
+            nL, nX, nR = (np.array(M.to_lists(), dtype=object) for M in (L, X, R))
+            assert lhs._d == list(np.kron(nL, nR.T).dot(nX.reshape(-1)))
+
+    def test_field_mismatch(self):
+        with pytest.raises(WrongField):
+            kron(Mat.identity(QQ, 1), Mat.identity(QQI, 1))
+
+
+class TestBlockSystem:
+    def test_solves_sylvester_system(self):
+        # A X - X B = C with a unique solution, and a second unknown Y = X^T
+        rng = random.Random(7)
+        a = mat(QQ, [[1, 2], [0, 3]])
+        b = mat(QQ, [[-1, 0], [4, -2]])
+        x = random_matrix(QQ, 2, 2, rng, 5)
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("X", 2, 2)
+        sys_.unknown("Y", 1, 2)
+        sys_.equation([(a, "X", None), (None, "X", -b)], a * x - x * b)
+        sys_.equation([(None, "Y", None)], x.submatrix([1], [0, 1]))
+        part, hom = sys_.solve()
+        assert part == {"X": x, "Y": x.submatrix([1], [0, 1])}
+        assert hom == []
+
+    def test_layout_and_kernel(self):
+        # u0 + u1 + w = 0 and 2 w = 4: unknowns in declaration order are the
+        # columns, equations in insertion order are the rows
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("u", 1, 2)
+        sys_.unknown("w", 1, 1)
+        sys_.equation([(None, "u", mat(QQ, [[1], [1]])), (None, "w", None)], mat(QQ, [[0]]))
+        sys_.equation([(mat(QQ, [[2]]), "w", None)], mat(QQ, [[4]]))
+        A, c = sys_.matrix()
+        assert A == mat(QQ, [[1, 1, 1], [0, 0, 2]])
+        assert c == mat(QQ, [[0], [4]])
+        part, hom = sys_.solve()
+        assert part == {"u": mat(QQ, [[-2, 0]]), "w": mat(QQ, [[2]])}
+        assert hom == [{"u": mat(QQ, [[-1, 1]]), "w": mat(QQ, [[0]])}]
+
+    def test_inconsistent(self):
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("x", 1, 1)
+        sys_.equation([(None, "x", None)], mat(QQ, [[1]]))
+        sys_.equation([(None, "x", None)], mat(QQ, [[2]]))
+        with pytest.raises(NoSolution):
+            sys_.solve()
+
+    def test_term_shape_checked(self):
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("x", 2, 2)
+        with pytest.raises(ShapeMismatch):
+            sys_.equation([(mat(QQ, [[1, 2, 3]]), "x", None)], Mat.zeros(QQ, 1, 2))
+        with pytest.raises(ShapeMismatch):
+            sys_.equation([(None, "x", Mat.zeros(QQ, 2, 3))], Mat.zeros(QQ, 2, 2))
+        with pytest.raises(ShapeMismatch):  # identity factors need a square fit
+            sys_.equation([(None, "x", None)], Mat.zeros(QQ, 1, 2))

@@ -8,6 +8,7 @@ import pytest
 from quiverlab import (
     QQ,
     QQI,
+    BlockSystem,
     DimData,
     FiberSampleFailed,
     FramedPoint,
@@ -28,7 +29,9 @@ from quiverlab import (
     moment_matches,
     random_group,
     random_invertible,
+    rank,
     sample_fiber,
+    stratum_dimension,
 )
 from util import a1_point, a1_setup, a2_setup, mat
 
@@ -244,6 +247,90 @@ class TestSampler:
         f = PrimeField(101)
         s = sample_fiber(q, dims, lam, seed=1, field=f)
         assert moment_matches(s, lam)
+
+    def test_wrong_vector_lengths_rejected(self):
+        q = dynkin_quiver("A2")
+        for d, v, lam, msg in [
+            ((2, 1), (1,), (1, 1), "v has length 1, quiver has 2 vertices"),
+            ((2,), (1, 1), (1, 1), "d has length 1, quiver has 2 vertices"),
+            ((2, 1), (1, 1, 1), (1, 1), "v has length 3"),
+            ((2, 1), (1, 1), (1,), "lambda has length 1"),
+        ]:
+            dims = DimData(WeightVec(d), RootVec(v))
+            with pytest.raises(ShapeMismatch, match=msg):
+                sample_fiber(q, dims, WeightVec(lam), seed=0)
+
+
+def moment_differential(s):
+    """d mu at s as one matrix: unknowns dB (by arrow), d gamma, d delta; one
+    equation per vertex, d mu_i = sum eps (dB_h B_bar h + B_h dB_bar h)
+    + d gamma_i delta_i + gamma_i d delta_i over the arrows h into i."""
+    q, dims = s.quiver, s.dims
+    system = BlockSystem(s.field)
+    for a in q.arrows:
+        system.unknown(("B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
+    for vert in q.vertices:
+        system.unknown(("gamma", vert), dims.v_of(q, vert), dims.d_of(q, vert))
+        system.unknown(("delta", vert), dims.d_of(q, vert), dims.v_of(q, vert))
+    for vert in q.vertices:
+        terms = []
+        for arr in q.arrows_into(vert):
+            terms.append((None, ("B", arr.id), s.B[arr.bar].scale(arr.eps)))
+            terms.append((s.B[arr.id].scale(arr.eps), ("B", arr.bar), None))
+        terms.append((None, ("gamma", vert), s.delta[vert]))
+        terms.append((s.gamma[vert], ("delta", vert), None))
+        vi = dims.v_of(q, vert)
+        system.equation(terms, Mat.zeros(s.field, vi, vi))
+    return system.matrix()[0]
+
+
+class TestMomentDifferential:
+    """At generic lambda the fiber group acts freely, so d mu is onto and the
+    fiber has dimension dim S - sum v_i^2, the v' = v case of the stratum
+    dimension formula."""
+
+    @pytest.mark.parametrize("name, d, v, lam, seeds", [
+        ("A1", (3,), (2,), (2,), 3),
+        ("A2", (2, 1), (2, 1), (1, 3), 5),
+        ("A3", (1, 1, 1), (1, 2, 1), (2, 1, 1), 5),
+        ("D4", (0, 1, 0, 0), (1, 2, 1, 1), (1, 1, 1, 1), 5),
+    ])
+    def test_rank_is_group_dimension(self, name, d, v, lam, seeds):
+        q = dynkin_quiver(name)
+        dims = DimData(WeightVec(d), RootVec(v))
+        group_dim = sum(x * x for x in v)
+        for seed in range(seeds):
+            s = sample_fiber(q, dims, WeightVec(lam), seed=seed)
+            dmu = moment_differential(s)
+            assert dmu.shape() == (group_dim, dims.space_dimension(q))
+            r = rank(dmu)
+            assert r == group_dim
+            assert dmu.cols - r == stratum_dimension(
+                q, WeightVec(d), RootVec(v), RootVec(v)
+            )
+
+    def test_linear_in_the_tangent(self):
+        # mu is quadratic, so mu(s + X) - mu(s) - mu(X) is d mu at s applied
+        # to X; the column lists X in the unknown order of the system
+        rng = random.Random(3)
+        q, dims = a2_setup(d=(2, 1), v=(2, 1))
+        s = sample_fiber(q, dims, WeightVec((1, 3)), seed=4)
+        x = FramedPoint.random(q, dims, QQ, rng, 4)
+        col = Mat(QQ, dims.space_dimension(q), 1, [
+            e for a in q.arrows for e in x.B[a.id]._d
+        ] + [
+            e for vert in q.vertices for e in x.gamma[vert]._d + x.delta[vert]._d
+        ])
+        got = moment_differential(s) * col
+        mu_s, mu_x = moment_map(s), moment_map(x)
+        both = FramedPoint(q, dims, QQ,
+                           {a: s.B[a] + x.B[a] for a in s.B},
+                           {v: s.gamma[v] + x.gamma[v] for v in s.gamma},
+                           {v: s.delta[v] + x.delta[v] for v in s.delta})
+        mu_sum = moment_map(both)
+        want = [e for vert in q.vertices
+                for e in (mu_sum[vert] - mu_s[vert] - mu_x[vert])._d]
+        assert got._d == want
 
 
 class TestSerialization:
