@@ -21,7 +21,7 @@ from .errors import BalanceViolated, ShapeMismatch
 from .fields import QQ
 from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
-from .quiver import WeightVec
+from .quiver import WeightVec, _json_entry
 from .repspace import FramedPoint
 
 
@@ -89,15 +89,19 @@ class ChiData:
 
     @classmethod
     def from_json(cls, q, obj):
+        def entry(*keys):
+            return _json_entry(obj, "chi", *keys)
+
         entries = {}
-        for e in obj["entries"]:
-            key = tuple(e["key"][:1] + [int(x) if not isinstance(x, str) else x for x in e["key"][1:]])
-            entries[key] = parse_expr(q, e["expr"])
+        for k in range(len(entry("entries"))):
+            raw = entry("entries", k, "key")
+            key = tuple(raw[:1] + [int(x) if not isinstance(x, str) else x for x in raw[1:]])
+            entries[key] = parse_expr(q, entry("entries", k, "expr"))
         return cls(
-            tuple(obj["target_copies"]),
-            tuple(obj["source_copies"]),
-            tuple(tuple(x) for x in obj["vectors"]),
-            tuple(tuple(x) for x in obj["covectors"]),
+            tuple(entry("target_copies")),
+            tuple(entry("source_copies")),
+            tuple(tuple(x) for x in entry("vectors")),
+            tuple(tuple(x) for x in entry("covectors")),
             entries,
         )
 

@@ -4,11 +4,14 @@ Everything here is plain row-major lists plus field arithmetic.  The design
 constraints, in order: exactness, determinism, and only then speed (the
 matrices in this project are tiny, but there are many of them).
 
-Elimination strategy is pinned per field:
-  * determinants over Q clear denominators row-wise and run fraction-free
-    Bareiss on plain ints, so intermediate growth stays polynomial;
-  * over Q(i) and F_p one Gaussian elimination with exact field division
-    multiplies the pivots.
+Kernels are pinned per field:
+  * over Q, `rref`, matmul and `det` clear denominators (`_cleared`) and run
+    on plain ints: `rref` is a fraction-free Gauss-Jordan that divides each
+    updated row by its content, matmul takes one integer dot product per
+    entry, and `det` is fraction-free Bareiss; each result entry is built
+    as one Fraction at the end;
+  * over Q(i) and F_p, `rref` and `det` are Gaussian elimination with exact
+    field division, and matmul is the plain triple loop.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` from `vec(L X R) = kron(L, R^T) vec(X)`, with vec row-major.
@@ -20,7 +23,8 @@ product is a zero matrix of the right shape and det of the 0 x 0 matrix is 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -174,6 +178,15 @@ class Mat:
 
     def _matmul(self, other):
         n, k, m = self.rows, self.cols, other.cols
+        if self.field.kind == "Q" and k and n * k * m > 1:
+            rows = [_cleared(self._d[i * k : (i + 1) * k]) for i in range(n)]
+            cols = [_cleared(other._d[j::m]) for j in range(m)]
+            out = [
+                _fraction(sum(map(mul, ar, bc)), la * lb)
+                for ar, la in rows
+                for bc, lb in cols
+            ]
+            return Mat(self.field, n, m, out)
         z = self.field.zero()
         out = [z] * (n * m)
         a, b = self._d, other._d
@@ -251,18 +264,75 @@ def block(grid):
     return vstack([hstack(row) for row in grid])
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot column tuple)."""
-    field = a.field
-    z = field.zero()
-    m = a.to_lists()
+_ZERO = Fraction(0)
+
+
+def _fraction(x, den):
+    return Fraction(x, den) if x else _ZERO
+
+
+def _cleared(xs):
+    """Rationals xs as (ints, l) with xs[k] == ints[k] / l, l the lcm of the
+    denominators."""
+    l = lcm(*{x.denominator for x in xs})
+    return [x.numerator * (l // x.denominator) for x in xs], l
+
+
+def _rref_int(m, ncols):
+    """Fraction-free Gauss-Jordan on int rows (mutates m); returns the pivots.
+
+    Each elimination scales the target row so that the pivot row's multiple
+    is integral, subtracts that multiple on the pivot row's nonzero columns,
+    then divides the row by its content.
+    Scaling rows leaves the reduced echelon form unchanged, so on return row
+    r divided by its entry at pivots[r] is row r of it; later rows are zero.
+    """
+    nrows = len(m)
     pivots = []
     r = 0
-    for c in range(a.cols):
-        if r == a.rows:
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        g = gcd(*prow)
+        if g > 1:
+            prow[:] = [x // g for x in prow]
+        pv = prow[c]
+        support = [(j, x) for j, x in enumerate(prow) if x]
+        for i in range(nrows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            row = m[i] if a == 1 else [x * a for x in m[i]]
+            for j, x in support:
+                row[j] -= b * x
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_field(m, field):
+    """Gauss-Jordan with exact field division (mutates m); returns the pivots."""
+    z = field.zero()
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
             break
         pr = None
-        for i in range(r, a.rows):
+        for i in range(r, nrows):
             if m[i][c] != z:
                 pr = i
                 break
@@ -271,14 +341,32 @@ def rref(a):
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
-        for i in range(a.rows):
+        for i in range(nrows):
             if i != r and m[i][c] != z:
                 f = m[i][c]
                 m[i] = [xi - f * xr for xi, xr in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    flat = [x for row in m for x in row]
-    return Mat(field, a.rows, a.cols, flat), tuple(pivots)
+    return pivots
+
+
+def rref(a):
+    """Reduced row echelon form.  Returns (R, pivot column tuple)."""
+    if a.field.kind == "Q":
+        m = [_cleared(a.row_list(r))[0] for r in range(a.rows)]
+        pivots = _rref_int(m, a.cols)
+        data = []
+        for r, row in enumerate(m):
+            if r < len(pivots):
+                pv = row[pivots[r]]
+                data.extend(_fraction(x, pv) for x in row)
+            else:
+                data.extend([_ZERO] * a.cols)
+    else:
+        m = a.to_lists()
+        pivots = _rref_field(m, a.field)
+        data = [x for row in m for x in row]
+    return Mat(a.field, a.rows, a.cols, data), tuple(pivots)
 
 
 def rank(a):
@@ -487,12 +575,10 @@ def det(a):
         scale = 1
         m = []
         for r in range(n):
-            row = a.row_list(r)
-            l = lcm(*(x.denominator for x in row)) if row else 1
+            row, l = _cleared(a.row_list(r))
             scale *= l
-            m.append([int(x * l) for x in row])
-        d = _det_bareiss_int(m)
-        return Fraction(d, scale)
+            m.append(row)
+        return Fraction(_det_bareiss_int(m), scale)
     return _det_field(a.to_lists(), a.field)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidQuiver, NoSolution, RangeViolation, ShapeMismatch
-from .linalg import BlockSystem, Mat, is_invertible
+from .errors import InvalidQuiver, NoSolution, RangeViolation, ShapeMismatch, SingularBlock
+from .linalg import BlockSystem, Mat
 from .quiver import Quiver
 from .repspace import FramedPoint, GroupElement, group_act, identity_group
 
@@ -250,23 +250,28 @@ def lusztig_invariants(s: FramedPoint, max_len: int):
     comparison the projection tools need.
     """
     q = s.quiver
-    out = []
-    for p in enumerate_paths(q, max_len):
-        if p.is_closed:
-            out.append((("tr", format_path(p)), evaluate(p, s).trace()))
+    traces, framing = [], []
 
-    def framing_entries(p):
-        m = s.delta[p.target] * evaluate(p, s) * s.gamma[p.source]
-        lit = format_path(p)
+    def framing_entries(lit, m):
         for r in range(m.rows):
             for c in range(m.cols):
-                out.append((("fr", lit, r, c), m[r, c]))
+                framing.append((("fr", lit, r, c), m[r, c]))
 
     for vert in q.vertices:
-        framing_entries(empty_path(q, vert))
+        framing_entries(format_path(empty_path(q, vert)), s.delta[vert] * s.gamma[vert])
+    # every prefix is enumerated before its extensions
+    mats = {}
     for p in enumerate_paths(q, max_len):
-        framing_entries(p)
-    return out
+        ids = p.arrow_ids
+        m = s.B[ids[-1]]
+        if len(ids) > 1:
+            m = m * mats[ids[:-1]]
+        mats[ids] = m
+        lit = format_path(p)
+        if p.is_closed:
+            traces.append((("tr", lit), m.trace()))
+        framing_entries(lit, s.delta[p.target] * m * s.gamma[p.source])
+    return traces + framing
 
 
 # -- intertwiners ----------------------------------------------------------
@@ -278,9 +283,6 @@ class Intertwiner:
     framing identification on D fixed to the identity."""
 
     blocks: dict  # vertex -> Mat
-
-    def is_invertible(self):
-        return all(is_invertible(m) for m in self.blocks.values())
 
 
 def is_intertwiner(g: Intertwiner, s: FramedPoint, t: FramedPoint) -> bool:
@@ -386,9 +388,10 @@ def orbit_equivalent(
         return OrbitDecision("no", reason="hom dimensions differ between directions")
 
     def try_candidate(g: Intertwiner):
-        if not g.is_invertible():
+        try:
+            ge = GroupElement(dict(g.blocks))
+        except SingularBlock:
             return None
-        ge = GroupElement(dict(g.blocks))
         if group_act(ge, s) == t:
             return ge
         return None  # cannot happen for true intertwiners; guards the solver

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidQuiver, NotFiniteType, RangeViolation, ShapeMismatch
+from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,23 @@ class Quiver:
     @classmethod
     def from_json(cls, obj):
         arrows = tuple(
-            Arrow(d["id"], d["from"], d["to"], d["eps"], d["bar"])
-            for d in obj["arrows"]
+            Arrow(*(_json_entry(obj, "quiver", "arrows", k, f)
+                    for f in ("id", "from", "to", "eps", "bar")))
+            for k in range(len(_json_entry(obj, "quiver", "arrows")))
         )
-        return cls(tuple(obj["vertices"]), arrows)
+        return cls(tuple(_json_entry(obj, "quiver", "vertices")), arrows)
+
+
+def _json_entry(obj, what, *keys):
+    """obj[k1][k2]...; a missing entry is a QuiverLabError that names it,
+    as read from `what` JSON (point, quiver, chi)."""
+    for n, key in enumerate(keys, 1):
+        try:
+            obj = obj[key]
+        except (KeyError, IndexError, TypeError):
+            path = "".join(f"[{k!r}]" for k in keys[:n])
+            raise QuiverLabError(f"{what} JSON has no entry {path}") from None
+    return obj
 
 
 def doubled_quiver(vertices, edges):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import (
     FiberSampleFailed,
     NoSolution,
-    QuiverLabError,
+    RangeViolation,
     ShapeMismatch,
     SingularBlock,
     WrongField,
@@ -37,7 +37,7 @@ from .linalg import (
     random_invertible,
     vstack,
 )
-from .quiver import Quiver, RootVec, WeightVec, _check_len
+from .quiver import Quiver, RootVec, WeightVec, _check_len, _json_entry
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,13 @@ class DimData:
         return self.v[q.vertex_index(vertex)]
 
     def check(self, q):
-        """ShapeMismatch unless d and v have one entry per vertex of q."""
-        _check_len(q, self.d, "d")
-        _check_len(q, self.v, "v")
+        """ShapeMismatch unless d and v have one entry per vertex of q;
+        RangeViolation if an entry is negative."""
+        for vec, nm in ((self.d, "d"), (self.v, "v")):
+            _check_len(q, vec, nm)
+            for k, x in enumerate(vec):
+                if x < 0:
+                    raise RangeViolation(f"{nm}[{k}] is {x}; dimensions must be >= 0")
 
     def space_dimension(self, q):
         """dim of the whole representation space: arrows + two framing blocks."""
@@ -153,11 +157,12 @@ class FramedPoint:
 
     @classmethod
     def from_json(cls, obj, quiver=None):
-        q = quiver if quiver is not None else Quiver.from_json(_json_entry(obj, "quiver"))
-        f = field_from_name(_json_entry(obj, "field"))
-        dims = DimData(
-            WeightVec(tuple(_json_entry(obj, "d"))), RootVec(tuple(_json_entry(obj, "v")))
-        )
+        def entry(*keys):
+            return _json_entry(obj, "point", *keys)
+
+        q = quiver if quiver is not None else Quiver.from_json(entry("quiver"))
+        f = field_from_name(entry("field"))
+        dims = DimData(WeightVec(tuple(entry("d"))), RootVec(tuple(entry("v"))))
         dims.check(q)
 
         def load_mat(rows_json, r, c):
@@ -167,33 +172,18 @@ class FramedPoint:
             return Mat(f, r, c, data)
 
         B = {
-            a.id: load_mat(_json_entry(obj, "B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
+            a.id: load_mat(entry("B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
             for a in q.arrows
         }
         gamma = {
-            vert: load_mat(
-                _json_entry(obj, "gamma", str(vert)), dims.v_of(q, vert), dims.d_of(q, vert)
-            )
+            vert: load_mat(entry("gamma", str(vert)), dims.v_of(q, vert), dims.d_of(q, vert))
             for vert in q.vertices
         }
         delta = {
-            vert: load_mat(
-                _json_entry(obj, "delta", str(vert)), dims.d_of(q, vert), dims.v_of(q, vert)
-            )
+            vert: load_mat(entry("delta", str(vert)), dims.d_of(q, vert), dims.v_of(q, vert))
             for vert in q.vertices
         }
         return cls(q, dims, f, B, gamma, delta)
-
-
-def _json_entry(obj, *keys):
-    """obj[k1][k2]...; a missing entry is a QuiverLabError that names it."""
-    for n, key in enumerate(keys, 1):
-        try:
-            obj = obj[key]
-        except (KeyError, IndexError, TypeError):
-            path = "".join(f"[{k!r}]" for k in keys[:n])
-            raise QuiverLabError(f"point JSON has no entry {path}") from None
-    return obj
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """End-to-end CLI coverage: payload shapes, pipelines, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quiverlab
 from quiverlab import FramedPoint, WeightVec, moment_matches, sample_fiber
 from quiverlab.cli import main, run
 from util import a1_point, a2_setup, cli_env
@@ -333,6 +335,50 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0"],
+        ["count", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0", "--p", "3"],
+        ["info", "--quiver", "A2", "--d=1,1", "--v=-1,1"],
+    ], ids=["sample", "count", "info"])
+    def test_negative_dimension(self, tmp_path, argv):
+        proc = self.child(argv, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "v[0] is -1; dimensions must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_framing_dimension(self, capsys):
+        code, _, err = invoke(capsys, "info", "--quiver", "A2", "--d=1,-2", "--v=1,1")
+        assert code == 1
+        assert "d[1] is -2; dimensions must be >= 0" in err
+
+    def test_quiver_without_arrows(self, tmp_path):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0).to_json()
+        del obj["quiver"]["arrows"]
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(obj))
+        proc = self.child(["invariants", str(path)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "quiver JSON has no entry ['arrows']" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("drop, message", [
+        (("entries",), "chi JSON has no entry ['entries']"),
+        (("entries", 0, "expr"), "chi JSON has no entry ['entries'][0]['expr']"),
+    ], ids=["entries", "expr"])
+    def test_chi_file_missing_key(self, tmp_path, worked_point, a1_chi_file, drop, message):
+        obj = json.loads(a1_chi_file.read_text())
+        parent = obj
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        a1_chi_file.write_text(json.dumps(obj))
+        proc = self.child(["covariant", str(worked_point), "--chi", str(a1_chi_file), "--m", "1"],
+                          tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 vectors = st.lists(st.integers(-1, 2), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs))
@@ -395,3 +441,32 @@ class TestDeterminism:
         b = invoke_json(capsys, "sample", "--quiver", "A1", "--d", "2", "--v", "1",
                         "--lambda", "1", "--seed", "2")
         assert a != b
+
+
+# -- the benchmark's CLI battery against its committed goldens -----------------
+
+# perfbench/workloads.py is imported, so the battery and its inputs are not copied
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    import workloads
+finally:
+    sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="module")
+def battery_dir(tmp_path_factory):
+    """A working directory holding the input files the battery reads."""
+    workdir = tmp_path_factory.mktemp("battery")
+    workloads.write_cli_inputs(quiverlab, str(workdir))
+    return workdir
+
+
+@pytest.mark.parametrize("name", sorted(workloads.CLI_BATTERY))
+def test_cli_battery_matches_goldens(battery_dir, capsys, monkeypatch, name):
+    monkeypatch.chdir(battery_dir)
+    code = run(list(workloads.CLI_BATTERY[name]))
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    with open(os.path.join(workloads.GOLDENS, "cli", name + ".out"), "rb") as fh:
+        assert out.encode() == fh.read()

@@ -34,6 +34,8 @@ from quiverlab import (
     solve_right,
     vstack,
 )
+from quiverlab import DimData, RootVec, WeightVec, dynkin_quiver, group_act, hom_space, linalg
+from quiverlab import random_group, sample_fiber
 from util import mat
 
 
@@ -396,3 +398,186 @@ class TestBlockSystem:
             sys_.equation([(None, "x", Mat.zeros(QQ, 2, 3))], Mat.zeros(QQ, 2, 2))
         with pytest.raises(ShapeMismatch):  # identity factors need a square fit
             sys_.equation([(None, "x", None)], Mat.zeros(QQ, 1, 2))
+
+
+# -- Q kernels on cleared denominators against two references -----------------
+#
+# Over Q, rref, matmul and det run on integers.  The first reference is the
+# field elimination (the Q(i) / F_p code path) called directly on the same Q
+# matrix; the second is sympy.  Inputs cover entries up to height 10^6, zero
+# rows and columns, empty shapes, rank-deficient products and the sparse
+# kron-shaped systems hom_space assembles.
+
+
+def rand_q(rng, rows, cols, height, density=0.7):
+    return Mat(QQ, rows, cols, [
+        Fraction(rng.randint(-height, height), rng.randint(1, height))
+        if rng.random() < density else Fraction(0)
+        for _ in range(rows * cols)
+    ])
+
+
+def q_cases(seed, count=40):
+    """Random Q matrices of every kind the differential tests cover."""
+    rng = random.Random(seed)
+    out = [Mat.zeros(QQ, 0, 3), Mat.zeros(QQ, 3, 0), Mat.zeros(QQ, 0, 0), Mat.zeros(QQ, 2, 3)]
+    for k in range(count):
+        height = (1, 9, 10**3, 10**6)[k % 4]
+        rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+        a = rand_q(rng, rows, cols, height, rng.choice((0.3, 0.7, 1.0)))
+        if k % 3 == 1:  # rank-deficient: a product through a narrow middle
+            mid = rng.randint(0, min(rows, cols) - 1) if min(rows, cols) > 1 else 0
+            a = rand_q(rng, rows, mid, height) * rand_q(rng, mid, cols, height)
+        if k % 5 == 2:  # a zero row and a zero column
+            d = list(a._d)
+            r0, c0 = rng.randrange(rows), rng.randrange(cols)
+            for j in range(cols):
+                d[r0 * cols + j] = Fraction(0)
+            for i in range(rows):
+                d[i * cols + c0] = Fraction(0)
+            a = Mat(QQ, rows, cols, d)
+        out.append(a)
+    return out
+
+
+def field_rref(a):
+    m = a.to_lists()
+    pivots = linalg._rref_field(m, a.field)
+    return Mat(a.field, a.rows, a.cols, [x for row in m for x in row]), tuple(pivots)
+
+
+def hom_space_systems():
+    """The (A, c) systems hom_space solves, on A2, A3 and D4 fiber points and
+    their images under random group elements."""
+    rng = random.Random(5)
+    cases = [("A2", (2, 2), (1, 1), (1, 1)), ("A3", (1, 1, 1), (1, 2, 1), (1, -1, 2)),
+             ("D4", (1, 1, 1, 1), (1, 1, 1, 1), (1, 2, -1, 3))]
+    pairs = []
+    for name, d, v, lam in cases:
+        q = dynkin_quiver(name)
+        dims = DimData(WeightVec(d), RootVec(v))
+        s = sample_fiber(q, dims, WeightVec(lam), seed=rng.randrange(1000))
+        t = group_act(random_group(q, dims, QQ, rng), s)
+        pairs += [(s, t), (t, s)]
+    systems = []
+    real = linalg.solve_right
+
+    def record(a, c):
+        systems.append((a, c))
+        return real(a, c)
+
+    linalg.solve_right = record
+    try:
+        for s, t in pairs:
+            hom_space(s, t)
+    finally:
+        linalg.solve_right = real
+    return systems
+
+
+class TestQKernelsAgainstFieldElimination:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rref_rank_kernel(self, seed):
+        for a in q_cases(seed):
+            R, piv = rref(a)
+            assert (R, piv) == field_rref(a)
+            assert rank(a) == len(piv)
+            assert kernel_basis(a) == linalg._kernel_from_rref(*field_rref(a), a.cols)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_solve_right(self, seed):
+        rng = random.Random(seed)
+        for a in q_cases(seed, 24):
+            c = rand_q(rng, a.rows, rng.randint(1, 3), 10**6)
+            if rng.random() < 0.5:  # consistent by construction
+                c = a * rand_q(rng, a.cols, c.cols, 50)
+            R, piv = field_rref(hstack([a, c]))
+            if any(p >= a.cols for p in piv):
+                with pytest.raises(NoSolution):
+                    solve_right(a, c)
+                continue
+            sol = solve_right(a, c)
+            want = [[Fraction(0)] * c.cols for _ in range(a.cols)]
+            for r, p in enumerate(piv):
+                for j in range(c.cols):
+                    want[p][j] = R[r, a.cols + j]
+            assert sol.particular == Mat(QQ, a.cols, c.cols, [x for row in want for x in row])
+            assert sol.homogeneous == linalg._kernel_from_rref(R, piv, a.cols)
+            assert a * sol.particular == c
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_matmul(self, seed):
+        rng = random.Random(seed)
+        shapes = [(0, 3, 2), (2, 0, 3), (2, 3, 0), (1, 1, 1), (1, 5, 1), (4, 1, 3), (6, 7, 5)]
+        for k in range(30):
+            n, inner, m = shapes[k] if k < len(shapes) else (
+                rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+            height = (1, 9, 10**6)[k % 3]
+            a = rand_q(rng, n, inner, height, rng.choice((0.3, 1.0)))
+            b = rand_q(rng, inner, m, height, rng.choice((0.3, 1.0)))
+            want = [sum((a[i, t] * b[t, j] for t in range(inner)), Fraction(0))
+                    for i in range(n) for j in range(m)]
+            assert (a * b)._d == want
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_det(self, seed):
+        rng = random.Random(seed)
+        for k in range(30):
+            n = rng.randint(0, 6)
+            a = rand_q(rng, n, n, (1, 9, 10**6)[k % 3], rng.choice((0.3, 0.7, 1.0)))
+            if k % 4 == 3 and n > 1:
+                a = rand_q(rng, n, n - 1, 9) * rand_q(rng, n - 1, n, 9)
+            want = linalg._det_field(a.to_lists(), QQ) if n else Fraction(1)
+            assert det(a) == want
+
+    def test_hom_space_systems(self):
+        systems = hom_space_systems()
+        assert len(systems) == 6
+        for a, c in systems:
+            assert a.rows > a.cols > 0
+            aug = hstack([a, c])
+            assert rref(aug) == field_rref(aug)
+            assert kernel_basis(a) == linalg._kernel_from_rref(*field_rref(a), a.cols)
+
+
+class TestQKernelsAgainstSympy:
+    @staticmethod
+    def to_sympy(sp, a):
+        return sp.Matrix(a.rows, a.cols, [sp.Rational(x.numerator, x.denominator) for x in a._d])
+
+    @staticmethod
+    def from_sympy(a):
+        return [Fraction(int(x.p), int(x.q)) for x in a]
+
+    def check(self, sp, a):
+        R, piv = rref(a)
+        S, spiv = self.to_sympy(sp, a).rref()
+        assert piv == spiv
+        assert R._d == self.from_sympy(S)
+        assert rank(a) == len(spiv)
+        null = self.to_sympy(sp, a).nullspace()
+        assert [k._d for k in kernel_basis(a)] == [self.from_sympy(v) for v in null]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_rref_rank_kernel(self, seed):
+        sp = pytest.importorskip("sympy")
+        for a in q_cases(seed, 24):
+            if a.rows and a.cols:  # sympy's empty-shape rref is not comparable
+                self.check(sp, a)
+
+    def test_hom_space_systems(self):
+        sp = pytest.importorskip("sympy")
+        for a, c in hom_space_systems():
+            self.check(sp, hstack([a, c]))
+
+    def test_matmul_and_det(self):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(13)
+        for k in range(20):
+            n, inner = rng.randint(1, 5), rng.randint(1, 5)
+            height = (9, 10**6)[k % 2]
+            a = rand_q(rng, n, inner, height)
+            b = rand_q(rng, inner, n, height)
+            assert (a * b)._d == self.from_sympy(self.to_sympy(sp, a) * self.to_sympy(sp, b))
+            d = self.to_sympy(sp, a * b).det()
+            assert det(a * b) == Fraction(int(d.p), int(d.q))

@@ -167,6 +167,32 @@ class TestInvariants:
             g = random_group(q, s.dims, QQ, rng)
             assert lusztig_invariants(s, 4) == lusztig_invariants(group_act(g, s), 4)
 
+    @staticmethod
+    def per_path_reference(s, max_len):
+        """Every invariant from its own `evaluate` call, in the documented order."""
+        q = s.quiver
+        paths = list(enumerate_paths(q, max_len))
+        out = [(("tr", format_path(p)), evaluate(p, s).trace()) for p in paths if p.is_closed]
+        for p in [empty_path(q, vert) for vert in q.vertices] + paths:
+            m = s.delta[p.target] * evaluate(p, s) * s.gamma[p.source]
+            lit = format_path(p)
+            out += [(("fr", lit, r, c), m[r, c]) for r in range(m.rows) for c in range(m.cols)]
+        return out
+
+    @pytest.mark.parametrize("name, d, v, lam", [
+        ("A2", (2, 1), (1, 1), (1, 1)),
+        ("A2", (2, 2), (2, 1), (1, 2)),
+        ("A3", (1, 1, 1), (1, 2, 1), (1, -1, 2)),
+        ("D4", (1, 1, 1, 1), (1, 1, 1, 1), (1, 2, -1, 3)),
+    ], ids=["A2", "A2v21", "A3", "D4"])
+    def test_matches_per_path_evaluation(self, name, d, v, lam):
+        q = dynkin_quiver(name)
+        dims = DimData(WeightVec(d), RootVec(v))
+        for seed in (0, 1):
+            s = sample_fiber(q, dims, WeightVec(lam), seed=seed)
+            for max_len in range(1, 5):
+                assert lusztig_invariants(s, max_len) == self.per_path_reference(s, max_len)
+
 
 def flatten(blocks, verts):
     return [x for v in verts for row in blocks[v].to_lists() for x in row]
