@@ -1,5 +1,6 @@
 """Pinned exact outputs of the fiber sampler, the intertwiner solver, orbit
-decisions and reflections.
+decisions, reflections on both sides, limit projections, basis completion
+and determinants over Q(i) and F_p.
 
 Each case renders its result as canonical JSON (sorted keys, no spaces,
 entries through `field.dump`) and compares the sha256 of that text with a
@@ -18,14 +19,21 @@ from quiverlab import (
     QQ,
     QQI,
     DimData,
+    Mat,
     PrimeField,
     RootVec,
     WeightVec,
+    complete_to_basis,
+    det,
     dynkin_quiver,
     group_act,
     hom_space,
+    j_embed,
+    limit_project,
     orbit_equivalent,
     random_group,
+    random_matrix,
+    rank,
     reflect_point,
     sample_fiber,
 )
@@ -192,3 +200,138 @@ def test_reflect_point_pinned(case):
         "section": dump_mat(res.section),
     }
     assert digest(got) == REFLECT_DIGESTS[case]
+
+
+# the four REFLECTIONS cases again, forced to the cokernel side (a_i is
+# injective at each)
+COKERNEL_DIGESTS = {
+    "A2-Q@1": "22dce0b1489ce65af740c9c68db336471f1956ea3293ecf813c4b4b308402e1b",
+    "A2-Qi@2": "812dc4ed9fb8fdba6b45907bf29a663bfe896eeab57425a79a1c164307acdbbd",
+    "A3-Q-v0-d0@2": "1cdfabea59d4ebe36b82a9b33245794a6af0b00e7d2aef296aa871265ab3179e",
+    "D4-Q@3": "e38c2769360fb1fd6b0b62ac76015c0210eb1639786a7c326499eecf19cf9c55",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFLECTIONS))
+def test_reflect_point_cokernel_pinned(case):
+    fiber, vertex = REFLECTIONS[case]
+    spec = FIBERS[fiber]
+    s = sample(*spec)
+    res = reflect_point(s, vertex, WeightVec(spec[3]), side="cokernel")
+    got = {
+        "point": res.point.to_json(),
+        "side": res.side,
+        "a_prime": dump_mat(res.a_prime),
+        "b_prime": dump_mat(res.b_prime),
+        "section": dump_mat(res.section),
+    }
+    assert digest(got) == COKERNEL_DIGESTS[case]
+
+
+def embedded(name, d, v, seed, vertex):
+    """A zero-level fiber point padded by one dimension at `vertex` (so b_i
+    is not onto there) and moved by a random group element."""
+    s = sample(name, d, v, (0,) * len(d), seed)
+    coords = list(v)
+    coords[s.quiver.vertex_index(vertex)] += 1
+    big = j_embed(s, RootVec(tuple(coords)))
+    g = random_group(s.quiver, big.dims, QQ, random.Random(seed + 1000))
+    return group_act(g, big)
+
+
+# (point builder, vertex): zero-level points on both branches of
+# limit_project, b_i not onto and a_i not injective
+LIMITS = {
+    "A1-embedded": (lambda: embedded("A1", (2,), (1,), 4, 1), 1),
+    "A1-delta-zero": (lambda: sample("A1", (1,), (1,), (0,), 2), 1),
+    "A2-embedded@1": (lambda: embedded("A2", (2, 1), (1, 1), 3, 1), 1),
+    "A2-F7-unframed@1": (lambda: sample(*FIBERS["A2-F7-unframed"]), 1),
+    "A2-F7-unframed@2": (lambda: sample(*FIBERS["A2-F7-unframed"]), 2),
+    "A3-Q-unframed@1": (lambda: sample(*FIBERS["A3-Q-unframed"]), 1),
+    "A3-Q-unframed@2": (lambda: sample(*FIBERS["A3-Q-unframed"]), 2),
+    "A3-Q-unframed@3": (lambda: sample(*FIBERS["A3-Q-unframed"]), 3),
+    "A3-embedded@2": (lambda: embedded("A3", (1, 1, 1), (1, 1, 1), 9, 2), 2),
+}
+
+LIMIT_DIGESTS = {
+    "A1-delta-zero": "dec55e56ea444918256d98f1f46b25dd805f238cf4919adc0d870a7f8790bb88",
+    "A1-embedded": "2b7e92b6c1308280c8dfc5ee2740c7346019be8008e710089efbb42206838f4e",
+    "A2-F7-unframed@1": "4be0fa895cdf18d27d29e7be103bc0a296e1ef2efa7d5e16484a0c3cb16cf761",
+    "A2-F7-unframed@2": "f8661eb80d76cf90a2394756d4eec404f1de6c64dfbbc59c56a2079bfaba87b1",
+    "A2-embedded@1": "d50e8f9be31923567ffd26783c42496739184d8ac1e68a4945d11d86f090c5fe",
+    "A3-Q-unframed@1": "fe8a1885e2b69f91972f2c07d4950ecef29467cf18604fbe896bbc5f3d566e68",
+    "A3-Q-unframed@2": "a658ab7e6f1d73cfe57eee407e21855ed69205fd402fd0011a02e89cdb640e14",
+    "A3-Q-unframed@3": "a4642f5613c237425bbccece2c8e427a190d7bcc4f5c7ea23a3de984d49a9885",
+    "A3-embedded@2": "67b541acdd5a96c50fa7d3b89695be8a4224e32c084a61d0f01ff0ea136c3b34",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIMITS))
+def test_limit_project_pinned(case):
+    build, vertex = LIMITS[case]
+    assert digest(limit_project(build(), vertex).to_json()) == LIMIT_DIGESTS[case]
+
+
+def random_columns(field, rng, count):
+    """Independent column sets n x k (0 <= k <= n <= 5), about half their
+    entries zero, so the completion skips some standard vectors."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(0, 5)
+        k = rng.randint(0, n)
+        data = [field.random(rng, 4) if rng.random() < 0.5 else field.zero()
+                for _ in range(n * k)]
+        cols = Mat(field, n, k, data)
+        if rank(cols) == k:
+            out.append(cols)
+    return out
+
+
+BASIS_FIELDS = {"Q": QQ, "Qi": QQI, "F7": PrimeField(7)}
+
+BASIS_DIGESTS = {
+    "F7": "609c3bfe4cec48a0156d4bcdaf25047e1048e154b9916de358a830c982be2ba9",
+    "Q": "37516e5b22df0b28496d5fb78824ea062758935b4f21b41d2631b15c789318b3",
+    "Qi": "fe0a6f1c3c3356459d20709bcee334dded4d6a3b185d3cfc43ce2def871fd905",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_FIELDS))
+def test_complete_to_basis_pinned(case):
+    field = BASIS_FIELDS[case]
+    rng = random.Random(31)
+    got = [dump_mat(complete_to_basis(c)) for c in random_columns(field, rng, 40)]
+    assert digest(got) == BASIS_DIGESTS[case]
+
+
+def random_square(field, rng, count):
+    """Square matrices n <= 6: random ones, and products through n - 1
+    (singular), alternately."""
+    out = []
+    for k in range(count):
+        n = rng.randint(0, 6)
+        if k % 2 and n > 1:
+            out.append(random_matrix(field, n, n - 1, rng, 9) * random_matrix(field, n - 1, n, rng, 9))
+        else:
+            out.append(random_matrix(field, n, n, rng, 9))
+    return out
+
+
+DET_FIELDS = {"F2": PrimeField(2), "F7": PrimeField(7), "F101": PrimeField(101),
+              "F1000003": PrimeField(1000003), "Qi": QQI}
+
+DET_DIGESTS = {
+    "F101": "4201543b97df4da050ed31f96d8e65598587d5023019dd2b2201e5e372571148",
+    "F1000003": "92ce30e37012b5c7dc11a1c1c06314c96dee71e53bae78b2e18e0ec183923705",
+    "F2": "8c8023802d7772cff319d3196db5872693e494f3f84d0ba662c7d38f99a5788e",
+    "F7": "2ab1b8662b61b203c3a61f8bafb8c40a641733dd6e2f88eb498ee4bad5441942",
+    "Qi": "cb747a56810ee87fd9a84197c4d752006dc99ce256cfa7a53886213d0aba93bf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DET_FIELDS))
+def test_det_pinned(case):
+    field = DET_FIELDS[case]
+    rng = random.Random(41)
+    got = [field.dump(det(a)) for a in random_square(field, rng, 60)]
+    assert digest(got) == DET_DIGESTS[case]
