@@ -222,12 +222,6 @@ class RationalField:
     def random(self, rng, height=10):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
-    def random_nonzero(self, rng, height=10):
-        while True:
-            x = self.random(rng, height)
-            if x != 0:
-                return x
-
     def conj(self, x):
         raise WrongField("conjugation is only defined over Q(i)")
 
@@ -280,12 +274,6 @@ class GaussianRationalField:
             Fraction(rng.randint(-height, height), rng.randint(1, height)),
             Fraction(rng.randint(-height, height), rng.randint(1, height)),
         )
-
-    def random_nonzero(self, rng, height=10):
-        while True:
-            x = self.random(rng, height)
-            if x != self.zero():
-                return x
 
     def conj(self, x):
         return self.coerce(x).conjugate()
@@ -351,9 +339,6 @@ class PrimeField:
 
     def random(self, rng, height=None):
         return FpScalar(rng.randrange(self.p), self.p)
-
-    def random_nonzero(self, rng, height=None):
-        return FpScalar(rng.randrange(1, self.p), self.p)
 
     def conj(self, x):
         raise WrongField("conjugation is only defined over Q(i)")

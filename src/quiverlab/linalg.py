@@ -5,13 +5,16 @@ constraints, in order: exactness, determinism, and only then speed (the
 matrices in this project are tiny, but there are many of them).
 
 Kernels are pinned per field:
-  * over Q, `rref`, matmul and `det` clear denominators (`_cleared`) and run
-    on plain ints: `rref` is a fraction-free Gauss-Jordan that divides each
-    updated row by its content, matmul takes one integer dot product per
-    entry, and `det` is fraction-free Bareiss; each result entry is built
-    as one Fraction at the end;
-  * over Q(i) and F_p, `rref` and `det` are Gaussian elimination with exact
-    field division, and matmul is the plain triple loop.
+  * over Q, `rref` and matmul clear denominators (`_cleared`) and run on
+    plain ints: `rref` is a fraction-free Gauss-Jordan that divides each
+    updated row by its content, and matmul takes one integer dot product per
+    entry; each result entry is built as one Fraction at the end;
+  * over Q(i) and F_p, `rref` is Gauss-Jordan with exact field division
+    (`_rref_field`), and matmul is the plain triple loop;
+  * `det` is fraction-free Bareiss on ints wherever the field has an integer
+    form: over Q on the cleared rows, over F_p on the residues (det is an
+    integer polynomial in the entries, so it commutes with Z -> F_p).  Over
+    Q(i) it is the signed pivot product that `_rref_field` returns.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` from `vec(L X R) = kron(L, R^T) vec(X)`, with vec row-major.
@@ -187,16 +190,17 @@ class Mat:
                 for bc, lb in cols
             ]
             return Mat(self.field, n, m, out)
-        z = self.field.zero()
-        out = [z] * (n * m)
+        if not k:
+            return Mat.zeros(self.field, n, m)
+        out = []
         a, b = self._d, other._d
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
             for j in range(m):
-                acc = z
-                for t in range(k):
+                acc = arow[0] * b[j]
+                for t in range(1, k):
                     acc = acc + arow[t] * b[t * m + j]
-                out[i * m + j] = acc
+                out.append(acc)
         return Mat(self.field, n, m, out)
 
     def scale(self, c):
@@ -322,8 +326,13 @@ def _rref_int(m, ncols):
 
 
 def _rref_field(m, field):
-    """Gauss-Jordan with exact field division (mutates m); returns the pivots."""
+    """Gauss-Jordan with exact field division (mutates m).
+
+    Returns (pivots, d), d the product of the pivot values with one sign
+    flip per row swap: det m when m is square and of full rank.
+    """
     z = field.zero()
+    d = field.one()
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -338,8 +347,11 @@ def _rref_field(m, field):
                 break
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            d = -d
         pv = m[r][c]
+        d = d * pv
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != z:
@@ -347,7 +359,7 @@ def _rref_field(m, field):
                 m[i] = [xi - f * xr for xi, xr in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, d
 
 
 def rref(a):
@@ -364,7 +376,7 @@ def rref(a):
                 data.extend([_ZERO] * a.cols)
     else:
         m = a.to_lists()
-        pivots = _rref_field(m, a.field)
+        pivots, _ = _rref_field(m, a.field)
         data = [x for row in m for x in row]
     return Mat(a.field, a.rows, a.cols, data), tuple(pivots)
 
@@ -538,31 +550,6 @@ def _det_bareiss_int(m):
     return sign * m[n - 1][n - 1]
 
 
-def _det_field(m, field):
-    """Gaussian elimination with exact field division (Q(i), F_p; mutates m)."""
-    n = len(m)
-    z = field.zero()
-    det = field.one()
-    for k in range(n):
-        if m[k][k] == z:
-            for i in range(k + 1, n):
-                if m[i][k] != z:
-                    m[k], m[i] = m[i], m[k]
-                    det = -det
-                    break
-            else:
-                return z
-        pv = m[k][k]
-        det = det * pv
-        for i in range(k + 1, n):
-            if m[i][k] != z:
-                f = m[i][k] / pv
-                ri, rk = m[i], m[k]
-                for j in range(k, n):
-                    ri[j] = ri[j] - f * rk[j]
-    return det
-
-
 def det(a):
     if a.rows != a.cols:
         raise NotSquare(f"det of {a.shape()}")
@@ -579,7 +566,11 @@ def det(a):
             scale *= l
             m.append(row)
         return Fraction(_det_bareiss_int(m), scale)
-    return _det_field(a.to_lists(), a.field)
+    if a.field.kind == "Fp":
+        m = [[x.val for x in a.row_list(r)] for r in range(n)]
+        return a.field.from_int(_det_bareiss_int(m))
+    pivots, d = _rref_field(a.to_lists(), a.field)
+    return d if len(pivots) == n else a.field.zero()
 
 
 def inverse(a):
@@ -606,24 +597,17 @@ def column_space_basis(a):
 
 def complete_to_basis(cols):
     """Extend the (independent) columns of `cols` to a square invertible matrix
-    by appending standard basis vectors, greedily in index order."""
-    field = cols.field
-    n = cols.rows
-    work = cols
-    r = rank(work)
-    if r != cols.cols:
+    by appending standard basis vectors, greedily in index order.
+
+    The pivots of rref([cols | I]) are the first columns, in order, that are
+    independent of the ones before them, so one elimination picks them all.
+    """
+    n, k = cols.rows, cols.cols
+    full = hstack([cols, Mat.identity(cols.field, n)])
+    _, pivots = rref(full)
+    if pivots[:k] != tuple(range(k)):
         raise ShapeMismatch("columns to complete are dependent")
-    for j in range(n):
-        if work.cols == n:
-            break
-        e = Mat.zeros(field, n, 1)
-        e._d[j] = field.one()
-        cand = hstack([work, e])
-        if rank(cand) > work.cols:
-            work = cand
-    if work.cols != n:
-        raise SingularMatrix("completion failed")  # cannot happen for independent input
-    return work
+    return full.submatrix(range(n), pivots)
 
 
 def random_matrix(field, rows, cols, rng, height=10):

@@ -381,11 +381,8 @@ def orbit_equivalent(
         return OrbitDecision("yes", identity_group(q, s.dims, s.field), "all fibers are zero")
 
     fwd = hom_space(s, t)
-    bwd = hom_space(t, s)
-    if not fwd.exists or not bwd.exists:
+    if not fwd.exists:
         return OrbitDecision("no", reason="no intertwiner in one direction")
-    if fwd.dimension != bwd.dimension:
-        return OrbitDecision("no", reason="hom dimensions differ between directions")
 
     def try_candidate(g: Intertwiner):
         try:
@@ -398,7 +395,14 @@ def orbit_equivalent(
 
     w = try_candidate(fwd.particular)
     if w is not None:
+        # w^{-1} lies in hom(t, s), and the linear parts of both hom sets are
+        # isomorphic to that of hom(s, s): the backward checks cannot fail
         return OrbitDecision("yes", w, "particular solution is invertible")
+    bwd = hom_space(t, s)
+    if not bwd.exists:
+        return OrbitDecision("no", reason="no intertwiner in one direction")
+    if fwd.dimension != bwd.dimension:
+        return OrbitDecision("no", reason="hom dimensions differ between directions")
     r = fwd.dimension
     if r == 0:
         return OrbitDecision("no", reason="hom set is a single singular point")

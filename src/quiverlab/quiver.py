@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
+from .linalg import _det_bareiss_int
 
 
 @dataclass(frozen=True)
@@ -343,8 +344,6 @@ def is_finite_type(qc) -> bool:
     cd = _as_cartan(qc)
     for k in range(1, cd.n + 1):
         m = [list(row[:k]) for row in cd.cartan[:k]]
-        from .linalg import _det_bareiss_int
-
         if _det_bareiss_int(m) <= 0:
             return False
     return True
@@ -360,11 +359,6 @@ class WeylElement:
 
     matrix: tuple  # tuple of row tuples, v -> M v on root coordinates
     word: tuple
-
-    def apply_root(self, v: RootVec) -> RootVec:
-        return RootVec(
-            tuple(sum(r * c for r, c in zip(row, v.coords)) for row in self.matrix)
-        )
 
     def apply_coroot(self, u: CorootVec) -> CorootVec:
         return CorootVec(

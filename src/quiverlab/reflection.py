@@ -96,6 +96,8 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     when a_i is injective, and fails with ReflectionUndefined when neither
     applies (possible only when lambda_i = 0).
     """
+    if side not in ("auto", "kernel", "cokernel"):
+        raise RangeViolation(f"unknown side {side!r}")
     q = s.quiver
     idx = q.vertex_index(vertex)
     if not moment_matches(s, lam):
@@ -106,24 +108,25 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     lam_i = s.field.coerce(lam[idx])
     field = s.field
 
-    b_epi = rank(ab.b) == vi
-    a_mono = rank(ab.a) == vi
+    # b_i is onto exactly when dim ker b_i = t - v_i
+    ker = kernel_basis(ab.b) if side != "cokernel" else None
+    b_epi = ker is not None and len(ker) == t_dim - vi
     if side == "auto":
-        side = "kernel" if b_epi else ("cokernel" if a_mono else None)
-        if side is None:
+        if b_epi:
+            side = "kernel"
+        elif rank(ab.a) == vi:
+            side = "cokernel"
+        else:
             raise ReflectionUndefined(
                 f"at vertex {vertex}: b_i not surjective and a_i not injective"
             )
     elif side == "kernel" and not b_epi:
         raise ReflectionUndefined(f"kernel side needs b_i surjective at {vertex}")
-    elif side == "cokernel" and not a_mono:
+    elif side == "cokernel" and rank(ab.a) != vi:
         raise ReflectionUndefined(f"cokernel side needs a_i injective at {vertex}")
-    elif side not in ("kernel", "cokernel"):
-        raise RangeViolation(f"unknown side {side!r}")
 
     rhs = ab.a * ab.b - Mat.scalar(field, t_dim, lam_i)
     if side == "kernel":
-        ker = kernel_basis(ab.b)
         a2 = hstack(ker) if ker else Mat.zeros(field, t_dim, 0)
         # a' b' = a b - lambda_i; the columns of a2 are independent and span
         # ker b, which contains Im(rhs), so the solve is exact and unique.
@@ -495,18 +498,18 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
         raise MomentMismatch(f"mu != 0 at {vertex}")
     field = s.field
 
-    rb = rank(ab.b)
-    if rb < vi:
-        basis = complete_to_basis(column_space_basis(ab.b))
+    image = column_space_basis(ab.b)
+    if image.cols < vi:
+        basis = complete_to_basis(image)
         drop_incoming_rows = True  # conjugated image sits in the first vi-1 coords
-    elif rank(ab.a) < vi:
-        k = kernel_basis(ab.a)[0]
-        full = complete_to_basis(k)   # first column = kernel vector
+    else:
+        ker = kernel_basis(ab.a)
+        if not ker:
+            raise RankTooLarge(f"b_i surjective and a_i injective at {vertex}")
+        full = complete_to_basis(ker[0])   # first column = kernel vector
         cols = list(range(1, vi)) + [0]  # rotate it to the end
         basis = full.submatrix(range(vi), cols)
         drop_incoming_rows = False
-    else:
-        raise RankTooLarge(f"b_i surjective and a_i injective at {vertex}")
 
     g_blocks = {
         vert: Mat.identity(field, s.dims.v_of(q, vert)) for vert in q.vertices

@@ -15,15 +15,17 @@ assume it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (
     FiberSampleFailed,
     NoSolution,
+    NotSquare,
     RangeViolation,
     ShapeMismatch,
     SingularBlock,
+    SingularMatrix,
     WrongField,
 )
 from .fields import QQ, field_from_name
@@ -32,7 +34,6 @@ from .linalg import (
     Mat,
     hstack,
     inverse,
-    is_invertible,
     random_matrix,
     random_invertible,
     vstack,
@@ -252,24 +253,39 @@ def moment_matches(s: FramedPoint, lam: WeightVec) -> bool:
     return True
 
 
+def _block_inverse(m, what):
+    """inverse(m); SingularBlock naming `what` when m is not invertible."""
+    try:
+        return inverse(m)
+    except (NotSquare, SingularMatrix):
+        raise SingularBlock(f"{what} is singular") from None
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Block-diagonal change of basis: invertible g_i on each V_i, and an
-    optional invertible block per framing space D_i."""
+    optional invertible block per framing space D_i.
+
+    Each block is inverted once, at construction; that inversion is also the
+    invertibility check, and `group_act` reuses the inverses."""
 
     blocks: dict  # vertex -> Mat on V_i
     framing_blocks: dict | None = None
+    _inv: dict = dc_field(init=False, repr=False, compare=False)
+    _finv: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        inv = {}
         for vert, m in self.blocks.items():
             if m.rows != m.cols:
                 raise SingularBlock(f"block at {vert} is not square")
-            if not is_invertible(m):
-                raise SingularBlock(f"block at {vert} is singular")
-        if self.framing_blocks:
-            for vert, m in self.framing_blocks.items():
-                if m.rows != m.cols or not is_invertible(m):
-                    raise SingularBlock(f"framing block at {vert} is singular")
+            inv[vert] = _block_inverse(m, f"block at {vert}")
+        finv = {
+            vert: _block_inverse(m, f"framing block at {vert}")
+            for vert, m in (self.framing_blocks or {}).items()
+        }
+        object.__setattr__(self, "_inv", inv)
+        object.__setattr__(self, "_finv", finv)
 
 
 def identity_group(q, dims, field=QQ) -> GroupElement:
@@ -291,7 +307,7 @@ def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
     """(B, gamma, delta) -> (g_{h1} B g_{h0}^{-1}, g gamma, delta g^{-1}) on the
     fiber side, and (B, gamma g^{-1}, g delta) for the optional framing side."""
     q = s.quiver
-    inv = {vert: inverse(m) for vert, m in g.blocks.items()}
+    inv = g._inv
     B = {
         a.id: g.blocks[a.h1] * s.B[a.id] * inv[a.h0]
         for a in q.arrows
@@ -299,8 +315,7 @@ def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
     gamma = {vert: g.blocks[vert] * s.gamma[vert] for vert in q.vertices}
     delta = {vert: s.delta[vert] * inv[vert] for vert in q.vertices}
     if g.framing_blocks:
-        finv = {vert: inverse(m) for vert, m in g.framing_blocks.items()}
-        gamma = {vert: gamma[vert] * finv[vert] for vert in q.vertices}
+        gamma = {vert: gamma[vert] * g._finv[vert] for vert in q.vertices}
         delta = {vert: g.framing_blocks[vert] * delta[vert] for vert in q.vertices}
     return FramedPoint(q, s.dims, s.field, B, gamma, delta)
 

@@ -39,6 +39,8 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     n = cd.n
     if len(v_prime) != n or len(v) != n or len(d) != n:
         raise RangeViolation("vector length does not match the quiver")
+    dims = DimData(d, v)
+    dims.check(q)  # names a negative entry of d or v before the v' bounds
     for k in range(n):
         if not (0 <= v_prime[k] <= v[k]):
             raise RangeViolation(f"need 0 <= v'_{k} <= v_{k}")
@@ -49,7 +51,7 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     ucu = sum(u[i] * cu[i] for i in range(n))
     if ucu % 2 != 0:
         raise AssertionError("u^T C u must be even")
-    dim_s = DimData(d, v).space_dimension(q)
+    dim_s = dims.space_dimension(q)
     group = sum(v[k] ** 2 for k in range(n))
     return dim_s - group - (sum(u[k] * d[k] for k in range(n)) - ucv) - ucu // 2
 

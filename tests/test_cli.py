@@ -346,6 +346,17 @@ class TestErrorsAndExitCodes:
         assert "v[0] is -1; dimensions must be >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["strata", "--quiver", "A1", "--d", "2", "--v=-1"],
+        ["strata", "--quiver", "A1", "--d", "2", "--v=-1", "--v-prime=0"],
+    ], ids=["report", "v-prime"])
+    def test_strata_negative_dimension(self, tmp_path, argv):
+        proc = self.child(argv, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "v[0] is -1; dimensions must be >= 0" in proc.stderr
+        assert "v'" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_negative_framing_dimension(self, capsys):
         code, _, err = invoke(capsys, "info", "--quiver", "A2", "--d=1,-2", "--v=1,1")
         assert code == 1

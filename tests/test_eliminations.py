@@ -1,0 +1,111 @@
+"""How many eliminations each linear-algebra question costs.
+
+`linalg.rref` is the one elimination behind rank, kernels, solves and
+inverses, and `paths.hom_space` is the one intertwiner solve; both are
+wrapped with a counter, and each question below must cost exactly what its
+construction needs.
+"""
+
+import random
+
+import pytest
+
+from quiverlab import (
+    QQ,
+    DimData,
+    GroupElement,
+    RootVec,
+    WeightVec,
+    complete_to_basis,
+    dynkin_quiver,
+    group_act,
+    linalg,
+    orbit_equivalent,
+    paths,
+    random_group,
+    random_invertible,
+    reflect_point,
+    sample_fiber,
+)
+from util import a1_point, mat
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of linalg.rref and paths.hom_space calls made after set-up."""
+    counts = {"rref": 0, "hom_space": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "rref")
+    counted(paths, "hom_space")
+    return counts
+
+
+def fiber(name, d, v, lam, seed):
+    q = dynkin_quiver(name)
+    return sample_fiber(q, DimData(WeightVec(d), RootVec(v)), WeightVec(lam), seed=seed)
+
+
+@pytest.mark.parametrize("side", ["kernel", "auto"])
+def test_kernel_side_reflection(calls, side):
+    points = [(a1_point(gamma=(1, 0), delta=(1, 0)), 1, (1,)),
+              (fiber("A2", (2, 1), (1, 1), (1, 2), 3), 1, (1, 2)),
+              (fiber("D4", (1, 0, 0, 1), (1, 1, 1, 2), (1, -1, 2, 1), 7), 4, (1, -1, 2, 1))]
+    for s, vertex, lam in points:
+        calls["rref"] = 0
+        res = reflect_point(s, vertex, WeightVec(lam), side=side)
+        assert res.side == "kernel"
+        assert calls["rref"] == 2  # ker b_i, then the solve for b'
+
+
+def test_group_element_and_action(calls):
+    q = dynkin_quiver("D4")
+    dims = DimData(WeightVec((1, 1, 1, 2)), RootVec((1, 2, 1, 2)))
+    s = fiber("D4", (1, 1, 1, 2), (1, 2, 1, 2), (1, 2, 3, 4), 5)
+    rng = random.Random(2)
+    blocks = {vert: random_invertible(QQ, dims.v_of(q, vert), rng) for vert in q.vertices}
+    framing = {vert: random_invertible(QQ, dims.d_of(q, vert), rng) for vert in q.vertices}
+    calls["rref"] = 0
+    g = GroupElement(blocks)
+    group_act(g, s)
+    group_act(g, s)
+    assert calls["rref"] == len(blocks)
+    calls["rref"] = 0
+    group_act(GroupElement(blocks, framing), s)
+    assert calls["rref"] == len(blocks) + len(framing)
+
+
+def test_complete_to_basis(calls):
+    cols = mat(QQ, [[0, 1], [0, 2], [1, 3], [0, 0], [2, 0]])
+    full = complete_to_basis(cols)
+    assert full.shape() == (5, 5)
+    assert calls["rref"] == 1
+
+
+def test_orbit_yes_by_particular_solves_hom_once(calls):
+    s = fiber("A2", (2, 1), (1, 1), (1, 2), 3)
+    t = group_act(random_group(s.quiver, s.dims, QQ, random.Random(1)), s)
+    calls["hom_space"] = 0
+    dec = orbit_equivalent(s, t)
+    assert (dec.kind, dec.reason) == ("yes", "particular solution is invertible")
+    assert calls["hom_space"] == 1
+
+
+def test_orbit_scan_still_solves_both_directions(calls):
+    # unframed: the hom set is positive-dimensional and the particular
+    # solution is singular, so hom(t, s) is solved as well
+    s = fiber("A3", (0, 0, 0), (1, 2, 1), (0, 0, 0), 5)
+    t = group_act(random_group(s.quiver, s.dims, QQ, random.Random(6)), s)
+    calls["hom_space"] = 0
+    dec = orbit_equivalent(s, t)
+    assert dec.kind == "yes"
+    assert dec.reason != "particular solution is invertible"
+    assert calls["hom_space"] == 2

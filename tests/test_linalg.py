@@ -442,8 +442,15 @@ def q_cases(seed, count=40):
 
 def field_rref(a):
     m = a.to_lists()
-    pivots = linalg._rref_field(m, a.field)
+    pivots, _ = linalg._rref_field(m, a.field)
     return Mat(a.field, a.rows, a.cols, [x for row in m for x in row]), tuple(pivots)
+
+
+def field_det(a):
+    """det by the field elimination: the pivot product of `_rref_field`, or
+    zero below full rank."""
+    pivots, d = linalg._rref_field(a.to_lists(), a.field)
+    return d if len(pivots) == a.rows else a.field.zero()
 
 
 def hom_space_systems():
@@ -527,7 +534,7 @@ class TestQKernelsAgainstFieldElimination:
             a = rand_q(rng, n, n, (1, 9, 10**6)[k % 3], rng.choice((0.3, 0.7, 1.0)))
             if k % 4 == 3 and n > 1:
                 a = rand_q(rng, n, n - 1, 9) * rand_q(rng, n - 1, n, 9)
-            want = linalg._det_field(a.to_lists(), QQ) if n else Fraction(1)
+            want = field_det(a) if n else Fraction(1)
             assert det(a) == want
 
     def test_hom_space_systems(self):
@@ -581,3 +588,138 @@ class TestQKernelsAgainstSympy:
             assert (a * b)._d == self.from_sympy(self.to_sympy(sp, a) * self.to_sympy(sp, b))
             d = self.to_sympy(sp, a * b).det()
             assert det(a * b) == Fraction(int(d.p), int(d.q))
+
+
+# -- Q(i) and F_p kernels against direct references -----------------------------
+#
+# Over F_p, det is Bareiss on the integer residues; over Q(i) it is the pivot
+# product of the field elimination.  The reference is the Leibniz expansion.
+# Matmul over both fields starts each entry at its first product; the
+# reference is the triple sum from zero.
+
+
+def leibniz(rows, zero):
+    """det by the Leibniz expansion, in the ring of the entries (ints or a
+    field's scalars; `zero` is that ring's zero)."""
+    n = len(rows)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term = term * rows[r][c]
+        total = total + term
+    return total
+
+
+def fp_multiple_of_p(field, rng, n):
+    """An n x n matrix of residues whose integer determinant is a nonzero
+    multiple of p: entry (0, 0) is solved for from its cofactor.  Needs
+    n >= 3: a 2 x 2 matrix of bits has determinant in {-1, 0, 1}."""
+    p = field.p
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = 0
+        rest = leibniz(rows, 0)
+        rows[0][0] = 1
+        cofactor = leibniz(rows, 0) - rest
+        if cofactor % p == 0:
+            continue
+        rows[0][0] = -rest * pow(cofactor, -1, p) % p
+        d = leibniz(rows, 0)
+        assert d % p == 0
+        if d:
+            return Mat(field, n, n, [field.from_int(x) for row in rows for x in row])
+
+
+class TestFieldKernels:
+    @pytest.mark.parametrize("p", [2, 3, 1000003])
+    def test_fp_det_against_leibniz(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        multiples = 0
+        for k in range(60):
+            n = rng.randint(1, 5)
+            if k % 3 == 0:
+                a = fp_multiple_of_p(field, rng, max(n, 3))
+                multiples += 1
+            elif k % 3 == 1 and n > 1:
+                a = random_matrix(field, n, n - 1, rng) * random_matrix(field, n - 1, n, rng)
+            else:
+                a = random_matrix(field, n, n, rng)
+            assert det(a) == leibniz(a.to_lists(), a.field.zero())
+            if k % 3 == 0:
+                assert det(a) == field.zero()
+        assert multiples == 20
+
+    def test_qi_det(self):
+        rng = random.Random(17)
+        for k in range(40):
+            n = rng.randint(1, 4)
+            a = random_matrix(QQI, n, n, rng, 5)
+            if k % 2 and n > 1:  # singular: a product through n - 1, or a repeated row
+                if k % 4 == 1:
+                    a = random_matrix(QQI, n, n - 1, rng, 5) * random_matrix(QQI, n - 1, n, rng, 5)
+                else:
+                    d = list(a._d)
+                    d[n : 2 * n] = d[:n]
+                    a = Mat(QQI, n, n, d)
+                assert det(a) == QQI.zero()
+            assert det(a) == leibniz(a.to_lists(), a.field.zero())
+
+    @pytest.mark.parametrize("field", [QQI, PrimeField(7)], ids=["Qi", "F7"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_matmul_against_triple_sum(self, field, k):
+        rng = random.Random(19 + k)
+        for n, m in [(0, 2), (2, 0), (1, 1), (2, 3), (3, 2)]:
+            a = random_matrix(field, n, k, rng, 5)
+            b = random_matrix(field, k, m, rng, 5)
+            want = []
+            for i in range(n):
+                for j in range(m):
+                    acc = field.zero()
+                    for t in range(k):
+                        acc = acc + a[i, t] * b[t, j]
+                    want.append(acc)
+            got = a * b
+            assert got.shape() == (n, m)
+            assert got._d == want
+
+
+def greedy_completion(cols):
+    """The completion by one rank test per standard vector, in index order."""
+    field = cols.field
+    n = cols.rows
+    work = cols
+    for j in range(n):
+        if work.cols == n:
+            break
+        e = Mat.zeros(field, n, 1)
+        e._d[j] = field.one()
+        cand = hstack([work, e])
+        if rank(cand) > work.cols:
+            work = cand
+    return work
+
+
+class TestCompleteToBasisAgainstGreedy:
+    @pytest.mark.parametrize("field", [QQ, QQI, PrimeField(7)], ids=["Q", "Qi", "F7"])
+    def test_same_columns(self, field):
+        rng = random.Random(23)
+        seen = 0
+        while seen < 60:
+            n = rng.randint(0, 6)
+            k = rng.randint(0, n)
+            density = rng.choice((0.2, 0.5, 1.0))
+            cols = Mat(field, n, k, [field.random(rng, 4) if rng.random() < density
+                                     else field.zero() for _ in range(n * k)])
+            if rank(cols) != k:
+                continue
+            seen += 1
+            assert complete_to_basis(cols) == greedy_completion(cols)
+
+    def test_dependent_input_rejected(self):
+        for cols in (mat(QQ, [[1, 2], [2, 4], [0, 0]]), mat(QQ, [[0], [0]]),
+                     mat(QQ, [[1, 0, 1], [0, 1, 1]])):
+            with pytest.raises(ShapeMismatch, match="columns to complete are dependent"):
+                complete_to_basis(cols)
