@@ -1,6 +1,7 @@
 """Pinned exact outputs of the fiber sampler, the intertwiner solver, orbit
-decisions, reflections on both sides, limit projections, basis completion
-and determinants over Q(i) and F_p.
+decisions, reflections on both sides, limit projections, basis completion,
+determinants over Q(i) and F_p, random points, the group action with
+framing blocks, and F_p stratum counts.
 
 Each case renders its result as canonical JSON (sorted keys, no spaces,
 entries through `field.dump`) and compares the sha256 of that text with a
@@ -19,11 +20,15 @@ from quiverlab import (
     QQ,
     QQI,
     DimData,
+    FramedPoint,
+    GroupElement,
     Mat,
     PrimeField,
+    Quiver,
     RootVec,
     WeightVec,
     complete_to_basis,
+    count_points_Fq,
     det,
     dynkin_quiver,
     group_act,
@@ -32,6 +37,7 @@ from quiverlab import (
     limit_project,
     orbit_equivalent,
     random_group,
+    random_invertible,
     random_matrix,
     rank,
     reflect_point,
@@ -335,3 +341,95 @@ def test_det_pinned(case):
     rng = random.Random(41)
     got = [field.dump(det(a)) for a in random_square(field, rng, 60)]
     assert digest(got) == DET_DIGESTS[case]
+
+
+# a three-vertex line read from JSON, its arrows listed out of id order
+UNSORTED_QUIVER = Quiver.from_json({
+    "vertices": [1, 2, 3],
+    "arrows": [
+        {"id": "y", "from": 2, "to": 3, "eps": 1, "bar": "yb"},
+        {"id": "xb", "from": 2, "to": 1, "eps": -1, "bar": "x"},
+        {"id": "yb", "from": 3, "to": 2, "eps": -1, "bar": "y"},
+        {"id": "x", "from": 1, "to": 2, "eps": 1, "bar": "xb"},
+    ],
+})
+
+
+def quiver(name):
+    return UNSORTED_QUIVER if name == "unsorted" else dynkin_quiver(name)
+
+
+# (quiver, d, v, field, seed): FramedPoint.random draws the arrows in
+# q.arrows order, then every gamma, then every delta
+RANDOM_POINTS = {
+    "A2-Q": ("A2", (2, 1), (1, 2), QQ, 1),
+    "D4-Q-v0-d0": ("D4", (1, 0, 2, 1), (2, 1, 0, 1), QQ, 2),
+    "unsorted-F7": ("unsorted", (1, 0, 2), (1, 2, 1), PrimeField(7), 3),
+}
+
+RANDOM_POINT_DIGESTS = {
+    "A2-Q": "1f57dd95e25cded766e4390568ea8c3a8eeaafb5f485bd9ab4eaf35d1d4ebc4f",
+    "D4-Q-v0-d0": "42d4287e5623fcd5fd298f0aad63a17111657d3bbf0da2489f601146c9673436",
+    "unsorted-F7": "46c73bf1e5ac3e05c19fdb05f4a868cdfba2b36725f04f78ae7cd3d587c9cd20",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANDOM_POINTS))
+def test_random_point_pinned(case):
+    name, d, v, field, seed = RANDOM_POINTS[case]
+    q = quiver(name)
+    s = FramedPoint.random(q, DimData(WeightVec(d), RootVec(v)), field, random.Random(seed))
+    assert digest(s.to_json()) == RANDOM_POINT_DIGESTS[case]
+
+
+# (fiber case, seed): a random group element with framing blocks acting on
+# a fiber point
+FRAMED_ACTIONS = {
+    "A3-Q-v0-d0": ("A3-Q-v0-d0", 4),
+    "D4-Q": ("D4-Q", 5),
+    "A3-F7-v0-d0": ("A3-F7-v0-d0", 6),
+}
+
+FRAMED_ACTION_DIGESTS = {
+    "A3-F7-v0-d0": "743aab91e19316b0ad64c3afb65d99645badc205c3dabeacc5edc5309926e973",
+    "A3-Q-v0-d0": "535d40cf4ba3ff72065cb28f11283e323cf7a4fbe35325c172cd5ab6d794220d",
+    "D4-Q": "a6b643a7d803588443d181edd200930fe6207609b0ba3058cd726d8dff4579ca",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAMED_ACTIONS))
+def test_group_act_with_framing_pinned(case):
+    fiber, seed = FRAMED_ACTIONS[case]
+    s = sample(*FIBERS[fiber])
+    q, dims, field = s.quiver, s.dims, s.field
+    rng = random.Random(seed)
+    blocks = {vert: random_invertible(field, dims.v_of(q, vert), rng, 5) for vert in q.vertices}
+    framing = {vert: random_invertible(field, dims.d_of(q, vert), rng, 5) for vert in q.vertices}
+    assert digest(group_act(GroupElement(blocks, framing), s).to_json()) == FRAMED_ACTION_DIGESTS[case]
+
+
+# (quiver, d, v, lambda, p): whole stratum tables of the F_p point count
+COUNTS = {
+    "A2-zero": ("A2", (1, 1), (1, 1), (0, 0), 3),
+    "A2-lambda": ("A2", (1, 1), (1, 1), (1, 2), 3),
+    "A2-d0": ("A2", (1, 0), (1, 1), (0, 0), 5),
+    "unsorted-zero": ("unsorted", (1, 0, 1), (1, 1, 1), (0, 0, 0), 2),
+    "unsorted-lambda": ("unsorted", (1, 0, 1), (1, 1, 1), (1, 0, 1), 3),
+}
+
+COUNT_DIGESTS = {
+    "A2-d0": "32ac10ab0a8fc116875b315a184eba936aeb5b2cd93ae221146fc4ab47943bfd",
+    "A2-lambda": "6b8278c5eeb8adbd8305e086edf09e0cfbc76bfcaa3005be89d5113833375bc7",
+    "A2-zero": "e9992b0478af215b90edc58742e5f5bc7d6e811289390567fcacd35f0a31f412",
+    "unsorted-lambda": "0090ae398ca8cb64f9c297127ab37c9c8bdded13e4c6ad03c120ad61371b7bbf",
+    "unsorted-zero": "bfea06ad95dbad3bf1be47372f757604387fa3f2366201a3778083cc94e60d70",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_count_points_pinned(case):
+    name, d, v, lam, p = COUNTS[case]
+    r = count_points_Fq(quiver(name), DimData(WeightVec(d), RootVec(v)), WeightVec(lam), p)
+    got = {"p": r.p, "space_dimension": r.space_dimension, "total": r.total,
+           "strata": [[list(vp), c] for vp, c in r.strata]}
+    assert digest(got) == COUNT_DIGESTS[case]
