@@ -51,8 +51,10 @@ from .repspace import (
     GroupElement,
     assemble_ab,
     group_act,
+    layout,
     moment_matches,
     sample_fiber,
+    split_ab,
 )
 
 
@@ -67,25 +69,6 @@ class ReflectionResult:
     b_prime: Mat
     section: Mat         # kernel basis of b_i, or the complement of Im a_i
     layout: tuple
-
-
-def _unpack_new_vertex(s, vertex, a2, b2):
-    """Split a' and b' back into framing and arrow blocks along the T_i layout."""
-    q = s.quiver
-    incoming = q.arrows_into(vertex)
-    di = s.dims.d_of(q, vertex)
-    new_B = {}
-    new_gamma = b2.submatrix(range(b2.rows), range(di))
-    new_delta = a2.submatrix(range(di), range(a2.cols))
-    row0 = di
-    col0 = di
-    for arr in incoming:
-        w = s.dims.v_of(q, arr.h0)
-        new_B[arr.bar] = a2.submatrix(range(row0, row0 + w), range(a2.cols))
-        new_B[arr.id] = b2.submatrix(range(b2.rows), range(col0, col0 + w)).scale(arr.eps)
-        row0 += w
-        col0 += w
-    return new_B, new_gamma, new_delta
 
 
 def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = None, side="auto") -> ReflectionResult:
@@ -140,18 +123,7 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
         b2 = proj
         section = compl
 
-    v_new = a2.cols
-    new_B, new_gamma, new_delta = _unpack_new_vertex(s, vertex, a2, b2)
-    B = dict(s.B)
-    B.update(new_B)
-    gamma = dict(s.gamma)
-    gamma[vertex] = new_gamma
-    delta = dict(s.delta)
-    delta[vertex] = new_delta
-    vcoords = list(s.dims.v.coords)
-    vcoords[idx] = v_new
-    dims2 = DimData(s.dims.d, RootVec(tuple(vcoords)))
-    s2 = FramedPoint(q, dims2, field, B, gamma, delta)
+    s2 = split_ab(s, ab, a2, b2)
 
     lam2 = reflect_weight(q, idx, lam)
     m2 = reflect_weight(q, idx, m) if m is not None else None
@@ -192,23 +164,15 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     idx = q.vertex_index(vertex)
     msgs = []
 
-    c1 = True
-    for a in q.arrows:
-        if vertex not in (a.h0, a.h1):
-            if s.B[a.id] != s2.B[a.id]:
-                c1 = False
-                msgs.append(f"arrow {a.id} changed")
-    c2 = True
-    c3 = True
-    for vert in q.vertices:
-        if vert == vertex:
-            continue
-        if s.gamma[vert] != s2.gamma[vert]:
-            c2 = False
-            msgs.append(f"gamma[{vert}] changed")
-        if s.delta[vert] != s2.delta[vert]:
-            c3 = False
-            msgs.append(f"delta[{vert}] changed")
+    # (1)-(3): every block away from V_i is unchanged
+    at = ("V", vertex)
+    changed = {"B": False, "gamma": False, "delta": False}
+    for blk in layout(q):
+        if at not in (blk.row, blk.col) and s.block(blk) != s2.block(blk):
+            changed[blk.part] = True
+            msgs.append(f"arrow {blk.key} changed" if blk.part == "B"
+                        else f"{blk.part}[{blk.key}] changed")
+    c1, c2, c3 = (not changed[part] for part in ("B", "gamma", "delta"))
 
     ab = assemble_ab(s, vertex)
     ab2 = assemble_ab(s2, vertex)
@@ -454,30 +418,17 @@ def j_embed(s: FramedPoint, v_target: RootVec) -> FramedPoint:
     for k in range(q.n):
         if v_target[k] < s.dims.v[k]:
             raise RangeViolation("target dims must dominate the current dims")
-    dims2 = DimData(s.dims.d, v_target)
     field = s.field
 
-    def pad(mat, r, c):
-        out = Mat.zeros(field, r, c)
-        data = list(out._d)
+    def pad(blk, r, c):
+        mat = s.block(blk)
+        data = list(Mat.zeros(field, r, c)._d)
         for i in range(mat.rows):
             for j in range(mat.cols):
                 data[i * c + j] = mat[i, j]
         return Mat(field, r, c, data)
 
-    B = {
-        a.id: pad(s.B[a.id], dims2.v_of(q, a.h1), dims2.v_of(q, a.h0))
-        for a in q.arrows
-    }
-    gamma = {
-        vert: pad(s.gamma[vert], dims2.v_of(q, vert), dims2.d_of(q, vert))
-        for vert in q.vertices
-    }
-    delta = {
-        vert: pad(s.delta[vert], dims2.d_of(q, vert), dims2.v_of(q, vert))
-        for vert in q.vertices
-    }
-    return FramedPoint(q, dims2, field, B, gamma, delta)
+    return FramedPoint.build(q, DimData(s.dims.d, v_target), field, pad)
 
 
 def limit_project(s: FramedPoint, vertex) -> FramedPoint:
@@ -489,14 +440,12 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
     of a group orbit and every invariant is constant on orbits and continuous.
     """
     q = s.quiver
-    idx = q.vertex_index(vertex)
     vi = s.dims.v_of(q, vertex)
     if vi == 0:
         raise RangeViolation(f"v = 0 at {vertex}, nothing to drop")
     ab = assemble_ab(s, vertex)
     if not (ab.b * ab.a).is_zero():
         raise MomentMismatch(f"mu != 0 at {vertex}")
-    field = s.field
 
     image = column_space_basis(ab.b)
     if image.cols < vi:
@@ -511,42 +460,22 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
         basis = full.submatrix(range(vi), cols)
         drop_incoming_rows = False
 
-    g_blocks = {
-        vert: Mat.identity(field, s.dims.v_of(q, vert)) for vert in q.vertices
-    }
-    g_blocks[vertex] = inverse(basis)
-    s2 = group_act(GroupElement(g_blocks), s)
+    # change basis at the vertex only
+    s2 = group_act(GroupElement({vertex: inverse(basis)}), s)
 
-    vcoords = list(s.dims.v.coords)
-    vcoords[idx] = vi - 1
-    dims2 = DimData(s.dims.d, RootVec(tuple(vcoords)))
+    at = ("V", vertex)
+    keep = list(range(vi - 1))
 
-    keep_rows = list(range(vi - 1))
+    def cut(blk, rows, cols):
+        m = s2.block(blk)
+        if blk.row == at:
+            if drop_incoming_rows and not m.submatrix([vi - 1], range(m.cols)).is_zero():
+                raise AssertionError("nonzero coordinates outside the chosen hyperplane")
+            m = m.submatrix(keep, range(m.cols))
+        if blk.col == at:
+            if not drop_incoming_rows and not m.submatrix(range(m.rows), [vi - 1]).is_zero():
+                raise AssertionError("kernel line is not in the kernel")
+            m = m.submatrix(range(m.rows), keep)
+        return m
 
-    def cut_rows(m):
-        if drop_incoming_rows and not m.submatrix([vi - 1], range(m.cols)).is_zero():
-            raise AssertionError("nonzero coordinates outside the chosen hyperplane")
-        return m.submatrix(keep_rows, range(m.cols))
-
-    def cut_cols(m):
-        if not drop_incoming_rows and not m.submatrix(range(m.rows), [vi - 1]).is_zero():
-            raise AssertionError("kernel line is not in the kernel")
-        return m.submatrix(range(m.rows), keep_rows)
-
-    B = {}
-    for a in q.arrows:
-        mat = s2.B[a.id]
-        if a.h1 == vertex:
-            mat = cut_rows(mat)
-        if a.h0 == vertex:
-            mat = cut_cols(mat)
-        B[a.id] = mat
-    gamma = {
-        vert: (cut_rows(s2.gamma[vert]) if vert == vertex else s2.gamma[vert])
-        for vert in q.vertices
-    }
-    delta = {
-        vert: (cut_cols(s2.delta[vert]) if vert == vertex else s2.delta[vert])
-        for vert in q.vertices
-    }
-    return FramedPoint(q, dims2, field, B, gamma, delta)
+    return FramedPoint.build(q, s.dims.with_v(q, vertex, vi - 1), s.field, cut)

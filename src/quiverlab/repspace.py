@@ -1,8 +1,14 @@
 """Framed representation points, moment maps, group actions, fiber sampling.
 
 A point assigns a matrix B_h to every arrow of the double and a framing pair
-gamma_i : D_i -> V_i, delta_i : V_i -> D_i to every vertex.  The two derived
-maps at a vertex,
+gamma_i : D_i -> V_i, delta_i : V_i -> D_i to every vertex.  `layout(q)`
+lists these blocks once, each with the two spaces ("V", i) or ("D", i) it
+maps between; `DimData.size` gives the dimension of a space, and
+`FramedPoint.build` makes a point block by block in layout order.  Every
+constructor, the shape check, the group action and the moves that resize a
+point go through these three.
+
+The two derived maps at a vertex,
 
     a_i = (delta_i, (B_{bar h})_{h1 = i}) : V_i -> T_i   (stacked)
     b_i = (gamma_i, (eps(h) B_h)_{h1 = i}) : T_i -> V_i  (side by side)
@@ -10,13 +16,15 @@ maps at a vertex,
 with T_i = D_i + sum of V_{h0} over incoming arrows, are packaged as a
 `VertexAB` whose `layout` records the summand order (framing block first,
 then incoming arrows ascending by id).  Consumers must read the layout, not
-assume it.
+assume it; `split_ab` is the inverse of `assemble_ab` and reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     FiberSampleFailed,
@@ -34,11 +42,40 @@ from .linalg import (
     Mat,
     hstack,
     inverse,
-    random_matrix,
     random_invertible,
+    random_matrix,
     vstack,
 )
 from .quiver import Quiver, RootVec, WeightVec, _check_len, _json_entry
+
+
+class Block(NamedTuple):
+    """One summand of a point: the matrix FramedPoint.<part>[key], a map from
+    the space `col` to the space `row`; a space is ("V", i) or ("D", i)."""
+
+    part: str    # "B", "gamma" or "delta"
+    key: object  # arrow id for "B", vertex otherwise
+    row: tuple
+    col: tuple
+
+
+@lru_cache(maxsize=64)
+def layout(q) -> tuple:
+    """Every block of a point on q once: the arrows in q.arrows order, then
+    gamma at every vertex, then delta at every vertex.  Cached, as is
+    `_shapes`: every point construction reads them."""
+    return (
+        tuple(Block("B", a.id, ("V", a.h1), ("V", a.h0)) for a in q.arrows)
+        + tuple(Block("gamma", i, ("V", i), ("D", i)) for i in q.vertices)
+        + tuple(Block("delta", i, ("D", i), ("V", i)) for i in q.vertices)
+    )
+
+
+@lru_cache(maxsize=256)
+def _shapes(q, dims) -> tuple:
+    """(block, (rows, cols)) for every block of layout(q), after dims.check(q)."""
+    dims.check(q)
+    return tuple((blk, (dims.size(q, blk.row), dims.size(q, blk.col))) for blk in layout(q))
 
 
 @dataclass(frozen=True)
@@ -54,6 +91,17 @@ class DimData:
     def v_of(self, q, vertex):
         return self.v[q.vertex_index(vertex)]
 
+    def size(self, q, space):
+        """dim of the space ("V", i) or ("D", i)."""
+        kind, vertex = space
+        return (self.v if kind == "V" else self.d).coords[q.vertex_index(vertex)]
+
+    def with_v(self, q, vertex, n):
+        """The same d and v, except v_i = n at `vertex`."""
+        v = list(self.v.coords)
+        v[q.vertex_index(vertex)] = n
+        return DimData(self.d, RootVec(tuple(v)))
+
     def check(self, q):
         """ShapeMismatch unless d and v have one entry per vertex of q;
         RangeViolation if an entry is negative."""
@@ -64,14 +112,8 @@ class DimData:
                     raise RangeViolation(f"{nm}[{k}] is {x}; dimensions must be >= 0")
 
     def space_dimension(self, q):
-        """dim of the whole representation space: arrows + two framing blocks."""
-        self.check(q)
-        vi = {vert: self.v_of(q, vert) for vert in q.vertices}
-        arrows = sum(vi[a.h1] * vi[a.h0] for a in q.arrows)
-        framing = sum(
-            2 * self.d_of(q, vert) * self.v_of(q, vert) for vert in q.vertices
-        )
-        return arrows + framing
+        """dim of the whole representation space: the sum of the block sizes."""
+        return sum(r * c for _, (r, c) in _shapes(q, self))
 
 
 @dataclass(frozen=True)
@@ -84,62 +126,35 @@ class FramedPoint:
     delta: dict   # vertex -> Mat (d_i x v_i)
 
     def __post_init__(self):
-        q = self.quiver
-        self.dims.check(q)
-        for a in q.arrows:
-            m = self.B.get(a.id)
-            want = (self.dims.v_of(q, a.h1), self.dims.v_of(q, a.h0))
+        for blk, want in _shapes(self.quiver, self.dims):
+            m = getattr(self, blk.part).get(blk.key)
             if m is None or m.shape() != want:
-                raise ShapeMismatch(f"B[{a.id}] must be {want}")
+                raise ShapeMismatch(f"{blk.part}[{blk.key}] must be {want}")
             if m.field.name != self.field.name:
-                raise WrongField(f"B[{a.id}] over {m.field.name}")
-        for vert in q.vertices:
-            vi, di = self.dims.v_of(q, vert), self.dims.d_of(q, vert)
-            g = self.gamma.get(vert)
-            if g is None or g.shape() != (vi, di):
-                raise ShapeMismatch(f"gamma[{vert}] must be {(vi, di)}")
-            dl = self.delta.get(vert)
-            if dl is None or dl.shape() != (di, vi):
-                raise ShapeMismatch(f"delta[{vert}] must be {(di, vi)}")
-            if g.field.name != self.field.name or dl.field.name != self.field.name:
-                raise WrongField(f"framing at {vert} over wrong field")
+                raise WrongField(f"{blk.part}[{blk.key}] over {m.field.name}")
+
+    def block(self, blk: Block) -> Mat:
+        return getattr(self, blk.part)[blk.key]
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def build(cls, q, dims, field, make):
+        """The point whose block `blk` is make(blk, rows, cols), called once
+        per block in layout order."""
+        parts = {"B": {}, "gamma": {}, "delta": {}}
+        for blk, (rows, cols) in _shapes(q, dims):
+            parts[blk.part][blk.key] = make(blk, rows, cols)
+        return cls(q, dims, field, parts["B"], parts["gamma"], parts["delta"])
+
+    @classmethod
     def zero(cls, q, dims, field=QQ):
-        dims.check(q)
-        B = {
-            a.id: Mat.zeros(field, dims.v_of(q, a.h1), dims.v_of(q, a.h0))
-            for a in q.arrows
-        }
-        gamma = {
-            vert: Mat.zeros(field, dims.v_of(q, vert), dims.d_of(q, vert))
-            for vert in q.vertices
-        }
-        delta = {
-            vert: Mat.zeros(field, dims.d_of(q, vert), dims.v_of(q, vert))
-            for vert in q.vertices
-        }
-        return cls(q, dims, field, B, gamma, delta)
+        return cls.build(q, dims, field, lambda blk, r, c: Mat.zeros(field, r, c))
 
     @classmethod
     def random(cls, q, dims, field, rng, height=10):
         """Uniform garbage in the ambient space; no moment condition."""
-        dims.check(q)
-        B = {
-            a.id: random_matrix(field, dims.v_of(q, a.h1), dims.v_of(q, a.h0), rng, height)
-            for a in q.arrows
-        }
-        gamma = {
-            vert: random_matrix(field, dims.v_of(q, vert), dims.d_of(q, vert), rng, height)
-            for vert in q.vertices
-        }
-        delta = {
-            vert: random_matrix(field, dims.d_of(q, vert), dims.v_of(q, vert), rng, height)
-            for vert in q.vertices
-        }
-        return cls(q, dims, field, B, gamma, delta)
+        return cls.build(q, dims, field, lambda blk, r, c: random_matrix(field, r, c, rng, height))
 
     # -- serialization -----------------------------------------------------
 
@@ -164,27 +179,14 @@ class FramedPoint:
         q = quiver if quiver is not None else Quiver.from_json(entry("quiver"))
         f = field_from_name(entry("field"))
         dims = DimData(WeightVec(tuple(entry("d"))), RootVec(tuple(entry("v"))))
-        dims.check(q)
 
-        def load_mat(rows_json, r, c):
-            data = [f.parse(x) for row in rows_json for x in row]
+        def load_mat(blk, r, c):
+            data = [f.parse(x) for row in entry(blk.part, str(blk.key)) for x in row]
             if len(data) != r * c:
                 raise ShapeMismatch("matrix entry count mismatch in JSON")
             return Mat(f, r, c, data)
 
-        B = {
-            a.id: load_mat(entry("B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
-            for a in q.arrows
-        }
-        gamma = {
-            vert: load_mat(entry("gamma", str(vert)), dims.v_of(q, vert), dims.d_of(q, vert))
-            for vert in q.vertices
-        }
-        delta = {
-            vert: load_mat(entry("delta", str(vert)), dims.d_of(q, vert), dims.v_of(q, vert))
-            for vert in q.vertices
-        }
-        return cls(q, dims, f, B, gamma, delta)
+        return cls.build(q, dims, f, load_mat)
 
 
 @dataclass(frozen=True)
@@ -198,13 +200,34 @@ class VertexAB:
 def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
     q = s.quiver
     incoming = q.arrows_into(vertex)
-    layout = (("D", vertex),) + tuple(("V", a.id, a.h0) for a in incoming)
+    summands = (("D", vertex),) + tuple(("V", a.id, a.h0) for a in incoming)
     a_blocks = [s.delta[vertex]]
     b_blocks = [s.gamma[vertex]]
     for arr in incoming:
         a_blocks.append(s.B[arr.bar])           # B_{bar h} : V_i -> V_{h0}
         b_blocks.append(s.B[arr.id].scale(arr.eps))  # eps(h) B_h : V_{h0} -> V_i
-    return VertexAB(vertex, layout, vstack(a_blocks), hstack(b_blocks))
+    return VertexAB(vertex, summands, vstack(a_blocks), hstack(b_blocks))
+
+
+def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
+    """Inverse of `assemble_ab`: the point s with the blocks at ab.vertex
+    read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along ab.layout, and
+    v_i = a2.cols.  Every other block is s's."""
+    q = s.quiver
+    new = {}
+    start = 0
+    for summand in ab.layout:  # ("D", i) or ("V", arrow id, source vertex)
+        stop = start + s.dims.size(q, (summand[0], summand[-1]))
+        rows = a2.submatrix(range(start, stop), range(a2.cols))
+        cols = b2.submatrix(range(b2.rows), range(start, stop))
+        if summand[0] == "D":
+            new["delta", ab.vertex], new["gamma", ab.vertex] = rows, cols
+        else:
+            arr = q.arrow(summand[1])
+            new["B", arr.bar], new["B", arr.id] = rows, cols.scale(arr.eps)
+        start = stop
+    return FramedPoint.build(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field,
+                             lambda blk, r, c: new.get((blk.part, blk.key), s.block(blk)))
 
 
 def moment_map(s: FramedPoint) -> dict:
@@ -263,29 +286,26 @@ def _block_inverse(m, what):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Block-diagonal change of basis: invertible g_i on each V_i, and an
-    optional invertible block per framing space D_i.
+    """Block-diagonal change of basis: invertible g_i on V_i, and an optional
+    invertible block per framing space D_i.  A space without a block is
+    acted on by the identity.
 
-    Each block is inverted once, at construction; that inversion is also the
+    The constructor inverts each block once; that inversion is also the
     invertibility check, and `group_act` reuses the inverses."""
 
     blocks: dict  # vertex -> Mat on V_i
     framing_blocks: dict | None = None
-    _inv: dict = dc_field(init=False, repr=False, compare=False)
-    _finv: dict = dc_field(init=False, repr=False, compare=False)
+    _act: dict = dc_field(init=False, repr=False, compare=False)  # space -> (block, inverse)
 
     def __post_init__(self):
-        inv = {}
+        act = {}
         for vert, m in self.blocks.items():
             if m.rows != m.cols:
                 raise SingularBlock(f"block at {vert} is not square")
-            inv[vert] = _block_inverse(m, f"block at {vert}")
-        finv = {
-            vert: _block_inverse(m, f"framing block at {vert}")
-            for vert, m in (self.framing_blocks or {}).items()
-        }
-        object.__setattr__(self, "_inv", inv)
-        object.__setattr__(self, "_finv", finv)
+            act["V", vert] = (m, _block_inverse(m, f"block at {vert}"))
+        for vert, m in (self.framing_blocks or {}).items():
+            act["D", vert] = (m, _block_inverse(m, f"framing block at {vert}"))
+        object.__setattr__(self, "_act", act)
 
 
 def identity_group(q, dims, field=QQ) -> GroupElement:
@@ -304,20 +324,20 @@ def random_group(q, dims, field, rng, height=5) -> GroupElement:
 
 
 def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
-    """(B, gamma, delta) -> (g_{h1} B g_{h0}^{-1}, g gamma, delta g^{-1}) on the
-    fiber side, and (B, gamma g^{-1}, g delta) for the optional framing side."""
-    q = s.quiver
-    inv = g._inv
-    B = {
-        a.id: g.blocks[a.h1] * s.B[a.id] * inv[a.h0]
-        for a in q.arrows
-    }
-    gamma = {vert: g.blocks[vert] * s.gamma[vert] for vert in q.vertices}
-    delta = {vert: s.delta[vert] * inv[vert] for vert in q.vertices}
-    if g.framing_blocks:
-        gamma = {vert: gamma[vert] * g._finv[vert] for vert in q.vertices}
-        delta = {vert: g.framing_blocks[vert] * delta[vert] for vert in q.vertices}
-    return FramedPoint(q, s.dims, s.field, B, gamma, delta)
+    """Each block M : col -> row goes to g_row M g_col^{-1}, where g acts on
+    V_i by g_i and on D_i by its framing block f_i, if any:
+    (B, gamma, delta) -> (g_{h1} B g_{h0}^{-1}, g gamma f^{-1}, f delta g^{-1})."""
+    act = g._act
+
+    def move(blk, rows, cols):
+        m = s.block(blk)
+        if blk.row in act:
+            m = act[blk.row][0] * m
+        if blk.col in act:
+            m = m * act[blk.col][1]
+        return m
+
+    return FramedPoint.build(s.quiver, s.dims, s.field, move)
 
 
 # -- fiber sampling ----------------------------------------------------------
@@ -344,22 +364,17 @@ def sample_fiber(
     """
     import random as _random
 
-    dims.check(q)
+    blocks = _shapes(q, dims)
     _check_len(q, lam, "lambda")
     if rng is None:
         rng = _random.Random(seed)
     last_err = None
     for _ in range(retries):
-        known_B = {
-            a.id: random_matrix(field, dims.v_of(q, a.h1), dims.v_of(q, a.h0), rng, height)
-            for a in q.arrows
-            if a.eps == 1
-        }
-        gamma = {
-            vert: random_matrix(
-                field, dims.v_of(q, vert), dims.d_of(q, vert), rng, height
-            )
-            for vert in q.vertices
+        # draws: the eps = +1 arrows in q.arrows order, then every gamma
+        known = {
+            (blk.part, blk.key): random_matrix(field, r, c, rng, height)
+            for blk, (r, c) in blocks
+            if blk.part == "gamma" or blk.part == "B" and q.arrow(blk.key).eps == 1
         }
 
         # unknowns: the eps = -1 arrows by id, then every delta block
@@ -373,10 +388,10 @@ def sample_fiber(
             terms = []
             for arr in q.arrows_into(vert):
                 if arr.eps == 1:  # + B_h U(bar h)
-                    terms.append((known_B[arr.id], ("B", arr.bar), None))
+                    terms.append((known["B", arr.id], ("B", arr.bar), None))
                 else:             # - U(h) B_{bar h}
-                    terms.append((None, ("B", arr.id), -known_B[arr.bar]))
-            terms.append((gamma[vert], ("delta", vert), None))
+                    terms.append((None, ("B", arr.id), -known["B", arr.bar]))
+            terms.append((known["gamma", vert], ("delta", vert), None))
             vi = dims.v_of(q, vert)
             system.equation(terms, Mat.scalar(field, vi, lam[q.vertex_index(vert)]))
         try:
@@ -388,10 +403,8 @@ def sample_fiber(
             c = field.random(rng, height)
             x = {key: m + h[key].scale(c) for key, m in x.items()}
 
-        B = dict(known_B)
-        B.update({key: m for (kind, key), m in x.items() if kind == "B"})
-        delta = {key: m for (kind, key), m in x.items() if kind == "delta"}
-        point = FramedPoint(q, dims, field, B, gamma, delta)
+        known.update(x)
+        point = FramedPoint.build(q, dims, field, lambda blk, r, c: known[blk.part, blk.key])
         if not moment_matches(point, lam):
             raise AssertionError("sampler produced a point off the fiber")
         return point

@@ -142,25 +142,16 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
             f"p^dim = {p}^{space_dim} exceeds the enumeration budget {cap}"
         )
 
-    shapes = []
-    for a in sorted(q.arrows, key=lambda a: a.id):
-        shapes.append(("B", a.id, dims.v_of(q, a.h1), dims.v_of(q, a.h0)))
-    for vert in q.vertices:
-        shapes.append(("gamma", vert, dims.v_of(q, vert), dims.d_of(q, vert)))
-    for vert in q.vertices:
-        shapes.append(("delta", vert, dims.d_of(q, vert), dims.v_of(q, vert)))
-    assert sum(r * c for _, _, r, c in shapes) == space_dim
+    def take(blk, r, c):  # the next r * c entries of the current point
+        return Mat(field, r, c, list(itertools.islice(entries, r * c)))
 
     counts = {}
     total = 0
     for flat in itertools.product(range(p), repeat=space_dim):
-        pos = 0
-        B, gamma, delta = {}, {}, {}
-        for kind, key, r, c in shapes:
-            m = Mat(field, r, c, [field.from_int(t) for t in flat[pos : pos + r * c]])
-            pos += r * c
-            (B if kind == "B" else gamma if kind == "gamma" else delta)[key] = m
-        s = FramedPoint(q, dims, field, B, gamma, delta)
+        entries = map(field.from_int, flat)
+        s = FramedPoint.build(q, dims, field, take)
+        if next(entries, None) is not None:
+            raise AssertionError("the blocks do not use every entry")
         if moment_matches(s, lam):
             label = reachable_dims(s)
             counts[label] = counts.get(label, 0) + 1

@@ -24,13 +24,17 @@ from quiverlab import (
     dynkin_quiver,
     group_act,
     identity_group,
+    inverse,
+    layout,
     moment_map,
     moment_map_real,
     moment_matches,
     random_group,
     random_invertible,
     rank,
+    reflect_point,
     sample_fiber,
+    split_ab,
     stratum_dimension,
 )
 from util import a1_point, a1_setup, a2_setup, mat
@@ -382,3 +386,90 @@ class TestSerialization:
             n_entries += sum(m.rows * m.cols for m in s.gamma.values())
             n_entries += sum(m.rows * m.cols for m in s.delta.values())
             assert dims.space_dimension(q) == n_entries
+
+
+class TestLayout:
+    @pytest.mark.parametrize("name", QUIVERS)
+    def test_space_dimension_closed_form(self, name):
+        # sum over the arrows of the double of v_{h1} v_{h0}, plus 2 sum d_i v_i
+        q = dynkin_quiver(name)
+        n = q.n
+        rng = random.Random(29)
+        cases = [((0,) * n, (0,) * n), ((0,) * n, (1,) * n), ((2,) * n, (0,) * n)]
+        cases += [(tuple(rng.randint(0, 3) for _ in range(n)),
+                   tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(6)]
+        cases.append(((0,) + (1,) * (n - 1), (2,) * (n - 1) + (0,)))
+        for d, v in cases:
+            at = {vert: k for k, vert in enumerate(q.vertices)}
+            closed = sum(v[at[a.h1]] * v[at[a.h0]] for a in q.arrows)
+            closed += 2 * sum(d[k] * v[k] for k in range(n))
+            assert DimData(WeightVec(d), RootVec(v)).space_dimension(q) == closed
+
+    def test_every_block_once(self):
+        q = dynkin_quiver("D4")
+        blocks = layout(q)
+        assert [b.key for b in blocks if b.part == "B"] == [a.id for a in q.arrows]
+        for part in ("gamma", "delta"):
+            assert [b.key for b in blocks if b.part == part] == list(q.vertices)
+        for b in blocks:
+            if b.part == "B":
+                a = q.arrow(b.key)
+                assert (b.row, b.col) == (("V", a.h1), ("V", a.h0))
+            elif b.part == "gamma":
+                assert (b.row, b.col) == (("V", b.key), ("D", b.key))
+            else:
+                assert (b.row, b.col) == (("D", b.key), ("V", b.key))
+
+    def test_build_calls_make_in_layout_order(self):
+        q = dynkin_quiver("A3")
+        dims = DimData(WeightVec((1, 0, 2)), RootVec((2, 1, 0)))
+        seen = []
+
+        def make(blk, rows, cols):
+            seen.append(blk)
+            assert (rows, cols) == (dims.size(q, blk.row), dims.size(q, blk.col))
+            return Mat.zeros(QQ, rows, cols)
+
+        assert FramedPoint.build(q, dims, QQ, make) == FramedPoint.zero(q, dims)
+        assert tuple(seen) == layout(q)
+
+    @pytest.mark.parametrize("name, d, v", [
+        ("A3", (1, 0, 2), (1, 2, 0)),
+        ("D4", (2, 1, 0, 1), (1, 1, 2, 2)),
+    ])
+    def test_group_act_block_by_block(self, name, d, v):
+        # B -> g_{h1} B g_{h0}^{-1}, gamma -> g gamma f^{-1}, delta -> f delta g^{-1}
+        rng = random.Random(31)
+        q = dynkin_quiver(name)
+        dims = DimData(WeightVec(d), RootVec(v))
+        s = FramedPoint.random(q, dims, QQ, rng)
+        g = {vert: random_invertible(QQ, dims.v_of(q, vert), rng, 5) for vert in q.vertices}
+        f = {vert: random_invertible(QQ, dims.d_of(q, vert), rng, 5) for vert in q.vertices}
+        t = group_act(GroupElement(g, framing_blocks=f), s)
+        for a in q.arrows:
+            assert t.B[a.id] == g[a.h1] * s.B[a.id] * inverse(g[a.h0])
+        for vert in q.vertices:
+            assert t.gamma[vert] == g[vert] * s.gamma[vert] * inverse(f[vert])
+            assert t.delta[vert] == f[vert] * s.delta[vert] * inverse(g[vert])
+
+    def test_missing_blocks_act_as_identity(self):
+        rng = random.Random(37)
+        q, dims, s = random_point("A2", rng)
+        assert group_act(GroupElement({}), s) == s
+
+    @pytest.mark.parametrize("name", QUIVERS)
+    def test_split_ab_inverts_assemble_ab(self, name):
+        rng = random.Random(41)
+        q, dims, s = random_point(name, rng)
+        for vert in q.vertices:
+            ab = assemble_ab(s, vert)
+            assert split_ab(s, ab, ab.a, ab.b) == s
+
+    def test_split_ab_rebuilds_the_reflection(self):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        lam = WeightVec((1, 2))
+        s = sample_fiber(q, dims, lam, seed=3)
+        res = reflect_point(s, 1, lam)
+        back = split_ab(s, assemble_ab(s, 1), res.a_prime, res.b_prime)
+        assert back == res.point
+        assert back.dims.v.coords == (res.a_prime.cols, 1)
