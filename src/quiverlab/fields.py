@@ -110,7 +110,11 @@ class GaussianRational:
 
 
 class FpScalar:
-    """Element of F_p, normalized to 0..p-1."""
+    """Element of F_p, normalized to 0..p-1.
+
+    It equals the ints congruent to it mod p, and hashes like its residue,
+    so x == r and hash(x) == hash(r) for the int r in 0..p-1.  Any other int
+    congruent to it compares equal too, but cannot share its hash."""
 
     __slots__ = ("val", "p")
 
@@ -179,7 +183,7 @@ class FpScalar:
         return self.val == o.val
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0
@@ -363,6 +367,6 @@ def field_from_name(name):
         return QQ
     if name == "Q(i)":
         return QQI
-    if name.startswith("Fp:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+    if isinstance(name, str) and name.startswith("Fp:") and name[3:].isdigit():
+        return PrimeField(int(name[3:]))
     raise WrongField(f"unknown field name {name!r}")

@@ -617,10 +617,18 @@ def random_matrix(field, rows, cols, rng, height=10):
 
 
 def random_invertible(field, n, rng, height=10, tries=64):
+    return _random_invertible_pair(field, n, rng, height, tries)[0]
+
+
+def _random_invertible_pair(field, n, rng, height=10, tries=64):
+    """(m, m^{-1}) for the first random n x n draw that inverts; the
+    inversion is the invertibility test, so each draw costs one elimination."""
     if n == 0:
-        return Mat.identity(field, 0)
+        return Mat.identity(field, 0), Mat.identity(field, 0)
     for _ in range(tries):
         m = random_matrix(field, n, n, rng, height)
-        if rank(m) == n:
-            return m
+        try:
+            return m, inverse(m)
+        except SingularMatrix:
+            pass
     raise SingularMatrix("no invertible sample found")  # practically unreachable over Q

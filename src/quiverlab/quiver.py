@@ -121,6 +121,10 @@ class Quiver:
         return cls(tuple(_json_entry(obj, "quiver", "vertices")), arrows)
 
 
+def _json_path(keys):
+    return "".join(f"[{k!r}]" for k in keys)
+
+
 def _json_entry(obj, what, *keys):
     """obj[k1][k2]...; a missing entry is a QuiverLabError that names it,
     as read from `what` JSON (point, quiver, chi)."""
@@ -128,8 +132,7 @@ def _json_entry(obj, what, *keys):
         try:
             obj = obj[key]
         except (KeyError, IndexError, TypeError):
-            path = "".join(f"[{k!r}]" for k in keys[:n])
-            raise QuiverLabError(f"{what} JSON has no entry {path}") from None
+            raise QuiverLabError(f"{what} JSON has no entry {_json_path(keys[:n])}") from None
     return obj
 
 

@@ -24,6 +24,7 @@ from .errors import (
     RangeViolation,
     RankTooLarge,
     ReflectionUndefined,
+    ShapeMismatch,
 )
 from .linalg import (
     Mat,
@@ -94,19 +95,13 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     # b_i is onto exactly when dim ker b_i = t - v_i
     ker = kernel_basis(ab.b) if side != "cokernel" else None
     b_epi = ker is not None and len(ker) == t_dim - vi
-    if side == "auto":
-        if b_epi:
-            side = "kernel"
-        elif rank(ab.a) == vi:
-            side = "cokernel"
-        else:
-            raise ReflectionUndefined(
-                f"at vertex {vertex}: b_i not surjective and a_i not injective"
-            )
-    elif side == "kernel" and not b_epi:
+    if side == "kernel" and not b_epi:
         raise ReflectionUndefined(f"kernel side needs b_i surjective at {vertex}")
-    elif side == "cokernel" and rank(ab.a) != vi:
-        raise ReflectionUndefined(f"cokernel side needs a_i injective at {vertex}")
+    if side == "auto":
+        side = "kernel" if b_epi else "cokernel"
+        not_injective = f"at vertex {vertex}: b_i not surjective and a_i not injective"
+    else:
+        not_injective = f"cokernel side needs a_i injective at {vertex}"
 
     rhs = ab.a * ab.b - Mat.scalar(field, t_dim, lam_i)
     if side == "kernel":
@@ -116,7 +111,10 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
         b2 = solve_right(a2, rhs).particular
         section = a2
     else:
-        basis = complete_to_basis(ab.a)  # first vi columns = a
+        try:
+            basis = complete_to_basis(ab.a)  # first vi columns = a
+        except ShapeMismatch:  # the columns of a_i are dependent
+            raise ReflectionUndefined(not_injective) from None
         compl = basis.submatrix(range(t_dim), range(vi, t_dim))
         proj = inverse(basis).submatrix(range(vi, t_dim), range(t_dim))
         a2 = rhs * compl
@@ -460,8 +458,8 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
         basis = full.submatrix(range(vi), cols)
         drop_incoming_rows = False
 
-    # change basis at the vertex only
-    s2 = group_act(GroupElement({vertex: inverse(basis)}), s)
+    # change basis at the vertex only: the block is basis^{-1}, its inverse basis
+    s2 = group_act(GroupElement._known({vertex: (inverse(basis), basis)}), s)
 
     at = ("V", vertex)
     keep = list(range(vi - 1))

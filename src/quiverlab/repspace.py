@@ -40,13 +40,13 @@ from .fields import QQ, field_from_name
 from .linalg import (
     BlockSystem,
     Mat,
+    _random_invertible_pair,
     hstack,
     inverse,
-    random_invertible,
     random_matrix,
     vstack,
 )
-from .quiver import Quiver, RootVec, WeightVec, _check_len, _json_entry
+from .quiver import Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path
 
 
 class Block(NamedTuple):
@@ -173,17 +173,39 @@ class FramedPoint:
 
     @classmethod
     def from_json(cls, obj, quiver=None):
+        """Inverse of `to_json`; a missing or malformed entry is a
+        QuiverLabError that names it."""
         def entry(*keys):
             return _json_entry(obj, "point", *keys)
 
+        def bad(error, keys, problem):
+            return error(f"point JSON entry {_json_path(keys)} {problem}")
+
         q = quiver if quiver is not None else Quiver.from_json(entry("quiver"))
-        f = field_from_name(entry("field"))
-        dims = DimData(WeightVec(tuple(entry("d"))), RootVec(tuple(entry("v"))))
+        try:
+            f = field_from_name(entry("field"))
+        except WrongField as e:
+            raise bad(WrongField, ("field",), f"is not a field: {e}") from None
+
+        def vector(key):
+            xs = entry(key)
+            if not (isinstance(xs, list) and all(type(x) is int for x in xs)):
+                raise bad(ShapeMismatch, (key,), f"must be a list of integers, not {xs!r}")
+            return tuple(xs)
+
+        dims = DimData(WeightVec(vector("d")), RootVec(vector("v")))
 
         def load_mat(blk, r, c):
-            data = [f.parse(x) for row in entry(blk.part, str(blk.key)) for x in row]
+            keys = (blk.part, str(blk.key))
+            rows = entry(*keys)
+            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                raise bad(ShapeMismatch, keys, f"must be a list of rows, not {rows!r}")
+            try:
+                data = [f.parse(x) for row in rows for x in row]
+            except (WrongField, ValueError, ZeroDivisionError) as e:
+                raise bad(WrongField, keys, f"has an entry that is not in {f.name}: {e}") from None
             if len(data) != r * c:
-                raise ShapeMismatch("matrix entry count mismatch in JSON")
+                raise bad(ShapeMismatch, keys, f"has {len(data)} entries, a {r}x{c} block needs {r * c}")
             return Mat(f, r, c, data)
 
         return cls.build(q, dims, f, load_mat)
@@ -307,6 +329,16 @@ class GroupElement:
             act["D", vert] = (m, _block_inverse(m, f"framing block at {vert}"))
         object.__setattr__(self, "_act", act)
 
+    @classmethod
+    def _known(cls, pairs):
+        """The element on the V_i from vertex -> (block, inverse) pairs whose
+        inverses are already known: nothing is inverted or checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "blocks", {vert: m for vert, (m, _) in pairs.items()})
+        object.__setattr__(g, "framing_blocks", None)
+        object.__setattr__(g, "_act", {("V", vert): pair for vert, pair in pairs.items()})
+        return g
+
 
 def identity_group(q, dims, field=QQ) -> GroupElement:
     return GroupElement(
@@ -315,9 +347,9 @@ def identity_group(q, dims, field=QQ) -> GroupElement:
 
 
 def random_group(q, dims, field, rng, height=5) -> GroupElement:
-    return GroupElement(
+    return GroupElement._known(
         {
-            vert: random_invertible(field, dims.v_of(q, vert), rng, height)
+            vert: _random_invertible_pair(field, dims.v_of(q, vert), rng, height)
             for vert in q.vertices
         }
     )

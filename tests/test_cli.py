@@ -335,6 +335,26 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("B", "h1"), 5, "point JSON entry ['B']['h1'] must be a list of rows"),
+        (("field",), 5, "point JSON entry ['field'] is not a field"),
+        (("v",), "11", "point JSON entry ['v'] must be a list of integers"),
+        (("gamma", "1"), [["x", "1/0"]], "point JSON entry ['gamma']['1'] has an entry"),
+    ], ids=["B", "field", "v", "gamma"])
+    def test_point_file_malformed_entry(self, tmp_path, keys, value, message):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0).to_json()
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(obj))
+        proc = self.child(["invariants", str(path)], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0"],
         ["count", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0", "--p", "3"],

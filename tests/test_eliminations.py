@@ -19,6 +19,7 @@ from quiverlab import (
     complete_to_basis,
     dynkin_quiver,
     group_act,
+    limit_project,
     linalg,
     orbit_equivalent,
     paths,
@@ -81,6 +82,31 @@ def test_group_element_and_action(calls):
     calls["rref"] = 0
     group_act(GroupElement(blocks, framing), s)
     assert calls["rref"] == len(blocks) + len(framing)
+
+
+def test_cokernel_side_reflection(calls):
+    s = fiber("A2", (2, 1), (1, 1), (1, 1), 9)
+    calls["rref"] = 0
+    res = reflect_point(s, 1, WeightVec((1, 1)), side="cokernel")
+    assert res.side == "cokernel"
+    assert calls["rref"] == 2  # basis completion of a_i, then its inverse
+
+
+def test_random_group(calls):
+    q = dynkin_quiver("D4")
+    dims = DimData(WeightVec((1, 1, 1, 2)), RootVec((1, 2, 1, 2)))
+    g = random_group(q, dims, QQ, random.Random(3))
+    assert len(g.blocks) == 4
+    assert calls["rref"] == 4  # one inversion per drawn block, which is also its test
+
+
+def test_limit_project(calls):
+    s = fiber("A3", (0, 0, 0), (1, 2, 1), (0, 0, 0), 5)
+    calls["rref"] = 0
+    out = limit_project(s, 3)
+    assert out.dims.v.coords == (1, 2, 0)
+    # image of b_i, kernel of a_i, basis completion, and one inverse
+    assert calls["rref"] == 4
 
 
 def test_complete_to_basis(calls):

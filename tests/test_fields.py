@@ -93,6 +93,16 @@ class TestPrimeField:
         with pytest.raises(WrongField):
             PrimeField(5).coerce(Fraction(1, 2))
 
+    def test_hash_agrees_with_equal_residues(self):
+        f = PrimeField(7)
+        for k in range(-7, 15):
+            x = f.from_int(k)
+            assert x == k % 7
+            assert hash(x) == hash(k % 7)
+        assert {f.from_int(3): "a"}.get(3) == "a"
+        assert {3: "a"}.get(f.from_int(10)) == "a"
+        assert len({f.from_int(2), f.from_int(9), 2}) == 1
+
 
 class TestFieldProtocol:
     @pytest.mark.parametrize("field", [QQ, QQI, PrimeField(13)])
