@@ -114,7 +114,9 @@ class FpScalar:
 
     It equals the ints congruent to it mod p, and hashes like its residue,
     so x == r and hash(x) == hash(r) for the int r in 0..p-1.  Any other int
-    congruent to it compares equal too, but cannot share its hash."""
+    congruent to it compares equal too, but cannot share its hash.  Scalars
+    of two different F_p are unequal; arithmetic mixing them raises
+    WrongField."""
 
     __slots__ = ("val", "p")
 
@@ -177,10 +179,11 @@ class FpScalar:
         return FpScalar(-self.val, self.p)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.val == o.val
+        if isinstance(other, FpScalar):
+            return self.p == other.p and self.val == other.val
+        if isinstance(other, int):
+            return self.val == other % self.p
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.val)
@@ -264,7 +267,8 @@ class GaussianRationalField:
         raise WrongField(f"cannot coerce {x!r} into Q(i)")
 
     def parse(self, obj):
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        if (isinstance(obj, (list, tuple)) and len(obj) == 2
+                and all(isinstance(x, (str, int)) for x in obj)):
             return GaussianRational(Fraction(obj[0]), Fraction(obj[1]))
         if isinstance(obj, (str, int)):
             return GaussianRational(Fraction(obj))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
 from .linalg import _det_bareiss_int
@@ -29,6 +30,17 @@ class Arrow:
     h1: int  # target vertex
     eps: int
     bar: str  # id of the reversed partner
+
+
+class Block(NamedTuple):
+    """One summand of a framed point: the matrix FramedPoint.<part>[key], a
+    map from the space `col` to the space `row`; a space is ("V", i) or
+    ("D", i)."""
+
+    part: str    # "B", "gamma" or "delta"
+    key: object  # arrow id for "B", vertex otherwise
+    row: tuple
+    col: tuple
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,17 @@ class Quiver:
     @cached_property
     def _index(self):
         return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def layout(self):
+        """Every block of a framed point on this quiver once: the arrows in
+        `arrows` order, then gamma at every vertex, then delta at every
+        vertex.  Built once per quiver."""
+        return (
+            tuple(Block("B", a.id, ("V", a.h1), ("V", a.h0)) for a in self.arrows)
+            + tuple(Block("gamma", i, ("V", i), ("D", i)) for i in self.vertices)
+            + tuple(Block("delta", i, ("D", i), ("V", i)) for i in self.vertices)
+        )
 
     @property
     def n(self):

@@ -52,7 +52,6 @@ from .repspace import (
     GroupElement,
     assemble_ab,
     group_act,
-    layout,
     moment_matches,
     sample_fiber,
     split_ab,
@@ -165,7 +164,7 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     # (1)-(3): every block away from V_i is unchanged
     at = ("V", vertex)
     changed = {"B": False, "gamma": False, "delta": False}
-    for blk in layout(q):
+    for blk in q.layout:
         if at not in (blk.row, blk.col) and s.block(blk) != s2.block(blk):
             changed[blk.part] = True
             msgs.append(f"arrow {blk.key} changed" if blk.part == "B"
@@ -459,7 +458,7 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
         drop_incoming_rows = False
 
     # change basis at the vertex only: the block is basis^{-1}, its inverse basis
-    s2 = group_act(GroupElement._known({vertex: (inverse(basis), basis)}), s)
+    s2 = group_act(GroupElement({vertex: inverse(basis)}, _inverses={vertex: basis}), s)
 
     at = ("V", vertex)
     keep = list(range(vi - 1))

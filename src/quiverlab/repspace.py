@@ -1,12 +1,12 @@
 """Framed representation points, moment maps, group actions, fiber sampling.
 
 A point assigns a matrix B_h to every arrow of the double and a framing pair
-gamma_i : D_i -> V_i, delta_i : V_i -> D_i to every vertex.  `layout(q)`
-lists these blocks once, each with the two spaces ("V", i) or ("D", i) it
-maps between; `DimData.size` gives the dimension of a space, and
-`FramedPoint.build` makes a point block by block in layout order.  Every
-constructor, the shape check, the group action and the moves that resize a
-point go through these three.
+gamma_i : D_i -> V_i, delta_i : V_i -> D_i to every vertex.  `q.layout`
+(`Quiver.layout`, built once per quiver) lists these blocks once, each with
+the two spaces ("V", i) or ("D", i) it maps between; `DimData.sizes` gives
+the dimension of every space, and `FramedPoint.build` makes a point block
+by block in layout order.  Every constructor, the shape check, the group
+action and the moves that resize a point go through these three.
 
 The two derived maps at a vertex,
 
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import (
     FiberSampleFailed,
@@ -46,36 +44,7 @@ from .linalg import (
     random_matrix,
     vstack,
 )
-from .quiver import Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path
-
-
-class Block(NamedTuple):
-    """One summand of a point: the matrix FramedPoint.<part>[key], a map from
-    the space `col` to the space `row`; a space is ("V", i) or ("D", i)."""
-
-    part: str    # "B", "gamma" or "delta"
-    key: object  # arrow id for "B", vertex otherwise
-    row: tuple
-    col: tuple
-
-
-@lru_cache(maxsize=64)
-def layout(q) -> tuple:
-    """Every block of a point on q once: the arrows in q.arrows order, then
-    gamma at every vertex, then delta at every vertex.  Cached, as is
-    `_shapes`: every point construction reads them."""
-    return (
-        tuple(Block("B", a.id, ("V", a.h1), ("V", a.h0)) for a in q.arrows)
-        + tuple(Block("gamma", i, ("V", i), ("D", i)) for i in q.vertices)
-        + tuple(Block("delta", i, ("D", i), ("V", i)) for i in q.vertices)
-    )
-
-
-@lru_cache(maxsize=256)
-def _shapes(q, dims) -> tuple:
-    """(block, (rows, cols)) for every block of layout(q), after dims.check(q)."""
-    dims.check(q)
-    return tuple((blk, (dims.size(q, blk.row), dims.size(q, blk.col))) for blk in layout(q))
+from .quiver import Block, Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path
 
 
 @dataclass(frozen=True)
@@ -91,10 +60,14 @@ class DimData:
     def v_of(self, q, vertex):
         return self.v[q.vertex_index(vertex)]
 
-    def size(self, q, space):
-        """dim of the space ("V", i) or ("D", i)."""
-        kind, vertex = space
-        return (self.v if kind == "V" else self.d).coords[q.vertex_index(vertex)]
+    def sizes(self, q):
+        """space -> dim for the spaces ("V", i) and ("D", i) of q, after
+        self.check(q)."""
+        self.check(q)
+        size = {}
+        for i, v, d in zip(q.vertices, self.v.coords, self.d.coords):
+            size["V", i], size["D", i] = v, d
+        return size
 
     def with_v(self, q, vertex, n):
         """The same d and v, except v_i = n at `vertex`."""
@@ -107,13 +80,14 @@ class DimData:
         RangeViolation if an entry is negative."""
         for vec, nm in ((self.d, "d"), (self.v, "v")):
             _check_len(q, vec, nm)
-            for k, x in enumerate(vec):
+            for k, x in enumerate(vec.coords):
                 if x < 0:
                     raise RangeViolation(f"{nm}[{k}] is {x}; dimensions must be >= 0")
 
     def space_dimension(self, q):
         """dim of the whole representation space: the sum of the block sizes."""
-        return sum(r * c for _, (r, c) in _shapes(q, self))
+        size = self.sizes(q)
+        return sum(size[blk.row] * size[blk.col] for blk in q.layout)
 
 
 @dataclass(frozen=True)
@@ -126,9 +100,11 @@ class FramedPoint:
     delta: dict   # vertex -> Mat (d_i x v_i)
 
     def __post_init__(self):
-        for blk, want in _shapes(self.quiver, self.dims):
+        size = self.dims.sizes(self.quiver)
+        for blk in self.quiver.layout:
             m = getattr(self, blk.part).get(blk.key)
-            if m is None or m.shape() != want:
+            if m is None or m.rows != size[blk.row] or m.cols != size[blk.col]:
+                want = (size[blk.row], size[blk.col])
                 raise ShapeMismatch(f"{blk.part}[{blk.key}] must be {want}")
             if m.field.name != self.field.name:
                 raise WrongField(f"{blk.part}[{blk.key}] over {m.field.name}")
@@ -142,9 +118,10 @@ class FramedPoint:
     def build(cls, q, dims, field, make):
         """The point whose block `blk` is make(blk, rows, cols), called once
         per block in layout order."""
+        size = dims.sizes(q)
         parts = {"B": {}, "gamma": {}, "delta": {}}
-        for blk, (rows, cols) in _shapes(q, dims):
-            parts[blk.part][blk.key] = make(blk, rows, cols)
+        for blk in q.layout:
+            parts[blk.part][blk.key] = make(blk, size[blk.row], size[blk.col])
         return cls(q, dims, field, parts["B"], parts["gamma"], parts["delta"])
 
     @classmethod
@@ -236,10 +213,11 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along ab.layout, and
     v_i = a2.cols.  Every other block is s's."""
     q = s.quiver
+    size = s.dims.sizes(q)
     new = {}
     start = 0
     for summand in ab.layout:  # ("D", i) or ("V", arrow id, source vertex)
-        stop = start + s.dims.size(q, (summand[0], summand[-1]))
+        stop = start + size[summand[0], summand[-1]]
         rows = a2.submatrix(range(start, stop), range(a2.cols))
         cols = b2.submatrix(range(b2.rows), range(start, stop))
         if summand[0] == "D":
@@ -313,31 +291,28 @@ class GroupElement:
     acted on by the identity.
 
     The constructor inverts each block once; that inversion is also the
-    invertibility check, and `group_act` reuses the inverses."""
+    invertibility check, and `group_act` reuses the inverses.  A caller that
+    already holds the inverse of blocks[i] passes it in `_inverses[i]`; that
+    block is then neither inverted nor checked."""
 
     blocks: dict  # vertex -> Mat on V_i
     framing_blocks: dict | None = None
+    _inverses: dict | None = dc_field(default=None, repr=False, compare=False)
     _act: dict = dc_field(init=False, repr=False, compare=False)  # space -> (block, inverse)
 
     def __post_init__(self):
+        known = self._inverses or {}
         act = {}
         for vert, m in self.blocks.items():
+            if vert in known:
+                act["V", vert] = (m, known[vert])
+                continue
             if m.rows != m.cols:
                 raise SingularBlock(f"block at {vert} is not square")
             act["V", vert] = (m, _block_inverse(m, f"block at {vert}"))
         for vert, m in (self.framing_blocks or {}).items():
             act["D", vert] = (m, _block_inverse(m, f"framing block at {vert}"))
         object.__setattr__(self, "_act", act)
-
-    @classmethod
-    def _known(cls, pairs):
-        """The element on the V_i from vertex -> (block, inverse) pairs whose
-        inverses are already known: nothing is inverted or checked."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "blocks", {vert: m for vert, (m, _) in pairs.items()})
-        object.__setattr__(g, "framing_blocks", None)
-        object.__setattr__(g, "_act", {("V", vert): pair for vert, pair in pairs.items()})
-        return g
 
 
 def identity_group(q, dims, field=QQ) -> GroupElement:
@@ -347,12 +322,12 @@ def identity_group(q, dims, field=QQ) -> GroupElement:
 
 
 def random_group(q, dims, field, rng, height=5) -> GroupElement:
-    return GroupElement._known(
-        {
-            vert: _random_invertible_pair(field, dims.v_of(q, vert), rng, height)
-            for vert in q.vertices
-        }
-    )
+    pairs = {
+        vert: _random_invertible_pair(field, dims.v_of(q, vert), rng, height)
+        for vert in q.vertices
+    }
+    return GroupElement({vert: m for vert, (m, _) in pairs.items()},
+                        _inverses={vert: inv for vert, (_, inv) in pairs.items()})
 
 
 def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
@@ -396,7 +371,7 @@ def sample_fiber(
     """
     import random as _random
 
-    blocks = _shapes(q, dims)
+    size = dims.sizes(q)
     _check_len(q, lam, "lambda")
     if rng is None:
         rng = _random.Random(seed)
@@ -404,8 +379,8 @@ def sample_fiber(
     for _ in range(retries):
         # draws: the eps = +1 arrows in q.arrows order, then every gamma
         known = {
-            (blk.part, blk.key): random_matrix(field, r, c, rng, height)
-            for blk, (r, c) in blocks
+            (blk.part, blk.key): random_matrix(field, size[blk.row], size[blk.col], rng, height)
+            for blk in q.layout
             if blk.part == "gamma" or blk.part == "B" and q.arrow(blk.key).eps == 1
         }
 

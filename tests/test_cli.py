@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverlab
-from quiverlab import FramedPoint, WeightVec, moment_matches, sample_fiber
+from quiverlab import QQ, QQI, FramedPoint, WeightVec, moment_matches, sample_fiber
 from quiverlab.cli import main, run
 from util import a1_point, a2_setup, cli_env
 
@@ -335,15 +335,17 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("keys, value, message", [
-        (("B", "h1"), 5, "point JSON entry ['B']['h1'] must be a list of rows"),
-        (("field",), 5, "point JSON entry ['field'] is not a field"),
-        (("v",), "11", "point JSON entry ['v'] must be a list of integers"),
-        (("gamma", "1"), [["x", "1/0"]], "point JSON entry ['gamma']['1'] has an entry"),
-    ], ids=["B", "field", "v", "gamma"])
-    def test_point_file_malformed_entry(self, tmp_path, keys, value, message):
+    @pytest.mark.parametrize("field, keys, value, message", [
+        (QQ, ("B", "h1"), 5, "point JSON entry ['B']['h1'] must be a list of rows"),
+        (QQ, ("field",), 5, "point JSON entry ['field'] is not a field"),
+        (QQ, ("v",), "11", "point JSON entry ['v'] must be a list of integers"),
+        (QQ, ("gamma", "1"), [["x", "1/0"]], "point JSON entry ['gamma']['1'] has an entry"),
+        (QQI, ("gamma", "1"), [[[None, 0], "1"]], "point JSON entry ['gamma']['1'] has an entry"),
+        (QQI, ("delta", "2"), [[[[1], 0]]], "point JSON entry ['delta']['2'] has an entry"),
+    ], ids=["B", "field", "v", "gamma", "Qi-null", "Qi-list"])
+    def test_point_file_malformed_entry(self, tmp_path, field, keys, value, message):
         q, dims = a2_setup(d=(2, 1), v=(1, 1))
-        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0).to_json()
+        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0, field=field).to_json()
         parent = obj
         for key in keys[:-1]:
             parent = parent[key]

@@ -102,6 +102,11 @@ class TestPrimeField:
         assert {f.from_int(3): "a"}.get(3) == "a"
         assert {3: "a"}.get(f.from_int(10)) == "a"
         assert len({f.from_int(2), f.from_int(9), 2}) == 1
+        # equal residues in two fields hash alike but are unequal, not an error
+        f5_2, f7_2 = PrimeField(5).from_int(2), f.from_int(2)
+        assert f5_2 != f7_2
+        assert len({f5_2, f7_2}) == 2
+        assert {f5_2: "a", f7_2: "b"}[f7_2] == "b"
 
 
 class TestFieldProtocol:

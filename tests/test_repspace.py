@@ -25,7 +25,6 @@ from quiverlab import (
     group_act,
     identity_group,
     inverse,
-    layout,
     moment_map,
     moment_map_real,
     moment_matches,
@@ -407,7 +406,7 @@ class TestLayout:
 
     def test_every_block_once(self):
         q = dynkin_quiver("D4")
-        blocks = layout(q)
+        blocks = q.layout
         assert [b.key for b in blocks if b.part == "B"] == [a.id for a in q.arrows]
         for part in ("gamma", "delta"):
             assert [b.key for b in blocks if b.part == part] == list(q.vertices)
@@ -427,11 +426,11 @@ class TestLayout:
 
         def make(blk, rows, cols):
             seen.append(blk)
-            assert (rows, cols) == (dims.size(q, blk.row), dims.size(q, blk.col))
+            assert (rows, cols) == (dims.sizes(q)[blk.row], dims.sizes(q)[blk.col])
             return Mat.zeros(QQ, rows, cols)
 
         assert FramedPoint.build(q, dims, QQ, make) == FramedPoint.zero(q, dims)
-        assert tuple(seen) == layout(q)
+        assert tuple(seen) == q.layout
 
     @pytest.mark.parametrize("name, d, v", [
         ("A3", (1, 0, 2), (1, 2, 0)),
