@@ -101,13 +101,13 @@ class FramedPoint:
 
     def __post_init__(self):
         size = self.dims.sizes(self.quiver)
-        for blk in self.quiver.layout:
-            m = getattr(self, blk.part).get(blk.key)
-            if m is None or m.rows != size[blk.row] or m.cols != size[blk.col]:
-                want = (size[blk.row], size[blk.col])
-                raise ShapeMismatch(f"{blk.part}[{blk.key}] must be {want}")
-            if m.field.name != self.field.name:
-                raise WrongField(f"{blk.part}[{blk.key}] over {m.field.name}")
+        name = self.field.name
+        for part, key, row, col in self.quiver.layout:
+            m = getattr(self, part).get(key)
+            if m is None or m.rows != size[row] or m.cols != size[col]:
+                raise ShapeMismatch(f"{part}[{key}] must be {(size[row], size[col])}")
+            if m.field.name != name:
+                raise WrongField(f"{part}[{key}] over {m.field.name}")
 
     def block(self, blk: Block) -> Mat:
         return getattr(self, blk.part)[blk.key]
@@ -214,20 +214,19 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     v_i = a2.cols.  Every other block is s's."""
     q = s.quiver
     size = s.dims.sizes(q)
-    new = {}
+    B, gamma, delta = dict(s.B), dict(s.gamma), dict(s.delta)
     start = 0
     for summand in ab.layout:  # ("D", i) or ("V", arrow id, source vertex)
         stop = start + size[summand[0], summand[-1]]
         rows = a2.submatrix(range(start, stop), range(a2.cols))
         cols = b2.submatrix(range(b2.rows), range(start, stop))
         if summand[0] == "D":
-            new["delta", ab.vertex], new["gamma", ab.vertex] = rows, cols
+            delta[ab.vertex], gamma[ab.vertex] = rows, cols
         else:
             arr = q.arrow(summand[1])
-            new["B", arr.bar], new["B", arr.id] = rows, cols.scale(arr.eps)
+            B[arr.bar], B[arr.id] = rows, cols.scale(arr.eps)
         start = stop
-    return FramedPoint.build(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field,
-                             lambda blk, r, c: new.get((blk.part, blk.key), s.block(blk)))
+    return FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, B, gamma, delta)
 
 
 def moment_map(s: FramedPoint) -> dict:
