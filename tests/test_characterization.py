@@ -1,7 +1,8 @@
 """Pinned exact outputs of the fiber sampler, the intertwiner solver, orbit
 decisions, reflections on both sides, limit projections, basis completion,
 determinants over Q(i) and F_p, random points, the group action with
-framing blocks, and F_p stratum counts.
+framing blocks, F_p stratum counts, determinant covariants with their
+chi-goodness violations, and the block determinants f_S and Phi_ab.
 
 Each case renders its result as canonical JSON (sorted keys, no spaces,
 entries through `field.dump`) and compares the sha256 of that text with a
@@ -19,30 +20,39 @@ import pytest
 from quiverlab import (
     QQ,
     QQI,
+    BlockFamily,
     DimData,
     FramedPoint,
     GroupElement,
     Mat,
     PrimeField,
     Quiver,
+    QuiverLabError,
     RootVec,
     WeightVec,
     complete_to_basis,
     count_points_Fq,
     det,
     dynkin_quiver,
+    enumerate_S_XY,
+    eval_covariant,
+    eval_fS,
+    eval_phi_ab,
     group_act,
     hom_space,
     j_embed,
     limit_project,
     orbit_equivalent,
+    random_block_family,
     random_group,
     random_invertible,
     random_matrix,
     rank,
     reflect_point,
     sample_fiber,
+    validate_chi_data,
 )
+from util import random_chi_data
 
 
 def dump_mat(m):
@@ -433,3 +443,92 @@ def test_count_points_pinned(case):
     got = {"p": r.p, "space_dimension": r.space_dimension, "total": r.total,
            "strata": [[list(vp), c] for vp, c in r.strata]}
     assert digest(got) == COUNT_DIGESTS[case]
+
+
+# (quiver, d, v, field, seed, count): random chi-data using all four entry
+# kinds (util.random_chi_data), a tenth of them unbalanced, each evaluated at
+# a random point and validated against its weight, or one coordinate off it
+COVARIANTS = {
+    "A2-Q": ("A2", (1, 2), (1, 1), QQ, 21, 40),
+    "A3-Q": ("A3", (1, 1, 1), (1, 2, 1), QQ, 22, 40),
+    "A2-F7": ("A2", (1, 2), (1, 1), PrimeField(7), 23, 40),
+    "A2-F101-v2": ("A2", (2, 1), (1, 2), PrimeField(101), 24, 40),
+}
+
+COVARIANT_DIGESTS = {
+    "A2-F101-v2": "36574daa31c9d1bd1a381d8ecb0d42140f32d2b4672be17d4c2266859b60160a",
+    "A2-F7": "a1ac3f65991dd1cacca65c42c9f8eeeb32e08ef5ee7d3de60aa5cf97877da772",
+    "A2-Q": "3da9ed61f7b8bf27744449ddbb50c2289deb2a8c6d39ab4facdaa6d3509b190a",
+    "A3-Q": "8926c540a6b1e1cdb980ab19f4d0116295b9ac6d1a0d0eceeec1f6d69aa7e5e9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVARIANTS))
+def test_covariant_pinned(case):
+    name, d, v, field, seed, count = COVARIANTS[case]
+    q = dynkin_quiver(name)
+    dims = DimData(WeightVec(d), RootVec(v))
+    rng = random.Random(seed)
+    got = []
+    for _ in range(count):
+        chi = random_chi_data(q, dims, rng, balanced=rng.random() < 0.9)
+        s = FramedPoint.random(q, dims, field, rng)
+        m = list(chi.weight())
+        if rng.random() < 0.2:
+            m[rng.randrange(len(m))] += 1
+        try:
+            value = field.dump(eval_covariant(chi, s))
+        except QuiverLabError as e:
+            value = f"{type(e).__name__}: {e}"
+        violations = validate_chi_data(chi, WeightVec(tuple(m)), dims, q)
+        got.append({"chi": chi.to_json(), "value": value, "violations": violations})
+    assert digest(got) == COVARIANT_DIGESTS[case]
+
+
+def random_bordered_family(y_dims, x_dims, field, rng):
+    """A block family with multiplicities 1 or 2, one border row and column
+    space, border blocks at a random subset of the slots, and matching random
+    phi, alpha and beta for eval_phi_ab; square when sum(y) == sum(x)."""
+    def rand(rows, cols):
+        return random_matrix(field, rows, cols, rng, 10)
+
+    slots = [(i, j) for i in range(1, len(y_dims) + 1) for j in range(1, len(x_dims) + 1)]
+    r = {slot: rng.randint(1, 2) for slot in slots}
+    mats = {(i, j, qd): rand(y_dims[i - 1], x_dims[j - 1])
+            for (i, j) in slots for qd in range(1, r[i, j] + 1)}
+    border_in = {i: rand(y, 1) for i, y in enumerate(y_dims, 1) if rng.random() < 0.85}
+    border_out = {j: rand(1, x) for j, x in enumerate(x_dims, 1) if rng.random() < 0.85}
+    fam = BlockFamily(tuple(y_dims), tuple(x_dims), mats, r, 1, 1, border_in, border_out)
+    phi = {slot: tuple(field.random(rng, 5) for _ in range(rng.randint(1, r[slot])))
+           for slot in slots if rng.random() < 0.95}
+    extra = rng.randint(0, 2)
+    return fam, phi, rand(1, extra), rand(extra, 1)
+
+
+# (y dims, x dims, field, seed): f_S for every contingency shape at three
+# random families, and eval_phi_ab at three random bordered families
+BLOCK_DETS = {
+    "21x12-Q": ((2, 1), (1, 2), QQ, 31),
+    "111x21-Q": ((1, 1, 1), (2, 1), QQ, 32),
+    "2x11-F7": ((2,), (1, 1), PrimeField(7), 33),
+}
+
+BLOCK_DET_DIGESTS = {
+    "111x21-Q": "dd5524ef0d47c675b7a86d7b1ae06694c3272f26fae8e5993b136c3276d23242",
+    "21x12-Q": "7dd3d1116163550101a72a8ba382eca4ab31082c0a4241e09e1df0bc9269560a",
+    "2x11-F7": "9423374860aa23b5da7636e916d92db9620b6f72939fbfb3f23dfc5bdc563cc1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_DETS))
+def test_block_determinants_pinned(case):
+    y, x, field, seed = BLOCK_DETS[case]
+    rng = random.Random(seed)
+    shapes = enumerate_S_XY(y, x)
+    got = []
+    for _ in range(3):
+        fam = random_block_family(y, x, rng, field)
+        got.append([field.dump(eval_fS(sh, fam)) for sh in shapes])
+        fam, phi, alpha, beta = random_bordered_family(y, x, field, rng)
+        got.append(field.dump(eval_phi_ab(fam, phi, alpha, beta)))
+    assert digest(got) == BLOCK_DET_DIGESTS[case]

@@ -39,7 +39,7 @@ from quiverlab import (
     sample_fiber,
     validate_chi_data,
 )
-from util import a1_point, a1_setup, a2_setup, mat
+from util import a1_point, a1_setup, a2_setup, mat, random_chi_data
 
 
 def a1_chi():
@@ -96,6 +96,37 @@ class TestChiData:
             g = random_group(q, dims, QQ, rng)
             factor = det(g.blocks[1])  # weight (1,)
             assert eval_covariant(chi, group_act(g, s)) == factor * eval_covariant(chi, s)
+
+    @pytest.mark.parametrize("name, d, v, field", [
+        ("A2", (1, 2), (1, 1), QQ),
+        ("A3", (1, 1, 1), (1, 2, 1), QQ),
+        ("A2", (2, 1), (1, 2), PrimeField(101)),
+    ], ids=["A2-Q", "A3-Q", "A2-F101"])
+    def test_weight_law_every_entry_kind(self, name, d, v, field):
+        """eval(chi, g.s) = prod det(g_i)^{w_i} eval(chi, s), on random
+        chi-data whose entries use all four kinds."""
+        q = dynkin_quiver(name)
+        dims = DimData(WeightVec(d), RootVec(v))
+        rng = random.Random(63)
+        tested = nonzero = 0
+        while tested < 12:
+            chi = random_chi_data(q, dims, rng)
+            if {key[0] for key in chi.entries} != {"vv", "vb", "av", "ab"}:
+                continue
+            s = FramedPoint.random(q, dims, field, rng)
+            try:
+                before = eval_covariant(chi, s)
+            except ShapeMismatch:
+                continue
+            g = random_group(q, dims, field, rng)
+            factor = field.one()
+            for vert, w in zip(q.vertices, chi.weight()):
+                for _ in range(abs(w)):
+                    factor = factor * det(g.blocks[vert]) if w > 0 else factor / det(g.blocks[vert])
+            assert eval_covariant(chi, group_act(g, s)) == factor * before
+            tested += 1
+            nonzero += before != field.zero()
+        assert nonzero >= 3
 
     def test_json_round_trip(self):
         q, chi = a1_chi()

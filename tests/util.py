@@ -51,3 +51,57 @@ def cli_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+def _key(src, tgt):
+    """Entry key of the block src -> tgt; a summand is ("V", vertex, copy),
+    ("A", l) or ("B", l)."""
+    return ((src[0] + tgt[0]).lower(),) + src[1:] + tgt[1:]
+
+
+def random_chi_data(q, dims, rng, balanced=True):
+    """A random ChiData on q with small copy counts: each block gets an entry
+    with probability 0.7, a path between the right vertices of length <= 3;
+    about one entry in ten is a framed word with a gamma delta loop, and one
+    in a hundred runs between the wrong vertices.  Balanced for `dims` unless
+    `balanced` is False."""
+    paths = {}
+    for p in list(ql.enumerate_paths(q, 3)) + [ql.empty_path(q, vert) for vert in q.vertices]:
+        paths.setdefault((p.source, p.target), []).append(p)
+    framed = [vert for vert in q.vertices if dims.d_of(q, vert) > 0]
+
+    def framing():
+        vert = rng.choice(framed)
+        return (vert, rng.randrange(dims.d_of(q, vert)))
+
+    target = [rng.randrange(3) for _ in q.vertices]
+    source = [rng.randrange(3) for _ in q.vertices]
+    vectors = [framing() for _ in range(rng.randrange(3))]
+    covectors = [framing() for _ in range(rng.randrange(3))]
+    gap = sum((s - t) * dims.v_of(q, vert) for s, t, vert in zip(source, target, q.vertices))
+    gap += len(vectors) - len(covectors)
+    if balanced:
+        covectors += [framing() for _ in range(gap)]
+        vectors += [framing() for _ in range(-gap)]
+    sources = [("V", vert, h) for vert, c in zip(q.vertices, source) for h in range(1, c + 1)]
+    sources += [("A", l) for l in range(1, len(vectors) + 1)]
+    targets = [("V", vert, k) for vert, c in zip(q.vertices, target) for k in range(1, c + 1)]
+    targets += [("B", l) for l in range(1, len(covectors) + 1)]
+
+    def vertex(summand, framing):
+        return summand[1] if summand[0] == "V" else framing[summand[1] - 1][0]
+
+    entries = {}
+    for tgt in targets:
+        for src in sources:
+            if rng.random() < 0.3:
+                continue
+            a, b = vertex(src, vectors), vertex(tgt, covectors)
+            roll = rng.random()
+            if roll < 0.01:
+                b = rng.choice([vert for vert in q.vertices if vert != b])
+            p = rng.choice(paths[a, b])
+            if 0.01 <= roll < 0.11:
+                p = ql.BPathExpr(q, (a, b), (rng.randrange(2), 1), (p,))
+            entries[_key(src, tgt)] = p
+    return ql.ChiData(tuple(target), tuple(source), tuple(vectors), tuple(covectors), entries)
