@@ -15,9 +15,10 @@ linear independence numerically but exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BalanceViolated, ShapeMismatch
+from .errors import BalanceViolated, QuiverLabError, ShapeMismatch
 from .fields import QQ
 from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
@@ -37,12 +38,14 @@ class ChiData:
     vectors: tuple of (vertex, basis_index), one framing vector a_l in D_i
     per extra source summand.  covectors: same for the extra target
     summands (b_l in D_i^*).  entries: sparse map from block keys to path
-    expressions; absent means zero.  Keys (all indices 1-based):
+    expressions; absent means zero.  A key names the block's source and
+    target summand (all indices 1-based):
 
-      ("vv", i, h, j, k)   V_i^(h) -> V_j^[k]
-      ("vb", i, h, l)      V_i^(h) -> C_{b_l}
-      ("av", l, j, k)      C_{a_l} -> V_j^[k]
-      ("ab", l, lp)        C_{a_l} -> C_{b_lp}
+      key                  source     target    summands
+      ("vv", i, h, j, k)   V_i^(h) -> V_j^[k]   ("V", i, h) -> ("V", j, k)
+      ("vb", i, h, l)      V_i^(h) -> C_{b_l}   ("V", i, h) -> ("B", l)
+      ("av", l, j, k)      C_{a_l} -> V_j^[k]   ("A", l)    -> ("V", j, k)
+      ("ab", l, lp)        C_{a_l} -> C_{b_lp}  ("A", l)    -> ("B", lp)
     """
 
     target_copies: tuple
@@ -55,23 +58,29 @@ class ChiData:
         """Exponent of det(g_i) in the transformation law, per vertex."""
         return tuple(p - m for p, m in zip(self.target_copies, self.source_copies))
 
-    def source_summands(self, q):
-        out = []
-        for i, vert in enumerate(q.vertices):
-            for h in range(1, self.source_copies[i] + 1):
-                out.append(("V", vert, h))
-        for l in range(1, len(self.vectors) + 1):
-            out.append(("A", l))
-        return out
+    @staticmethod
+    def ends(key):
+        """(source summand, target summand) of the block an entry key fills."""
+        sides = _KEY_SIDES.get(key[0]) if isinstance(key, tuple) and key else None
+        if sides is None:
+            raise QuiverLabError(f"chi entry {key!r} is not of kind vv, vb, av or ab")
+        width = [2 if side == "V" else 1 for side in sides]
+        if len(key) != 1 + sum(width):
+            raise QuiverLabError(f"chi entry {key!r} needs {sum(width)} indices")
+        return (sides[0], *key[1 : 1 + width[0]]), (sides[1], *key[1 + width[0] :])
 
-    def target_summands(self, q):
-        out = []
-        for i, vert in enumerate(q.vertices):
-            for k in range(1, self.target_copies[i] + 1):
-                out.append(("V", vert, k))
-        for l in range(1, len(self.covectors) + 1):
-            out.append(("B", l))
-        return out
+    def summands(self, q):
+        """(sources, targets) in block order: ("V", i, h) for each copy of V_i,
+        vertex by vertex, then ("A", l) per vector / ("B", l) per covector."""
+        for key in self.entries:
+            self.ends(key)
+        sources = [("V", vert, h) for vert, c in zip(q.vertices, self.source_copies)
+                   for h in range(1, c + 1)]
+        targets = [("V", vert, k) for vert, c in zip(q.vertices, self.target_copies)
+                   for k in range(1, c + 1)]
+        sources += [("A", l) for l in range(1, len(self.vectors) + 1)]
+        targets += [("B", l) for l in range(1, len(self.covectors) + 1)]
+        return sources, targets
 
     def to_json(self):
         ent = []
@@ -106,78 +115,60 @@ class ChiData:
         )
 
 
-def _balance(delta: ChiData, dims, q):
-    src = sum(
-        c * dims.v_of(q, vert) for c, vert in zip(delta.source_copies, q.vertices)
-    ) + len(delta.vectors)
-    tgt = sum(
-        c * dims.v_of(q, vert) for c, vert in zip(delta.target_copies, q.vertices)
-    ) + len(delta.covectors)
-    return src, tgt
+# entry kind -> (source side, target side)
+_KEY_SIDES = {"vv": ("V", "V"), "vb": ("V", "B"), "av": ("A", "V"), "ab": ("A", "B")}
+
+
+def _summand_dims(delta: ChiData, dims, q):
+    """(sources, targets, size, source dim, target dim) of delta's block
+    matrix, where size(summand) is v_i for ("V", i, h) and 1 otherwise."""
+    sources, targets = delta.summands(q)
+
+    def size(summand):
+        return dims.v_of(q, summand[1]) if summand[0] == "V" else 1
+
+    src, tgt = (sum(map(size, side)) for side in (sources, targets))
+    return sources, targets, size, src, tgt
 
 
 def eval_covariant(delta: ChiData, s: FramedPoint):
-    """det of the assembled block matrix; BalanceViolated when not square."""
-    q = s.quiver
-    src, tgt = _balance(delta, s.dims, q)
+    """det of the assembled block matrix; BalanceViolated when not square.
+
+    Block (t, u) is zero unless an entry e ends there; then it is e at s,
+    times the gamma column of a_l when u = ("A", l), read through the delta
+    row of b_l when t = ("B", l)."""
+    q, field = s.quiver, s.field
+    sources, targets, size, src, tgt = _summand_dims(delta, s.dims, q)
     if src != tgt:
         raise BalanceViolated(f"source dim {src} != target dim {tgt}")
-    field = s.field
+    at = {delta.ends(key): key for key in delta.entries}
 
-    def expr_mat(key, want_src, want_tgt):
-        e = delta.entries.get(key)
-        if e is None:
-            return None
-        if e.source != want_src or e.target != want_tgt:
-            raise ShapeMismatch(
-                f"entry {key} runs {e.source}->{e.target}, block wants {want_src}->{want_tgt}"
-            )
-        return evaluate(e, s)
+    def framing(x):
+        """(vertex, basis index) of a_l for ("A", l), of b_l for ("B", l)."""
+        return (delta.vectors if x[0] == "A" else delta.covectors)[x[1] - 1]
 
     rows = []
-    for tgt_sum in delta.target_summands(q):
+    for t in targets:
         row = []
-        for src_sum in delta.source_summands(q):
-            if src_sum[0] == "V" and tgt_sum[0] == "V":
-                _, i, h = src_sum
-                _, j, k = tgt_sum
-                m = expr_mat(("vv", i, h, j, k), i, j)
-                blockm = (
-                    m
-                    if m is not None
-                    else Mat.zeros(field, s.dims.v_of(q, j), s.dims.v_of(q, i))
+        for u in sources:
+            key = at.get((u, t))
+            if key is None:
+                row.append(Mat.zeros(field, size(t), size(u)))
+                continue
+            e = delta.entries[key]
+            want = tuple(x[1] if x[0] == "V" else framing(x)[0] for x in (u, t))
+            if (e.source, e.target) != want:
+                raise ShapeMismatch(
+                    f"entry {key} runs {e.source}->{e.target}, block wants {want[0]}->{want[1]}"
                 )
-            elif src_sum[0] == "V" and tgt_sum[0] == "B":
-                _, i, h = src_sum
-                l = tgt_sum[1]
-                bvert, bidx = delta.covectors[l - 1]
-                m = expr_mat(("vb", i, h, l), i, bvert)
-                if m is None:
-                    blockm = Mat.zeros(field, 1, s.dims.v_of(q, i))
-                else:
-                    full = s.delta[bvert] * m  # D-valued row family
-                    blockm = full.submatrix([bidx], range(full.cols))
-            elif src_sum[0] == "A" and tgt_sum[0] == "V":
-                l = src_sum[1]
-                _, j, k = tgt_sum
-                avert, aidx = delta.vectors[l - 1]
-                m = expr_mat(("av", l, j, k), avert, j)
-                if m is None:
-                    blockm = Mat.zeros(field, s.dims.v_of(q, j), 1)
-                else:
-                    blockm = m * s.gamma[avert].column_vec(aidx)
-            else:  # A -> B
-                l = src_sum[1]
-                lp = tgt_sum[1]
-                avert, aidx = delta.vectors[l - 1]
-                bvert, bidx = delta.covectors[lp - 1]
-                m = expr_mat(("ab", l, lp), avert, bvert)
-                if m is None:
-                    blockm = Mat.zeros(field, 1, 1)
-                else:
-                    col = m * s.gamma[avert].column_vec(aidx)
-                    blockm = (s.delta[bvert] * col).submatrix([bidx], [0])
-            row.append(blockm)
+            m = evaluate(e, s)
+            if u[0] == "A":
+                vert, idx = framing(u)
+                m = m * s.gamma[vert].column_vec(idx)
+            if t[0] == "B":
+                vert, idx = framing(t)
+                m = (s.delta[vert] * m).submatrix([idx], range(m.cols))
+            row.append(m)
         rows.append(row)
     return det(block(rows)) if rows else field.one()
 
@@ -193,7 +184,7 @@ def validate_chi_data(delta: ChiData, m: WeightVec, dims, q) -> list:
     """
     dims.check(q)
     out = []
-    src, tgt = _balance(delta, dims, q)
+    sources, targets, size, src, tgt = _summand_dims(delta, dims, q)
     if src != tgt:
         out.append(f"balance: source dim {src} != target dim {tgt}")
     for i, vert in enumerate(q.vertices):
@@ -202,43 +193,30 @@ def validate_chi_data(delta: ChiData, m: WeightVec, dims, q) -> list:
             out.append(f"weight: copies at vertex {vert} do not realize m_i = {mi}")
         if delta.target_copies[i] + delta.source_copies[i] != abs(mi):
             out.append(f"condition1: copies at vertex {vert} exceed |m_i|")
+    links = Counter()  # (side, summand) -> entries there, framing-to-framing ones aside
     for key in delta.entries:
-        if key[0] == "ab":
+        u, t = delta.ends(key)
+        if u[0] == "A" and t[0] == "B":
             out.append(f"condition2: direct framing block {key}")
+        else:
+            links["source", u] += 1
+            links["target", t] += 1
     for key, e in delta.entries.items():
         pure = isinstance(e, PathExpr) or (
             isinstance(e, BPathExpr) and e.is_path_algebra_element
         )
         if not pure:
             out.append(f"condition3: entry {key} uses framing loops")
-    for i, vert in enumerate(q.vertices):
-        for h in range(1, delta.source_copies[i] + 1):
-            cnt = sum(
-                1
-                for key in delta.entries
-                if (key[0] == "vv" and key[1] == vert and key[2] == h)
-                or (key[0] == "vb" and key[1] == vert and key[2] == h)
-            )
-            if cnt > dims.v_of(q, vert):
-                out.append(f"condition4: column group ({vert},{h}) has {cnt} entries")
-    for j, vert in enumerate(q.vertices):
-        for k in range(1, delta.target_copies[j] + 1):
-            cnt = sum(
-                1
-                for key in delta.entries
-                if (key[0] == "vv" and key[3] == vert and key[4] == k)
-                or (key[0] == "av" and key[2] == vert and key[3] == k)
-            )
-            if cnt > dims.v_of(q, vert):
-                out.append(f"condition5: row group ({vert},{k}) has {cnt} entries")
-    for l in range(1, len(delta.covectors) + 1):
-        cnt = sum(1 for key in delta.entries if key[0] == "vb" and key[3] == l)
-        if cnt > 1:
-            out.append(f"condition6: covector {l} linked to {cnt} source summands")
-    for l in range(1, len(delta.vectors) + 1):
-        cnt = sum(1 for key in delta.entries if key[0] == "av" and key[1] == l)
-        if cnt > 1:
-            out.append(f"condition7: vector {l} linked to {cnt} target summands")
+    for side, summands, kind, rule in (
+        ("source", sources, "V", "condition4: column group ({},{}) has {} entries"),
+        ("target", targets, "V", "condition5: row group ({},{}) has {} entries"),
+        ("target", targets, "B", "condition6: covector {} linked to {} source summands"),
+        ("source", sources, "A", "condition7: vector {} linked to {} target summands"),
+    ):
+        for x in summands:
+            cnt = links[side, x]
+            if x[0] == kind and cnt > size(x):
+                out.append(rule.format(*x[1:], cnt))
     return out
 
 
@@ -364,16 +342,8 @@ def eval_fS(shape: ContingencyMatrix, fam: BlockFamily):
     """det of the block matrix whose (i, j) block is s_ij A^{ij}."""
     if shape.row_sums() != tuple(fam.y_dims) or shape.col_sums() != tuple(fam.x_dims):
         raise ShapeMismatch("contingency margins do not match the block dims")
-    field = next(iter(fam.mats.values())).field if fam.mats else QQ
-    if not fam.y_dims:
-        return field.one()
-    rows = []
-    for i in range(1, len(fam.y_dims) + 1):
-        row = []
-        for j in range(1, len(fam.x_dims) + 1):
-            row.append(fam.mats[(i, j, 1)].scale(shape.entries[i - 1][j - 1]))
-        rows.append(row)
-    return det(block(rows))
+    return eval_phi_ab(fam, {(i, j): (s_ij,) for i, row in enumerate(shape.entries, 1)
+                             for j, s_ij in enumerate(row, 1)})
 
 
 def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat | None = None):
@@ -385,14 +355,7 @@ def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat
 
     and det of the assembled square matrix.
     """
-    field = None
-    for m in fam.mats.values():
-        field = m.field
-        break
-    if field is None and alpha is not None:
-        field = alpha.field
-    if field is None:
-        field = QQ
+    field = next((m.field for m in fam.mats.values()), alpha.field if alpha is not None else QQ)
     a_cols = alpha.cols if alpha is not None else 0
     b_rows = beta.rows if beta is not None else 0
     ny, nx = len(fam.y_dims), len(fam.x_dims)
@@ -422,6 +385,8 @@ def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat
         if a_cols:
             row.append(Mat.zeros(field, b_rows, a_cols))
         rows.append(row)
+    if not rows:
+        return field.one()
     m = block(rows)
     if m.rows != m.cols:
         raise ShapeMismatch(f"assembled matrix is {m.rows}x{m.cols}, not square")
