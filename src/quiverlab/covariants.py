@@ -22,7 +22,7 @@ from .errors import BalanceViolated, QuiverLabError, ShapeMismatch
 from .fields import QQ
 from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
-from .quiver import WeightVec, _json_entry
+from .quiver import WeightVec, _check_len, _json_entry, _json_path
 from .repspace import FramedPoint
 
 
@@ -71,7 +71,13 @@ class ChiData:
 
     def summands(self, q):
         """(sources, targets) in block order: ("V", i, h) for each copy of V_i,
-        vertex by vertex, then ("A", l) per vector / ("B", l) per covector."""
+        vertex by vertex, then ("A", l) per vector / ("B", l) per covector.
+        Checks the copy counts against q and every entry key."""
+        for name in ("target_copies", "source_copies"):
+            copies = getattr(self, name)
+            if not (isinstance(copies, (tuple, list)) and all(type(c) is int for c in copies)):
+                raise ShapeMismatch(f"chi {name} must be a tuple of integers, not {copies!r}")
+            _check_len(q, copies, f"chi {name}")
         for key in self.entries:
             self.ends(key)
         sources = [("V", vert, h) for vert, c in zip(q.vertices, self.source_copies)
@@ -98,21 +104,34 @@ class ChiData:
 
     @classmethod
     def from_json(cls, q, obj):
-        def entry(*keys):
-            return _json_entry(obj, "chi", *keys)
+        """The ChiData of a chi JSON object, checked as summands(q) checks
+        it; a malformed or repeated entry is a QuiverLabError naming it."""
+        def entry(*keys, ok=None, want=""):
+            x = _json_entry(obj, "chi", *keys)
+            if ok is not None and not (isinstance(x, list) and all(map(ok, x))):
+                raise QuiverLabError(f"chi JSON entry {_json_path(keys)} must be {want}, not {x!r}")
+            return x
+
+        def integers(name):
+            return tuple(entry(name, ok=lambda c: type(c) is int, want="a list of integers"))
+
+        def framing(name):
+            pairs = entry(name, ok=lambda x: isinstance(x, list) and len(x) == 2,
+                          want="a list of [vertex, basis index] pairs")
+            return tuple(map(tuple, pairs))
 
         entries = {}
         for k in range(len(entry("entries"))):
-            raw = entry("entries", k, "key")
-            key = tuple(raw[:1] + [int(x) if not isinstance(x, str) else x for x in raw[1:]])
+            key = tuple(entry("entries", k, "key", ok=lambda x: type(x) in (int, str),
+                              want="a list of a kind and indices"))
+            if key in entries:
+                raise QuiverLabError(f"chi JSON entry {_json_path(('entries', k, 'key'))} "
+                                     f"repeats the key {list(key)}")
             entries[key] = parse_expr(q, entry("entries", k, "expr"))
-        return cls(
-            tuple(entry("target_copies")),
-            tuple(entry("source_copies")),
-            tuple(tuple(x) for x in entry("vectors")),
-            tuple(tuple(x) for x in entry("covectors")),
-            entries,
-        )
+        chi = cls(integers("target_copies"), integers("source_copies"),
+                  framing("vectors"), framing("covectors"), entries)
+        chi.summands(q)
+        return chi
 
 
 # entry kind -> (source side, target side)

@@ -616,16 +616,20 @@ def random_matrix(field, rows, cols, rng, height=10):
     )
 
 
-def random_invertible(field, n, rng, height=10, tries=64):
-    return _random_invertible_pair(field, n, rng, height, tries)[0]
+# random draws before giving up on an invertible matrix
+INVERTIBLE_TRIES = 64
 
 
-def _random_invertible_pair(field, n, rng, height=10, tries=64):
+def random_invertible(field, n, rng, height=10):
+    return _random_invertible_pair(field, n, rng, height)[0]
+
+
+def _random_invertible_pair(field, n, rng, height=10):
     """(m, m^{-1}) for the first random n x n draw that inverts; the
     inversion is the invertibility test, so each draw costs one elimination."""
     if n == 0:
         return Mat.identity(field, 0), Mat.identity(field, 0)
-    for _ in range(tries):
+    for _ in range(INVERTIBLE_TRIES):
         m = random_matrix(field, n, n, rng, height)
         try:
             return m, inverse(m)

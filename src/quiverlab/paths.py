@@ -354,9 +354,13 @@ class OrbitDecision:
     reason: str = ""
 
 
-def orbit_equivalent(
-    s: FramedPoint, t: FramedPoint, trials=24, invariant_len=4, seed=0
-) -> OrbitDecision:
+# orbit_equivalent compares the Lusztig invariants of paths up to this
+# length, then tries this many random combinations of a hom-set basis
+ORBIT_INVARIANT_LEN = 4
+ORBIT_TRIALS = 24
+
+
+def orbit_equivalent(s: FramedPoint, t: FramedPoint, seed=0) -> OrbitDecision:
     """Decide whether t = g . s for some invertible block tuple g.
 
     Yes always comes with a verified witness.  No is certified either by an
@@ -371,8 +375,8 @@ def orbit_equivalent(
     if s.dims != t.dims:
         raise ShapeMismatch("orbit comparison needs equal dimension data")
     q = s.quiver
-    inv_s = lusztig_invariants(s, invariant_len)
-    inv_t = lusztig_invariants(t, invariant_len)
+    inv_s = lusztig_invariants(s, ORBIT_INVARIANT_LEN)
+    inv_t = lusztig_invariants(t, ORBIT_INVARIANT_LEN)
     for (ds_, vs_), (_, vt_) in zip(inv_s, inv_t):
         if vs_ != vt_:
             return OrbitDecision("no", reason=f"invariant mismatch at {ds_}")
@@ -413,7 +417,7 @@ def orbit_equivalent(
         if w is not None:
             return OrbitDecision("yes", w, "deterministic scan")
     rng = _random.Random(seed)
-    for _ in range(trials):
+    for _ in range(ORBIT_TRIALS):
         coeffs = [s.field.random(rng, 7) for _ in range(r)]
         w = try_candidate(fwd.element(coeffs))
         if w is not None:

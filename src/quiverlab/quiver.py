@@ -192,8 +192,8 @@ def dynkin_quiver(name):
 
 
 @dataclass(frozen=True)
-class WeightVec:
-    """Coordinates x_i = <x, alpha_i^vee> (framing dims d, parameters m, lambda)."""
+class _Coords:
+    """A coordinate tuple; each coordinate system is its own subclass."""
 
     coords: tuple
 
@@ -208,35 +208,29 @@ class WeightVec:
 
 
 @dataclass(frozen=True)
-class RootVec:
-    """Coordinates in the simple-root basis (dimension vectors v)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, k):
-        return self.coords[k]
+class WeightVec(_Coords):
+    """Coordinates x_i = <x, alpha_i^vee> (framing dims d, parameters m, lambda)."""
 
 
 @dataclass(frozen=True)
-class CorootVec:
-    """Coordinates in the simple-coroot basis (wall test directions u)."""
-
-    coords: tuple
+class _IntCoords(_Coords):
+    """Integer coordinates; anything else is a RangeViolation naming it."""
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        super().__post_init__()
+        for k, c in enumerate(self.coords):
+            if type(c) is not int:
+                raise RangeViolation(f"{type(self).__name__}[{k}] is {c!r}; coordinates must be integers")
 
-    def __len__(self):
-        return len(self.coords)
 
-    def __getitem__(self, k):
-        return self.coords[k]
+@dataclass(frozen=True)
+class RootVec(_IntCoords):
+    """Coordinates in the simple-root basis (dimension vectors v)."""
+
+
+@dataclass(frozen=True)
+class CorootVec(_IntCoords):
+    """Coordinates in the simple-coroot basis (wall test directions u)."""
 
 
 def pair(x: WeightVec, u: CorootVec):

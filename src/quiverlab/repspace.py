@@ -77,10 +77,12 @@ class DimData:
 
     def check(self, q):
         """ShapeMismatch unless d and v have one entry per vertex of q;
-        RangeViolation if an entry is negative."""
+        RangeViolation if an entry is not an integer or is negative."""
         for vec, nm in ((self.d, "d"), (self.v, "v")):
             _check_len(q, vec, nm)
             for k, x in enumerate(vec.coords):
+                if type(x) is not int:
+                    raise RangeViolation(f"{nm}[{k}] is {x!r}; dimensions must be integers")
                 if x < 0:
                     raise RangeViolation(f"{nm}[{k}] is {x}; dimensions must be >= 0")
 

@@ -357,6 +357,24 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("change, message", [
+        ({"target_copies": 1}, "chi JSON entry ['target_copies'] must be a list of integers, not 1"),
+        ({"entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}, {"key": ["zz", 1, 1, 1], "expr": "e1"}]},
+         "chi entry ('zz', 1, 1, 1) is not of kind vv, vb, av or ab"),
+        ({"target_copies": [1, 0]}, "chi target_copies has length 2, quiver has 1 vertices"),
+        ({"entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}] * 2},
+         "chi JSON entry ['entries'][1]['key'] repeats the key ['av', 1, 1, 1]"),
+    ], ids=["copies-not-list", "unknown-kind", "copies-too-long", "repeated-key"])
+    def test_chi_file_malformed_entry(self, tmp_path, worked_point, a1_chi_file, change, message):
+        obj = json.loads(a1_chi_file.read_text())
+        obj.update(change)
+        a1_chi_file.write_text(json.dumps(obj))
+        proc = self.child(["covariant", str(worked_point), "--chi", str(a1_chi_file), "--m", "1"],
+                          tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0"],
         ["count", "--quiver", "A2", "--d=1,1", "--v=-1,1", "--lambda=0,0", "--p", "3"],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from quiverlab import (
     FramedPoint,
     Mat,
     PrimeField,
+    QuiverLabError,
     RootVec,
     ShapeMismatch,
     WeightVec,
@@ -158,6 +160,27 @@ class TestChiData:
         )
         msgs3 = validate_chi_data(bad3, m, dims, q)
         assert any("condition3" in t for t in msgs3)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"target_copies": 1}, "chi target_copies must be a tuple of integers, not 1"),
+        ({"entries": {("zz", 1, 1, 1): None}}, "chi entry ('zz', 1, 1, 1) is not of kind"),
+        ({"entries": {("av", 1, 1): None}}, "chi entry ('av', 1, 1) needs 3 indices"),
+        ({"target_copies": (1, 0)}, "chi target_copies has length 2, quiver has 1 vertices"),
+    ], ids=["copies-not-list", "unknown-kind", "arity", "copies-too-long"])
+    def test_malformed_chi_data_rejected(self, change, message):
+        q, chi = a1_chi()
+        chi = ChiData(**{**chi.__dict__, **change})
+        s = a1_point()
+        with pytest.raises(QuiverLabError, match=re.escape(message)):
+            eval_covariant(chi, s)
+        with pytest.raises(QuiverLabError, match=re.escape(message)):
+            validate_chi_data(chi, WeightVec((1,)), s.dims, q)
+
+    def test_ends(self):
+        assert ChiData.ends(("vv", 1, 2, 3, 4)) == (("V", 1, 2), ("V", 3, 4))
+        assert ChiData.ends(("vb", 1, 2, 3)) == (("V", 1, 2), ("B", 3))
+        assert ChiData.ends(("av", 1, 2, 3)) == (("A", 1), ("V", 2, 3))
+        assert ChiData.ends(("ab", 1, 2)) == (("A", 1), ("B", 2))
 
     def test_too_many_links_flagged(self):
         q = dynkin_quiver("A1")

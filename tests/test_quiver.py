@@ -1,6 +1,7 @@
 """Quiver combinatorics: doubles, Cartan data, Weyl actions, genericity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,17 @@ class TestWeylActions:
         q = dynkin_quiver("A2")
         with pytest.raises(RangeViolation):
             dot_action(q, [2], WeightVec((1, 1)), RootVec((0, 0)))
+
+    @pytest.mark.parametrize("cls, coords, message", [
+        (RootVec, (1.7, 2), "RootVec[0] is 1.7; coordinates must be integers"),
+        (RootVec, ("3", 2), "RootVec[0] is '3'; coordinates must be integers"),
+        (RootVec, (1, True), "RootVec[1] is True; coordinates must be integers"),
+        (CorootVec, (1, Fraction(1, 2)), "CorootVec[1] is Fraction(1, 2); coordinates must be integers"),
+    ], ids=["float", "str", "bool", "fraction"])
+    def test_non_integer_coordinates_rejected(self, cls, coords, message):
+        with pytest.raises(RangeViolation) as err:
+            cls(coords)
+        assert str(err.value) == message
 
     def test_length_validation(self):
         q = dynkin_quiver("A2")

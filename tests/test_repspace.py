@@ -15,6 +15,7 @@ from quiverlab import (
     GroupElement,
     Mat,
     PrimeField,
+    RangeViolation,
     RootVec,
     ShapeMismatch,
     SingularBlock,
@@ -48,6 +49,19 @@ def random_point(name, rng, maxdim=3, field=QQ):
         RootVec(tuple(rng.randint(0, maxdim) for _ in q.vertices)),
     )
     return q, dims, FramedPoint.random(q, dims, field, rng)
+
+
+@pytest.mark.parametrize("d, message", [
+    ((1.5, 1), "d[0] is 1.5; dimensions must be integers"),
+    ((1, Fraction(2)), "d[1] is Fraction(2, 1); dimensions must be integers"),
+], ids=["float", "fraction"])
+def test_non_integer_framing_dimension_rejected(d, message):
+    q, dims = a2_setup(d=d)
+    with pytest.raises(RangeViolation) as err:
+        dims.space_dimension(q)
+    assert str(err.value) == message
+    with pytest.raises(RangeViolation, match=r"d\[\d\] is"):
+        sample_fiber(q, dims, WeightVec((0, 0)), seed=0)
 
 
 class TestAssembly:
