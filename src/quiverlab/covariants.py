@@ -377,30 +377,29 @@ def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat
     field = next((m.field for m in fam.mats.values()), alpha.field if alpha is not None else QQ)
     a_cols = alpha.cols if alpha is not None else 0
     b_rows = beta.rows if beta is not None else 0
-    ny, nx = len(fam.y_dims), len(fam.x_dims)
     rows = []
-    for i in range(1, ny + 1):
+    for i, y in enumerate(fam.y_dims, 1):
         row = []
-        for j in range(1, nx + 1):
-            acc = Mat.zeros(field, fam.y_dims[i - 1], fam.x_dims[j - 1])
-            coeffs = phi.get((i, j), ())
-            for qd in range(1, fam.mult(i, j) + 1):
-                if qd <= len(coeffs) and (i, j, qd) in fam.mats:
-                    acc = acc + fam.mats[(i, j, qd)].scale(coeffs[qd - 1])
-            row.append(acc)
+        for j, x in enumerate(fam.x_dims, 1):
+            acc = None  # the sum starts at its first term: no zero matrix to add to
+            for qd, c in zip(range(1, fam.mult(i, j) + 1), phi.get((i, j), ())):
+                m = fam.mats.get((i, j, qd))
+                if m is not None:
+                    acc = m.scale(c) if acc is None else acc + m.scale(c)
+            row.append(acc if acc is not None else Mat.zeros(field, y, x))
         if a_cols:
             if i in fam.border_in and alpha is not None:
                 row.append(fam.border_in[i] * alpha)
             else:
-                row.append(Mat.zeros(field, fam.y_dims[i - 1], a_cols))
+                row.append(Mat.zeros(field, y, a_cols))
         rows.append(row)
     if b_rows:
         row = []
-        for j in range(1, nx + 1):
+        for j, x in enumerate(fam.x_dims, 1):
             if j in fam.border_out and beta is not None:
                 row.append(beta * fam.border_out[j])
             else:
-                row.append(Mat.zeros(field, b_rows, fam.x_dims[j - 1]))
+                row.append(Mat.zeros(field, b_rows, x))
         if a_cols:
             row.append(Mat.zeros(field, b_rows, a_cols))
         rows.append(row)
