@@ -1,6 +1,7 @@
 """Pinned exact outputs of the fiber sampler, the intertwiner solver, orbit
 decisions, reflections on both sides, limit projections, basis completion,
-determinants over Q(i) and F_p, random points, the group action with
+determinants over Q(i) and F_p, random points, the moment map and the
+vertex (a, b) packaging off the fiber, the group action with
 framing blocks, F_p stratum counts, determinant covariants with their
 chi-goodness violations, and the block determinants f_S and Phi_ab.
 
@@ -26,10 +27,10 @@ from quiverlab import (
     GroupElement,
     Mat,
     PrimeField,
-    Quiver,
     QuiverLabError,
     RootVec,
     WeightVec,
+    assemble_ab,
     complete_to_basis,
     count_points_Fq,
     det,
@@ -42,6 +43,7 @@ from quiverlab import (
     hom_space,
     j_embed,
     limit_project,
+    moment_map,
     orbit_equivalent,
     random_block_family,
     random_group,
@@ -52,7 +54,7 @@ from quiverlab import (
     sample_fiber,
     validate_chi_data,
 )
-from util import random_chi_data
+from util import MOMENT_POINTS, moment_points, quiver, random_chi_data
 
 
 def dump_mat(m):
@@ -353,22 +355,6 @@ def test_det_pinned(case):
     assert digest(got) == DET_DIGESTS[case]
 
 
-# a three-vertex line read from JSON, its arrows listed out of id order
-UNSORTED_QUIVER = Quiver.from_json({
-    "vertices": [1, 2, 3],
-    "arrows": [
-        {"id": "y", "from": 2, "to": 3, "eps": 1, "bar": "yb"},
-        {"id": "xb", "from": 2, "to": 1, "eps": -1, "bar": "x"},
-        {"id": "yb", "from": 3, "to": 2, "eps": -1, "bar": "y"},
-        {"id": "x", "from": 1, "to": 2, "eps": 1, "bar": "xb"},
-    ],
-})
-
-
-def quiver(name):
-    return UNSORTED_QUIVER if name == "unsorted" else dynkin_quiver(name)
-
-
 # (quiver, d, v, field, seed): FramedPoint.random draws the arrows in
 # q.arrows order, then every gamma, then every delta
 RANDOM_POINTS = {
@@ -390,6 +376,53 @@ def test_random_point_pinned(case):
     q = quiver(name)
     s = FramedPoint.random(q, DimData(WeightVec(d), RootVec(v)), field, random.Random(seed))
     assert digest(s.to_json()) == RANDOM_POINT_DIGESTS[case]
+
+
+# util.MOMENT_POINTS: three random points per case, off the fiber
+MOMENT_DIGESTS = {
+    "A1-F7-v0": "82a48ac43e0bc24646a314ee986c447e41750f8cccc43dd9d407f4fb9a918a5a",
+    "A1-Q": "d32c5c9aed1aa0cee801010a67d6c3bebb2dd1365ce26ecd6f7bd51c7d240065",
+    "A2-F7-d0": "e3459f9c1eb6819afa9d3874331d5c04e376f90b5b8db316c17606d804dbba24",
+    "A2-Qi": "b70aade1ab532c20152c7adc0a7827a1a968e0f3a710a0b79a6ece9c5255c74b",
+    "A3-Q-v0-d0": "49938a19a717aedbdccee8887fae24eeb8a21abb021cc3d88080581529b59371",
+    "A3-Qi-v0-d0": "9af8ee45101554b52bbe3fc648f94eb3963a9ced97939728ebda40dc8601f9cc",
+    "D4-F7": "26edb38b85cfecddaa4abaecc881427d7b9ee42615d734e3806c183e8b2c9ee5",
+    "D4-Q-v0-d0": "2fd7eec9eeadee8c257c869875a933864e3a75f91c96758c76da64da5f1b6d4f",
+    "unsorted-F7": "2d9f588f2821443818e5b4eb1444b4556f3a8a67b0330267b7d9c09656db38b3",
+    "unsorted-Q-v0-d0": "73b1858a2a8595b6c3eecbd2c3ee2a89380d9e8f9166ca2195a6ca237c67b26c",
+    "unsorted-Qi": "32822a31fb0c32ddf090b8acc52a002fbd8aa101aa301a1a61b0baf45e093f25",
+}
+
+AB_DIGESTS = {
+    "A1-F7-v0": "c1158655773e00771bf79dffc385a9d295c91b5bff9cac3d178352184cc1f427",
+    "A1-Q": "197bf5edd6143dd20e1134ae1e5362146f1224851509a14e839ad32f7727399b",
+    "A2-F7-d0": "1c34f201f7bd7c1a29e88e54bb5763254621d3a32848f057d692bd71ba940db0",
+    "A2-Qi": "2f7edfed06354e85fa8e31e6a0f1a7de4a894a89402c400e6ca8ef3e5baab9ab",
+    "A3-Q-v0-d0": "bb5cdc6ca92d68a0e19d003aa9cfc2f16edfbb4a945772e7fd42f65a4bfce776",
+    "A3-Qi-v0-d0": "b2e0e8d05c6444c183f04a304be1073eff2348241f1962f884c2e4f33c13a655",
+    "D4-F7": "f199860b8b366fbf443b47d4af42815e8d95401179d2ad13a3811ed55db3a5c5",
+    "D4-Q-v0-d0": "7347c95b85c6ac4ea6a65be6ef3a7542969422512772572e33bb96863d0e8a5b",
+    "unsorted-F7": "ee57a3186b84b8ce0af4b3e8c95d637705dbe27cf9a99e410958b9981c028637",
+    "unsorted-Q-v0-d0": "6e1078e7b19abd2adba83c622a85c3ee6f9f4c3a66288c2e1fa4774adc2346da",
+    "unsorted-Qi": "8500b7eb11beeaabdaf486c7af51d92a838c08633189503b825340cfe9fa0cda",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_POINTS))
+def test_moment_map_pinned(case):
+    got = [dump_blocks(moment_map(s)) for s in moment_points(case)]
+    assert digest(got) == MOMENT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_POINTS))
+def test_assemble_ab_pinned(case):
+    got = []
+    for s in moment_points(case):
+        for vert in s.quiver.vertices:
+            ab = assemble_ab(s, vert)
+            got.append({"vertex": ab.vertex, "layout": ab.layout,
+                        "a": dump_mat(ab.a), "b": dump_mat(ab.b)})
+    assert digest(got) == AB_DIGESTS[case]
 
 
 # (fiber case, seed): a random group element with framing blocks acting on

@@ -37,7 +37,7 @@ from quiverlab import (
     split_ab,
     stratum_dimension,
 )
-from util import a1_point, a1_setup, a2_setup, mat
+from util import MOMENT_POINTS, a1_point, a1_setup, a2_setup, mat, moment_points
 
 QUIVERS = ["A1", "A2", "A3", "D4"]
 
@@ -130,6 +130,20 @@ class TestMomentMap:
         mu = moment_map(s)
         assert mu[1] == mat(QQ, [[-1]])
         assert mu[2] == mat(QQ, [[1]])
+
+    @pytest.mark.parametrize("case", sorted(MOMENT_POINTS))
+    def test_textbook_sum(self, case):
+        # mu_i = sum over arrows h with h1 = i of eps(h) B_h B_{bar h}
+        #        + gamma_i delta_i, written out from q.arrows
+        for s in moment_points(case):
+            q = s.quiver
+            want = {}
+            for vert in q.vertices:
+                want[vert] = s.gamma[vert] * s.delta[vert]
+                for h in q.arrows:
+                    if h.h1 == vert:
+                        want[vert] = want[vert] + (s.B[h.id] * s.B[h.bar]).scale(h.eps)
+            assert moment_map(s) == want
 
     def test_equivariance(self):
         rng = random.Random(7)

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import os
+import random
 from fractions import Fraction
 
 import quiverlab as ql
@@ -37,6 +38,50 @@ def a2_setup(d=(1, 1), v=(1, 1)):
     q = ql.dynkin_quiver("A2")
     dims = ql.DimData(ql.WeightVec(tuple(d)), ql.RootVec(tuple(v)))
     return q, dims
+
+
+# a three-vertex line read from JSON, its arrows listed out of id order
+UNSORTED_QUIVER = ql.Quiver.from_json({
+    "vertices": [1, 2, 3],
+    "arrows": [
+        {"id": "y", "from": 2, "to": 3, "eps": 1, "bar": "yb"},
+        {"id": "xb", "from": 2, "to": 1, "eps": -1, "bar": "x"},
+        {"id": "yb", "from": 3, "to": 2, "eps": -1, "bar": "y"},
+        {"id": "x", "from": 1, "to": 2, "eps": 1, "bar": "xb"},
+    ],
+})
+
+
+def quiver(name):
+    """A Dynkin quiver by name, or UNSORTED_QUIVER for "unsorted"."""
+    return UNSORTED_QUIVER if name == "unsorted" else ql.dynkin_quiver(name)
+
+
+# (quiver, d, v, field, seed): random points, off the fiber, for the moment
+# map and the vertex (a, b) packaging; each "v0" case has a vertex with
+# v_i = 0 and each "d0" case one with d_i = 0
+MOMENT_POINTS = {
+    "A1-Q": ("A1", (2,), (2,), ql.QQ, 51),
+    "A1-F7-v0": ("A1", (1,), (0,), ql.PrimeField(7), 52),
+    "A2-Qi": ("A2", (1, 2), (2, 1), ql.QQI, 53),
+    "A2-F7-d0": ("A2", (0, 1), (2, 2), ql.PrimeField(7), 54),
+    "A3-Q-v0-d0": ("A3", (1, 0, 2), (2, 1, 0), ql.QQ, 55),
+    "A3-Qi-v0-d0": ("A3", (0, 2, 1), (1, 0, 2), ql.QQI, 56),
+    "D4-Q-v0-d0": ("D4", (1, 0, 2, 1), (2, 2, 0, 1), ql.QQ, 57),
+    "D4-F7": ("D4", (1, 1, 1, 2), (1, 2, 1, 2), ql.PrimeField(7), 58),
+    "unsorted-Q-v0-d0": ("unsorted", (0, 1, 2), (1, 0, 2), ql.QQ, 59),
+    "unsorted-F7": ("unsorted", (2, 1, 0), (1, 2, 1), ql.PrimeField(7), 60),
+    "unsorted-Qi": ("unsorted", (1, 1, 1), (2, 1, 1), ql.QQI, 61),
+}
+
+
+def moment_points(case, count=3):
+    """`count` random points of the MOMENT_POINTS case, drawn in order."""
+    name, d, v, field, seed = MOMENT_POINTS[case]
+    q = quiver(name)
+    dims = ql.DimData(ql.WeightVec(d), ql.RootVec(v))
+    rng = random.Random(seed)
+    return [ql.FramedPoint.random(q, dims, field, rng) for _ in range(count)]
 
 
 def cli_env():
