@@ -93,14 +93,12 @@ def _load_point(path):
     return s, lam, m
 
 
-def _resolve_lambda(args, embedded, needed=True):
+def _resolve_lambda(args, embedded):
     if args.lam is not None:
         return args.lam
     if embedded is not None:
         return embedded
-    if needed:
-        raise RangeViolation("no --lambda given and none embedded in the point file")
-    return None
+    raise RangeViolation("no --lambda given and none embedded in the point file")
 
 
 def _point_payload(s, lam=None, m=None, extra=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BalanceViolated, QuiverLabError, ShapeMismatch
+from .errors import BalanceViolated, QuiverLabError, RangeViolation, ShapeMismatch
 from .fields import QQ
 from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
@@ -72,20 +72,24 @@ class ChiData:
     def summands(self, q):
         """(sources, targets) in block order: ("V", i, h) for each copy of V_i,
         vertex by vertex, then ("A", l) per vector / ("B", l) per covector.
-        Checks the copy counts against q and every entry key."""
+        Checks the copy counts against q, and that every entry key names a
+        source and a target summand among these."""
         for name in ("target_copies", "source_copies"):
             copies = getattr(self, name)
             if not (isinstance(copies, (tuple, list)) and all(type(c) is int for c in copies)):
                 raise ShapeMismatch(f"chi {name} must be a tuple of integers, not {copies!r}")
             _check_len(q, copies, f"chi {name}")
-        for key in self.entries:
-            self.ends(key)
         sources = [("V", vert, h) for vert, c in zip(q.vertices, self.source_copies)
                    for h in range(1, c + 1)]
         targets = [("V", vert, k) for vert, c in zip(q.vertices, self.target_copies)
                    for k in range(1, c + 1)]
         sources += [("A", l) for l in range(1, len(self.vectors) + 1)]
         targets += [("B", l) for l in range(1, len(self.covectors) + 1)]
+        for key in self.entries:
+            for end, side, kind in zip(self.ends(key), (sources, targets), ("source", "target")):
+                if end not in side:
+                    raise QuiverLabError(f"chi entry {key!r} names the {kind} summand {end}, "
+                                         f"which the copy counts and framing lists do not have")
         return sources, targets
 
     def to_json(self):
@@ -140,8 +144,17 @@ _KEY_SIDES = {"vv": ("V", "V"), "vb": ("V", "B"), "av": ("A", "V"), "ab": ("A", 
 
 def _summand_dims(delta: ChiData, dims, q):
     """(sources, targets, size, source dim, target dim) of delta's block
-    matrix, where size(summand) is v_i for ("V", i, h) and 1 otherwise."""
+    matrix, where size(summand) is v_i for ("V", i, h) and 1 otherwise.
+    Every framing vector and covector must be (vertex of q, basis index of
+    D_i)."""
     sources, targets = delta.summands(q)
+    for name in ("vectors", "covectors"):
+        for k, x in enumerate(getattr(delta, name)):
+            if not (isinstance(x, (tuple, list)) and len(x) == 2 and x[0] in q.vertices):
+                raise RangeViolation(f"chi {name}[{k}] = {x!r} is not a pair (vertex of the quiver, basis index)")
+            di = dims.d_of(q, x[0])
+            if type(x[1]) is not int or not 0 <= x[1] < di:
+                raise RangeViolation(f"chi {name}[{k}] = {x!r} needs a basis index 0 <= index < d_{x[0]} = {di}")
 
     def size(summand):
         return dims.v_of(q, summand[1]) if summand[0] == "V" else 1

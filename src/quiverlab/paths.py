@@ -6,9 +6,8 @@ words (paths decorated with powers of gamma delta at intermediate vertices)
 are written in brackets with the rightmost factor applied first:
 "[2^1 h3.h1 1^2]" means (gamma_2 delta_2)^1 . (h3 h1) . (gamma_1 delta_1)^2.
 
-The empty path evaluates to the identity; pass empty_as_zero=True to
-reproduce the literal convention some sources use (it makes every framing
-invariant collapse, which is why it is not the default).
+The empty path evaluates to the identity.  (Some sources read it as zero;
+that makes every framing invariant collapse.)
 """
 
 from __future__ import annotations
@@ -184,10 +183,10 @@ def parse_expr(q: Quiver, text: str):
 # -- evaluation ----------------------------------------------------------------------
 
 
-def evaluate(expr, s: FramedPoint, empty_as_zero=False) -> Mat:
+def evaluate(expr, s: FramedPoint) -> Mat:
     """Evaluate a path or framed word at a point; a (v_target x v_source) matrix.
 
-    The empty path gives the identity on V_i unless empty_as_zero is set.
+    The empty path gives the identity on V_i.
     """
     if expr.quiver != s.quiver:
         raise ShapeMismatch("expression and point live on different quivers")
@@ -195,8 +194,6 @@ def evaluate(expr, s: FramedPoint, empty_as_zero=False) -> Mat:
     if isinstance(expr, PathExpr):
         vi = s.dims.v_of(q, expr.source)
         if not expr.arrow_ids:
-            if empty_as_zero:
-                return Mat.zeros(s.field, vi, vi)
             return Mat.identity(s.field, vi)
         acc = s.B[expr.arrow_ids[0]]
         for aid in expr.arrow_ids[1:]:
@@ -213,7 +210,7 @@ def evaluate(expr, s: FramedPoint, empty_as_zero=False) -> Mat:
 
         acc = loop_power(expr.vertices[0], expr.loop_exponents[0])
         for j, p in enumerate(expr.paths):
-            acc = evaluate(p, s, empty_as_zero) * acc
+            acc = evaluate(p, s) * acc
             acc = loop_power(expr.vertices[j + 1], expr.loop_exponents[j + 1]) * acc
         return acc
     raise ShapeMismatch(f"cannot evaluate {type(expr).__name__}")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .covariants import reachable_dims
@@ -103,15 +102,6 @@ def codim_report(q, d: WeightVec, v: RootVec) -> CodimReport:
     )
 
 
-def _resolve_budget(budget):
-    if budget is not None:
-        return budget
-    env = os.environ.get("QUIVERLAB_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 @dataclass(frozen=True)
 class CountResult:
     p: int
@@ -131,12 +121,12 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     """Enumerate the fiber mu = lambda over F_p and bucket points by stratum.
 
     The full representation space has p^dim points; the call refuses to start
-    when that exceeds the budget (QUIVERLAB_BUDGET or 10^7 by default).
+    when that exceeds the budget (10^7 by default).
     """
     field = PrimeField(p)
     space_dim = dims.space_dimension(q)
     _check_len(q, lam, "lambda")
-    cap = _resolve_budget(budget)
+    cap = DEFAULT_BUDGET if budget is None else budget
     if p ** space_dim > cap:
         raise BudgetExceeded(
             f"p^dim = {p}^{space_dim} exceeds the enumeration budget {cap}"

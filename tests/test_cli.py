@@ -364,7 +364,15 @@ class TestErrorsAndExitCodes:
         ({"target_copies": [1, 0]}, "chi target_copies has length 2, quiver has 1 vertices"),
         ({"entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}] * 2},
          "chi JSON entry ['entries'][1]['key'] repeats the key ['av', 1, 1, 1]"),
-    ], ids=["copies-not-list", "unknown-kind", "copies-too-long", "repeated-key"])
+        ({"entries": [{"key": ["av", 2, 1, 1], "expr": "e1"}]},
+         "chi entry ('av', 2, 1, 1) names the source summand ('A', 2)"),
+        ({"vectors": [[1, -1]]}, "chi vectors[0] = (1, -1) needs a basis index 0 <= index < d_1 = 2"),
+        ({"vectors": [[1, 2]]}, "chi vectors[0] = (1, 2) needs a basis index 0 <= index < d_1 = 2"),
+        ({"vectors": [[3, 0]]}, "chi vectors[0] = (3, 0) is not a pair (vertex of the quiver, basis index)"),
+        ({"covectors": [[1, 5]], "vectors": [[1, 0], [1, 1]]},
+         "chi covectors[0] = (1, 5) needs a basis index 0 <= index < d_1 = 2"),
+    ], ids=["copies-not-list", "unknown-kind", "copies-too-long", "repeated-key", "no-summand",
+            "vector-index-negative", "vector-index-d", "vector-vertex", "covector-index"])
     def test_chi_file_malformed_entry(self, tmp_path, worked_point, a1_chi_file, change, message):
         obj = json.loads(a1_chi_file.read_text())
         obj.update(change)

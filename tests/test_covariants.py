@@ -156,7 +156,7 @@ class TestChiData:
         # framed loops are not path algebra elements
         bad3 = ChiData(
             (1, 0), (0, 1), ((1, 0),), ((2, 0),),
-            {("vv", 1, 1, 1, 1): parse_bpath(q, "[1^1]")},
+            {("vv", 2, 1, 1, 1): parse_bpath(q, "[1^1 h1b 2^0]")},
         )
         msgs3 = validate_chi_data(bad3, m, dims, q)
         assert any("condition3" in t for t in msgs3)
@@ -166,7 +166,17 @@ class TestChiData:
         ({"entries": {("zz", 1, 1, 1): None}}, "chi entry ('zz', 1, 1, 1) is not of kind"),
         ({"entries": {("av", 1, 1): None}}, "chi entry ('av', 1, 1) needs 3 indices"),
         ({"target_copies": (1, 0)}, "chi target_copies has length 2, quiver has 1 vertices"),
-    ], ids=["copies-not-list", "unknown-kind", "arity", "copies-too-long"])
+        ({"entries": {("av", 2, 1, 1): None}}, "chi entry ('av', 2, 1, 1) names the source summand ('A', 2)"),
+        ({"entries": {("av", 1, 1, 2): None}}, "chi entry ('av', 1, 1, 2) names the target summand ('V', 1, 2)"),
+        ({"vectors": ((2, 0),)}, "chi vectors[0] = (2, 0) is not a pair (vertex of the quiver, basis index)"),
+        ({"vectors": ((1,),)}, "chi vectors[0] = (1,) is not a pair (vertex of the quiver, basis index)"),
+        ({"vectors": ((1, -1),)}, "chi vectors[0] = (1, -1) needs a basis index 0 <= index < d_1 = 2"),
+        ({"vectors": ((1, 2),)}, "chi vectors[0] = (1, 2) needs a basis index 0 <= index < d_1 = 2"),
+        ({"vectors": ((1, 1.0),)}, "chi vectors[0] = (1, 1.0) needs a basis index"),
+        ({"covectors": ((1, 0), (1, 3))}, "chi covectors[1] = (1, 3) needs a basis index"),
+    ], ids=["copies-not-list", "unknown-kind", "arity", "copies-too-long", "no-source-summand",
+            "no-target-summand", "vector-vertex", "vector-not-pair", "vector-index-negative", "vector-index-d",
+            "vector-index-float", "covector-index"])
     def test_malformed_chi_data_rejected(self, change, message):
         q, chi = a1_chi()
         chi = ChiData(**{**chi.__dict__, **change})

@@ -89,7 +89,6 @@ class TestEvaluation:
         q, s = a2_point(v=(2, 1))
         e1 = empty_path(q, 1)
         assert evaluate(e1, s) == Mat.identity(QQ, 2)
-        assert evaluate(e1, s, empty_as_zero=True) == Mat.zeros(QQ, 2, 2)
 
     def test_single_arrow_is_block(self):
         q, s = a2_point()

@@ -165,14 +165,6 @@ class TestCounting:
         with pytest.raises(BudgetExceeded):
             count_points_Fq(q, dims, WeightVec((0,)), 2, budget=10)
 
-    def test_budget_env_override(self, monkeypatch):
-        q, dims = a1_setup(d=2, v=1)
-        monkeypatch.setenv("QUIVERLAB_BUDGET", "10")
-        with pytest.raises(BudgetExceeded):
-            count_points_Fq(q, dims, WeightVec((0,)), 2)
-        monkeypatch.setenv("QUIVERLAB_BUDGET", "100")
-        assert count_points_Fq(q, dims, WeightVec((0,)), 2).total == 10
-
     def test_composite_p_rejected(self):
         from quiverlab import WrongField
 
