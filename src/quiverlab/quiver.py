@@ -98,6 +98,21 @@ class Quiver:
             + tuple(Block("delta", i, ("D", i), ("V", i)) for i in self.vertices)
         )
 
+    @cached_property
+    def star(self):
+        """vertex i -> the summands of T_i = D_i + sum of V_{h0} over the
+        arrows h into i, in order, each as (eps, into, out): the layout
+        blocks into : summand -> V_i and out : V_i -> summand.  First
+        (1, gamma_i, delta_i), then (eps(h), B_h, B_{bar h}) for each arrow
+        h into i, ascending by id.  The moment map is
+        mu_i = sum of eps * into * out = b_i a_i.  Built once per quiver."""
+        blk = {(b.part, b.key): b for b in self.layout}
+        return {
+            i: ((1, blk["gamma", i], blk["delta", i]),)
+            + tuple((a.eps, blk["B", a.id], blk["B", a.bar]) for a in self.arrows_into(i))
+            for i in self.vertices
+        }
+
     @property
     def n(self):
         return len(self.vertices)
@@ -115,7 +130,7 @@ class Quiver:
             raise InvalidQuiver(f"unknown arrow {arrow_id}")
 
     def arrows_into(self, v):
-        """Arrows with target v, ascending by id (the canonical summand order)."""
+        """Arrows with target v, ascending by id."""
         return sorted((a for a in self.arrows if a.h1 == v), key=lambda a: a.id)
 
     def arrows_out_of(self, v):

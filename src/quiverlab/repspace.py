@@ -8,15 +8,12 @@ the dimension of every space, and `FramedPoint.build` makes a point block
 by block in layout order.  Every constructor, the shape check, the group
 action and the moves that resize a point go through these three.
 
-The two derived maps at a vertex,
-
-    a_i = (delta_i, (B_{bar h})_{h1 = i}) : V_i -> T_i   (stacked)
-    b_i = (gamma_i, (eps(h) B_h)_{h1 = i}) : T_i -> V_i  (side by side)
-
-with T_i = D_i + sum of V_{h0} over incoming arrows, are packaged as a
-`VertexAB` whose `layout` records the summand order (framing block first,
-then incoming arrows ascending by id).  Consumers must read the layout, not
-assume it; `split_ab` is the inverse of `assemble_ab` and reads it.
+The two derived maps at a vertex, a_i : V_i -> T_i (the `out` blocks of
+`q.star[i]`, stacked) and b_i : T_i -> V_i (the `into` blocks times their
+signs, side by side), are packaged as a `VertexAB` whose `layout` names the
+summands of T_i.  `Quiver.star` alone fixes their order and the signs of the
+moment map mu_i = b_i a_i; `assemble_ab`, `split_ab`, `moment_map` and the
+equations of `sample_fiber` all read it.
 """
 
 from __future__ import annotations
@@ -193,62 +190,44 @@ class FramedPoint:
 @dataclass(frozen=True)
 class VertexAB:
     vertex: object
-    layout: tuple  # ("D", vertex) then ("V", arrow_id, source_vertex) ascending by id
+    layout: tuple  # per summand of T_i, in Quiver.star order: ("D", i) or ("V", arrow id, source)
     a: Mat         # V_i -> T_i
     b: Mat         # T_i -> V_i
 
 
 def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
-    q = s.quiver
-    incoming = q.arrows_into(vertex)
-    summands = (("D", vertex),) + tuple(("V", a.id, a.h0) for a in incoming)
-    a_blocks = [s.delta[vertex]]
-    b_blocks = [s.gamma[vertex]]
-    for arr in incoming:
-        a_blocks.append(s.B[arr.bar])           # B_{bar h} : V_i -> V_{h0}
-        b_blocks.append(s.B[arr.id].scale(arr.eps))  # eps(h) B_h : V_{h0} -> V_i
-    return VertexAB(vertex, summands, vstack(a_blocks), hstack(b_blocks))
+    """a_i stacks the `out` blocks of q.star[vertex]; b_i lays their
+    eps-scaled `into` blocks side by side."""
+    star = s.quiver.star[vertex]
+    layout = tuple(into.col if into.part == "gamma" else ("V", into.key, into.col[1])
+                   for _, into, _ in star)
+    a = vstack([s.block(out) for _, _, out in star])
+    b = hstack([s.block(into).scale(eps) for eps, into, _ in star])
+    return VertexAB(vertex, layout, a, b)
 
 
 def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     """Inverse of `assemble_ab`: the point s with the blocks at ab.vertex
-    read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along ab.layout, and
+    read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along q.star, and
     v_i = a2.cols.  Every other block is s's."""
     q = s.quiver
     size = s.dims.sizes(q)
-    B, gamma, delta = dict(s.B), dict(s.gamma), dict(s.delta)
+    parts = {"B": dict(s.B), "gamma": dict(s.gamma), "delta": dict(s.delta)}
     start = 0
-    for summand in ab.layout:  # ("D", i) or ("V", arrow id, source vertex)
-        stop = start + size[summand[0], summand[-1]]
-        rows = a2.submatrix(range(start, stop), range(a2.cols))
-        cols = b2.submatrix(range(b2.rows), range(start, stop))
-        if summand[0] == "D":
-            delta[ab.vertex], gamma[ab.vertex] = rows, cols
-        else:
-            arr = q.arrow(summand[1])
-            B[arr.bar], B[arr.id] = rows, cols.scale(arr.eps)
+    for eps, into, out in q.star[ab.vertex]:
+        stop = start + size[into.col]
+        parts[out.part][out.key] = a2.submatrix(range(start, stop), range(a2.cols))
+        parts[into.part][into.key] = b2.submatrix(range(b2.rows), range(start, stop)).scale(eps)
         start = stop
-    return FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, B, gamma, delta)
+    return FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, **parts)
 
 
 def moment_map(s: FramedPoint) -> dict:
-    """mu_i = sum over incoming h of eps(h) B_h B_{bar h} + gamma_i delta_i.
-
-    Computed both from that sum and as b_i a_i; the two must agree exactly
-    (they do by construction, the assertion guards the packing code).
-    """
-    q = s.quiver
+    """mu_i = b_i a_i at every vertex i (the summands are `Quiver.star`'s)."""
     out = {}
-    for vert in q.vertices:
-        vi = s.dims.v_of(q, vert)
-        acc = s.gamma[vert] * s.delta[vert]
-        for arr in q.arrows_into(vert):
-            acc = acc + (s.B[arr.id] * s.B[arr.bar]).scale(arr.eps)
+    for vert in s.quiver.vertices:
         ab = assemble_ab(s, vert)
-        cross = ab.b * ab.a
-        if acc != cross:
-            raise AssertionError(f"moment cross-check failed at vertex {vert}")
-        out[vert] = acc if vi else Mat.zeros(s.field, 0, 0)
+        out[vert] = ab.b * ab.a
     return out
 
 
@@ -392,14 +371,15 @@ def sample_fiber(
                 system.unknown(("B", a.id), dims.v_of(q, a.h1), dims.v_of(q, a.h0))
         for vert in q.vertices:
             system.unknown(("delta", vert), dims.d_of(q, vert), dims.v_of(q, vert))
+        # mu_i = sum of eps * into * out over q.star[i]; each product has one
+        # drawn factor, which times eps is the coefficient of the other
         for vert in q.vertices:
             terms = []
-            for arr in q.arrows_into(vert):
-                if arr.eps == 1:  # + B_h U(bar h)
-                    terms.append((known["B", arr.id], ("B", arr.bar), None))
-                else:             # - U(h) B_{bar h}
-                    terms.append((None, ("B", arr.id), -known["B", arr.bar]))
-            terms.append((known["gamma", vert], ("delta", vert), None))
+            for eps, into, out in q.star[vert]:
+                if into[:2] in known:  # (part, key)
+                    terms.append((known[into[:2]].scale(eps), out[:2], None))
+                else:
+                    terms.append((None, into[:2], known[out[:2]].scale(eps)))
             vi = dims.v_of(q, vert)
             system.equation(terms, Mat.scalar(field, vi, lam[q.vertex_index(vert)]))
         try:

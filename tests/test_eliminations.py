@@ -1,9 +1,11 @@
-"""How many eliminations each linear-algebra question costs.
+"""How many eliminations and matrix products each linear-algebra question
+costs.
 
 `linalg.rref` is the one elimination behind rank, kernels, solves and
-inverses, and `paths.hom_space` is the one intertwiner solve; both are
-wrapped with a counter, and each question below must cost exactly what its
-construction needs.
+inverses, `paths.hom_space` is the one intertwiner solve, and
+`linalg.Mat._matmul` is every matrix product; each is wrapped with a
+counter, and each question below must cost exactly what its construction
+needs.
 """
 
 import random
@@ -21,6 +23,8 @@ from quiverlab import (
     group_act,
     limit_project,
     linalg,
+    moment_map,
+    moment_matches,
     orbit_equivalent,
     paths,
     random_group,
@@ -33,20 +37,22 @@ from util import a1_point, mat
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of linalg.rref and paths.hom_space calls made after set-up."""
-    counts = {"rref": 0, "hom_space": 0}
+    """Counts of linalg.rref, paths.hom_space and Mat._matmul (under the
+    key "matmul") calls made after set-up."""
+    counts = {"rref": 0, "hom_space": 0, "matmul": 0}
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(linalg, "rref")
-    counted(paths, "hom_space")
+    counted(linalg, "rref", "rref")
+    counted(paths, "hom_space", "hom_space")
+    counted(linalg.Mat, "_matmul", "matmul")
     return counts
 
 
@@ -65,6 +71,29 @@ def test_kernel_side_reflection(calls, side):
         res = reflect_point(s, vertex, WeightVec(lam), side=side)
         assert res.side == "kernel"
         assert calls["rref"] == 2  # ker b_i, then the solve for b'
+
+
+def test_moment_map_one_product_per_vertex(calls):
+    lam = WeightVec((1, -1, 2, 1))
+    s = fiber("D4", (1, 0, 0, 1), (1, 1, 1, 2), lam.coords, 7)
+    calls["matmul"] = 0
+    moment_map(s)
+    assert calls["matmul"] == 4  # b_i a_i at each vertex
+    calls["matmul"] = 0
+    assert moment_matches(s, lam)
+    assert calls["matmul"] == 4
+
+
+@pytest.mark.parametrize("side, products", [("kernel", 9), ("cokernel", 10)])
+def test_reflect_point_products(calls, side, products):
+    lam = WeightVec((1, 2, 3, 4))
+    s = fiber("D4", (1, 1, 1, 2), (1, 2, 1, 2), lam.coords, 5)
+    for vertex in s.quiver.vertices:
+        calls["matmul"] = 0
+        assert reflect_point(s, vertex, lam, side=side).side == side
+        # moment check before and after (4 each), a_i b_i, and on the
+        # cokernel side (a_i b_i - lambda_i) times the complement
+        assert calls["matmul"] == products
 
 
 def test_group_element_and_action(calls):
