@@ -1,4 +1,5 @@
-"""Strata of the zero fiber: labels, dimension formulas, brute-force counts."""
+"""Strata of the zero fiber: labels, dimension formulas, F_p point counts,
+checked against the brute-force enumerator of `util.brute_force_count`."""
 
 import math
 import random
@@ -24,7 +25,7 @@ from quiverlab import (
     stratum_dimension,
     v_plus,
 )
-from util import a1_point, a1_setup, a2_setup
+from util import a1_point, a1_setup, a2_setup, brute_force_count, quiver
 
 
 class TestLabels:
@@ -171,6 +172,56 @@ class TestCounting:
         q, dims = a1_setup(d=1, v=1)
         with pytest.raises(WrongField):
             count_points_Fq(q, dims, WeightVec((0,)), 4)
+
+
+# (quiver, d, v, lambda, primes): each case has at most 5^6 points, few enough
+# for the brute-force oracle; A2 with v = (1, 0) has a vertex with v_i = 0 and
+# the d = (2, 0) and (0, 2) cases a vertex with d_i = 0
+ORACLE = [
+    ("A1", (1,), (1,), (0,), (2, 3, 5)),
+    ("A1", (1,), (1,), (1,), (2, 3, 5)),
+    ("A1", (2,), (1,), (0,), (2, 3, 5)),
+    ("A1", (2,), (1,), (1,), (2, 3, 5)),
+    ("A1", (3,), (1,), (0,), (2, 3)),
+    ("A1", (3,), (1,), (1,), (2, 3, 5)),
+    ("A1", (1,), (2,), (0,), (2, 3, 5)),
+    ("A1", (1,), (2,), (1,), (2, 3, 5)),
+    ("A1", (2,), (2,), (0,), (2, 3)),
+    ("A1", (2,), (2,), (1,), (2, 3)),
+    ("A1", (3,), (2,), (0,), (2,)),
+    ("A1", (3,), (2,), (1,), (2,)),
+    ("A2", (1, 1), (1, 1), (0, 0), (2, 3, 5)),
+    ("A2", (1, 1), (1, 1), (1, 2), (2, 3)),
+    ("A2", (2, 0), (1, 1), (0, 0), (2, 3)),
+    ("A2", (2, 0), (1, 1), (1, 2), (2, 3)),
+    ("A2", (0, 2), (1, 1), (0, 0), (2, 3)),
+    ("A2", (0, 2), (1, 1), (1, 2), (2, 3)),
+    ("A2", (1, 1), (1, 0), (0, 0), (2, 3, 5)),
+    ("A2", (1, 1), (1, 0), (1, 2), (2, 3, 5)),
+    ("A3", (1, 0, 1), (1, 1, 1), (0, 0, 0), (2, 3)),
+    ("A3", (1, 0, 1), (1, 1, 1), (1, 0, 2), (2, 3)),
+    ("D4", (1, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 0), (2, 3)),
+    ("D4", (1, 0, 0, 0), (1, 1, 1, 1), (1, 1, 0, 2), (2, 3)),
+]
+
+
+def _vec_id(xs):
+    return ",".join(map(str, xs))
+
+
+@pytest.mark.parametrize("name,d,v,lam,p", [
+    pytest.param(name, d, v, lam, p,
+                 id=f"{name}-d{_vec_id(d)}-v{_vec_id(v)}-lam{_vec_id(lam)}-p{p}")
+    for name, d, v, lam, primes in ORACLE for p in primes
+])
+def test_count_matches_brute_force(name, d, v, lam, p):
+    q = quiver(name)
+    dims = DimData(WeightVec(d), RootVec(v))
+    want = brute_force_count(q, dims, WeightVec(lam), p)
+    got = count_points_Fq(q, dims, WeightVec(lam), p)
+    assert got.strata == want.strata
+    assert got.total == want.total
+    assert got == want
 
 
 class TestGrowthSlope:

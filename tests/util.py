@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -82,6 +83,26 @@ def moment_points(case, count=3):
     dims = ql.DimData(ql.WeightVec(d), ql.RootVec(v))
     rng = random.Random(seed)
     return [ql.FramedPoint.random(q, dims, field, rng) for _ in range(count)]
+
+
+def brute_force_count(q, dims, lam, p):
+    """The fiber mu = lambda over F_p, stratum by stratum, found by testing
+    every one of the p^dim points of the representation space: the oracle
+    that `count_points_Fq` is checked against."""
+    field = ql.PrimeField(p)
+    space_dim = dims.space_dimension(q)
+
+    def take(blk, r, c):  # the next r * c entries of the current point
+        return ql.Mat(field, r, c, list(itertools.islice(entries, r * c)))
+
+    counts = {}
+    for flat in itertools.product(range(p), repeat=space_dim):
+        entries = map(field.from_int, flat)
+        s = ql.FramedPoint.build(q, dims, field, take)
+        if ql.moment_matches(s, lam):
+            label = ql.reachable_dims(s)
+            counts[label] = counts.get(label, 0) + 1
+    return ql.CountResult(p, space_dim, sum(counts.values()), tuple(sorted(counts.items())))
 
 
 def cli_env():
