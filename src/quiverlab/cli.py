@@ -476,7 +476,7 @@ def _build_parser():
     p.add_argument("--v", type=_int_vec, required=True)
     p.add_argument("--v-prime", type=_int_vec, help="report a single stratum")
 
-    p = cmd("count", _cmd_count, help="brute-force point counts over F_p")
+    p = cmd("count", _cmd_count, help="stratum point counts of the fiber over F_p")
     p.add_argument("--quiver", required=True)
     p.add_argument("--d", type=_int_vec, required=True)
     p.add_argument("--v", type=_int_vec, required=True)

@@ -1,6 +1,9 @@
 """Stratification of the zero-level moment fiber by reachable dimensions,
-exact stratum dimension formulas, and brute-force point counts over small
-prime fields (with a budget guard, since enumeration is exponential).
+exact stratum dimension formulas, and point counts over small prime fields.
+
+A count enumerates B and gamma and counts the delta that solve the moment
+equation in closed form, since that equation is affine in delta.  It is
+still exponential, so a budget guard bounds it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from dataclasses import dataclass
 from .covariants import reachable_dims
 from .errors import BudgetExceeded, RangeViolation
 from .fields import PrimeField
-from .linalg import Mat
+from .linalg import Mat, hstack, rank
 from .quiver import RootVec, WeightVec, _check_len, cartan_data, dominance
-from .repspace import DimData, FramedPoint, moment_matches
+from .repspace import DimData, FramedPoint, moment_map
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -118,10 +121,19 @@ class CountResult:
 
 
 def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> CountResult:
-    """Enumerate the fiber mu = lambda over F_p and bucket points by stratum.
+    """Count the fiber mu = lambda over F_p and bucket its points by stratum.
 
-    The full representation space has p^dim points; the call refuses to start
-    when that exceeds the budget (10^7 by default).
+    Only B and gamma are enumerated, with delta = 0.  The moment equation at
+    vertex i is affine in delta: gamma_i delta_i = R_i, where
+    R_i = lambda_i Id - sum of eps B_h B_bar(h) is mu_i at delta = 0.  It has
+    a solution iff rank [gamma_i | R_i] = r = rank gamma_i, and then exactly
+    p^(v_i (d_i - r)) of them.  A (B, gamma) stands for the product of these
+    over the vertices, all in the stratum reachable_dims, which reads only B
+    and gamma.
+
+    The budget still bounds the whole space: the call refuses to start when
+    p^dim exceeds it (10^7 by default), although only p^(dim B + dim gamma)
+    points are visited.
     """
     field = PrimeField(p)
     space_dim = dims.space_dimension(q)
@@ -131,21 +143,35 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
         raise BudgetExceeded(
             f"p^dim = {p}^{space_dim} exceeds the enumeration budget {cap}"
         )
+    size = dims.sizes(q)
+    free_dim = sum(size[blk.row] * size[blk.col] for blk in q.layout if blk.part != "delta")
+    level = {vert: Mat.scalar(field, size["V", vert], field.coerce(lam[k]))
+             for k, vert in enumerate(q.vertices)}  # lambda_i Id
 
-    def take(blk, r, c):  # the next r * c entries of the current point
+    def take(blk, r, c):  # delta is zero; every other block takes the next r * c entries
+        if blk.part == "delta":
+            return Mat.zeros(field, r, c)
         return Mat(field, r, c, list(itertools.islice(entries, r * c)))
 
     counts = {}
     total = 0
-    for flat in itertools.product(range(p), repeat=space_dim):
+    for flat in itertools.product(range(p), repeat=free_dim):
         entries = map(field.from_int, flat)
         s = FramedPoint.build(q, dims, field, take)
         if next(entries, None) is not None:
             raise AssertionError("the blocks do not use every entry")
-        if moment_matches(s, lam):
+        mu = moment_map(s)
+        free = 0  # the solutions delta make p^free points
+        for vert, want in level.items():
+            g = s.gamma[vert]  # v_i x d_i
+            r = rank(g)
+            if rank(hstack([g, want - mu[vert]])) != r:
+                break
+            free += g.rows * (g.cols - r)
+        else:
             label = reachable_dims(s)
-            counts[label] = counts.get(label, 0) + 1
-            total += 1
+            counts[label] = counts.get(label, 0) + p ** free
+            total += p ** free
     if total != sum(counts.values()):
         raise AssertionError("stratum counts do not add up")
     return CountResult(p, space_dim, total, tuple(sorted(counts.items())))

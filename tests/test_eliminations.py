@@ -5,7 +5,8 @@ costs.
 inverses, `paths.hom_space` is the one intertwiner solve, and
 `linalg.Mat._matmul` is every matrix product; each is wrapped with a
 counter, and each question below must cost exactly what its construction
-needs.
+needs.  `FramedPoint.build` makes every point `count_points_Fq` visits, so
+counting it counts that enumeration.
 """
 
 import random
@@ -15,10 +16,12 @@ import pytest
 from quiverlab import (
     QQ,
     DimData,
+    FramedPoint,
     GroupElement,
     RootVec,
     WeightVec,
     complete_to_basis,
+    count_points_Fq,
     dynkin_quiver,
     group_act,
     limit_project,
@@ -164,3 +167,20 @@ def test_orbit_scan_still_solves_both_directions(calls):
     assert dec.kind == "yes"
     assert dec.reason != "particular solution is invertible"
     assert calls["hom_space"] == 2
+
+
+def test_count_visits_b_and_gamma_only(monkeypatch):
+    # A1 with d = 2, v = 1 has no B, 2 gamma entries and 2 delta entries:
+    # the enumeration visits the p^2 gammas, not all p^4 points
+    builds = []
+    build = FramedPoint.build.__func__
+
+    def counted(cls, *args):
+        builds.append(1)
+        return build(cls, *args)
+
+    monkeypatch.setattr(FramedPoint, "build", classmethod(counted))
+    q = dynkin_quiver("A1")
+    res = count_points_Fq(q, DimData(WeightVec((2,)), RootVec((1,))), WeightVec((0,)), 7)
+    assert res.total == 385
+    assert len(builds) == 7 ** 2

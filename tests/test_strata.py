@@ -161,6 +161,20 @@ class TestCounting:
         assert r.total == 24
         assert r.stratum_count((1,)) == 24
 
+    def test_a1_closed_form(self):
+        # v = 1: the fiber is {(gamma, delta) : gamma . delta = lambda} in
+        # F_p^d x F_p^d, and gamma = 0 is the stratum v+ = 0
+        for d in (2, 3, 4):
+            q, dims = a1_setup(d=d, v=1)
+            for p in (5, 7):
+                zero = count_points_Fq(q, dims, WeightVec((0,)), p)
+                assert zero.total == p ** (2 * d - 1) + p ** d - p ** (d - 1)
+                assert zero.stratum_count((0,)) == p ** d
+                assert zero.stratum_count((1,)) == zero.total - p ** d
+                one = count_points_Fq(q, dims, WeightVec((1,)), p)
+                assert one.total == p ** (2 * d - 1) - p ** (d - 1)
+                assert one.strata == (((1,), one.total),)
+
     def test_budget_guard(self):
         q, dims = a1_setup(d=2, v=1)
         with pytest.raises(BudgetExceeded):
