@@ -197,8 +197,11 @@ class VertexAB:
 
 def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
     """a_i stacks the `out` blocks of q.star[vertex]; b_i lays their
-    eps-scaled `into` blocks side by side."""
-    star = s.quiver.star[vertex]
+    eps-scaled `into` blocks side by side.  InvalidQuiver for a vertex not
+    in the quiver."""
+    q = s.quiver
+    q.vertex_index(vertex)  # names an unknown vertex
+    star = q.star[vertex]
     layout = tuple(into.col if into.part == "gamma" else ("V", into.key, into.col[1])
                    for _, into, _ in star)
     a = vstack([s.block(out) for _, _, out in star])
@@ -211,6 +214,7 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along q.star, and
     v_i = a2.cols.  Every other block is s's."""
     q = s.quiver
+    q.vertex_index(ab.vertex)  # names an unknown vertex
     size = s.dims.sizes(q)
     parts = {"B": dict(s.B), "gamma": dict(s.gamma), "delta": dict(s.delta)}
     start = 0
@@ -245,8 +249,10 @@ def moment_map_real(s: FramedPoint) -> dict:
 
 
 def moment_matches(s: FramedPoint, lam: WeightVec) -> bool:
-    """Exact test of mu(s) = lambda Id, vertex by vertex."""
+    """Exact test of mu(s) = lambda Id, vertex by vertex; ShapeMismatch
+    unless lambda has one entry per vertex."""
     q = s.quiver
+    _check_len(q, lam, "lambda")
     mu = moment_map(s)
     for vert in q.vertices:
         vi = s.dims.v_of(q, vert)

@@ -1,6 +1,7 @@
 """Framed points: vertex (a, b) packaging, moment maps, group action, sampling."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from quiverlab import (
     FiberSampleFailed,
     FramedPoint,
     GroupElement,
+    InvalidQuiver,
     Mat,
     PrimeField,
     RangeViolation,
@@ -101,6 +103,19 @@ class TestAssembly:
             assert ab.a.shape() == (t, dims.v_of(q, vert))
             assert ab.b.shape() == (dims.v_of(q, vert), t)
 
+    def test_assemble_names_unknown_vertex(self):
+        q, dims = a2_setup(d=(1, 2), v=(2, 1))
+        s = FramedPoint.random(q, dims, QQ, random.Random(2))
+        with pytest.raises(InvalidQuiver, match="unknown vertex 9"):
+            assemble_ab(s, 9)
+
+    def test_split_names_unknown_vertex(self):
+        q, dims = a2_setup(d=(1, 2), v=(2, 1))
+        s = FramedPoint.random(q, dims, QQ, random.Random(3))
+        ab = replace(assemble_ab(s, 1), vertex=9)
+        with pytest.raises(InvalidQuiver, match="unknown vertex 9"):
+            split_ab(s, ab, ab.a, ab.b)
+
 
 class TestMomentMap:
     def test_single_vertex_value(self):
@@ -108,6 +123,19 @@ class TestMomentMap:
         assert moment_map(s) == {1: mat(QQ, [[1]])}
         assert moment_matches(s, WeightVec((1,)))
         assert not moment_matches(s, WeightVec((0,)))
+
+    def test_lambda_length_checked(self):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        s = sample_fiber(q, dims, WeightVec((1, 2)), seed=0)
+        assert moment_matches(s, WeightVec((1, 2)))
+        with pytest.raises(ShapeMismatch, match="lambda has length 3"):
+            moment_matches(s, WeightVec((1, 2, 5)))
+
+    def test_reflect_point_checks_lambda_length(self):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        s = sample_fiber(q, dims, WeightVec((1, 2)), seed=0)
+        with pytest.raises(ShapeMismatch, match="lambda has length 1"):
+            reflect_point(s, 1, WeightVec((1,)))
 
     def test_zero_point(self):
         q, dims = a2_setup(d=(2, 2), v=(1, 2))
