@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: payload shapes, pipelines, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import quiverlab
 from quiverlab import QQ, QQI, FramedPoint, WeightVec, moment_matches, sample_fiber
-from quiverlab.cli import main, run
+from quiverlab.cli import _build_parser, main, run
 from util import a1_point, a2_setup, cli_env
 
 
@@ -529,3 +530,191 @@ def test_cli_battery_matches_goldens(battery_dir, capsys, monkeypatch, name):
     assert code == 0, err
     with open(os.path.join(workloads.GOLDENS, "cli", name + ".out"), "rb") as fh:
         assert out.encode() == fh.read()
+
+
+# -- pins of the parser and of the text and csv renderings ---------------------
+
+# every subcommand takes --format, -o/--output and -h/--help
+COMMON_ACTIONS = {
+    (("--format",), "format", False, "json", None, ("json", "text", "csv"), None),
+    (("-h", "--help"), "help", False, "==SUPPRESS==", None, None, 0),
+    (("-o", "--output"), "output", False, None, None, None, None),
+}
+# (option strings, dest, required, default, type name, choices, nargs)
+PARSER_PIN = {
+    "info": {
+        (("--d",), "d", False, None, "_int_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--v",), "v", False, None, "_int_vec", None, None),
+        (("--weyl",), "weyl", False, False, None, None, 0),
+    },
+    "sample": {
+        (("--d",), "d", True, None, "_int_vec", None, None),
+        (("--field",), "field", False, "Q", None, None, None),
+        (("--height",), "height", False, 10, "int", None, None),
+        (("--lambda",), "lam", True, None, "_weight_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--retries",), "retries", False, 25, "int", None, None),
+        (("--seed",), "seed", False, 0, "int", None, None),
+        (("--v",), "v", True, None, "_int_vec", None, None),
+    },
+    "reflect": {
+        ((), "point", True, None, None, None, None),
+        (("--lambda",), "lam", False, None, "_weight_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--side",), "side", False, "auto", None, ("auto", "kernel", "cokernel"), None),
+        (("--vertex",), "vertex", True, None, "_vertex_token", None, None),
+    },
+    "reflect-word": {
+        ((), "point", True, None, None, None, None),
+        (("--lambda",), "lam", False, None, "_weight_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--word",), "word", True, None, None, None, None),
+    },
+    "invariants": {
+        ((), "point", True, None, None, None, None),
+        (("--max-len",), "max_len", False, 4, "int", None, None),
+    },
+    "covariant": {
+        ((), "point", False, None, None, None, "?"),
+        (("--chi",), "chi", True, None, None, None, None),
+        (("--d",), "d", False, None, "_int_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--quiver",), "quiver", False, None, None, None, None),
+        (("--v",), "v", False, None, "_int_vec", None, None),
+    },
+    "check-coxeter": {
+        (("--d",), "d", True, None, "_int_vec", None, None),
+        (("--lambda",), "lam", True, None, "_weight_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--seed",), "seed", False, 0, "int", None, None),
+        (("--trials",), "trials", False, 50, "int", None, None),
+        (("--v",), "v", True, None, "_int_vec", None, None),
+    },
+    "reduce": {
+        (("--d",), "d", True, None, "_int_vec", None, None),
+        (("--lambda",), "lam", True, None, "_weight_vec", None, None),
+        (("--m",), "m", False, None, "_weight_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--v",), "v", True, None, "_int_vec", None, None),
+    },
+    "strata": {
+        (("--d",), "d", True, None, "_int_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--v",), "v", True, None, "_int_vec", None, None),
+        (("--v-prime",), "v_prime", False, None, "_int_vec", None, None),
+    },
+    "count": {
+        (("--budget",), "budget", False, None, "int", None, None),
+        (("--d",), "d", True, None, "_int_vec", None, None),
+        (("--lambda",), "lam", True, None, "_weight_vec", None, None),
+        (("--p", "--prime"), "p", True, None, "_int_vec", None, None),
+        (("--quiver",), "quiver", True, None, None, None, None),
+        (("--v",), "v", True, None, "_int_vec", None, None),
+    },
+    "verify": {
+        ((), "point", True, None, None, None, None),
+        ((), "point2", True, None, None, None, None),
+        (("--lambda",), "lam", False, None, "_weight_vec", None, None),
+        (("--vertex",), "vertex", True, None, "_vertex_token", None, None),
+    },
+}
+
+
+def subcommands():
+    top = _build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_parser_pin():
+    """Each subcommand accepts the same options, with the same dest, default,
+    type and choices; only their order in the usage text may change."""
+    got = {
+        name: {
+            (tuple(a.option_strings), a.dest, a.required, a.default,
+             getattr(a.type, "__name__", None), tuple(a.choices) if a.choices else None, a.nargs)
+            for a in p._actions
+        }
+        for name, p in subcommands().items()
+    }
+    assert got == {name: acts | COMMON_ACTIONS for name, acts in PARSER_PIN.items()}
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in PARSER_PIN],
+                         ids=["top"] + list(PARSER_PIN))
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quiverlab")
+
+
+VERIFY_FAILING_TEXT = """\
+ab_identity = False
+all_pass = False
+away_arrows = True
+away_delta = True
+away_gamma = True
+exact_sequence = False
+messages[0] = b . a' != 0
+messages[1] = dims 1 + 1 != 3
+messages[2] = a' b' != a b - lambda_i
+messages[3] = moment equations fail
+moments = False
+"""
+
+STRATA_TEXT = """\
+codim_ge_1 = True
+codim_ge_2 = False
+d[0] = 2
+delta_v = 3
+dominant = True
+min_proper_codim = 1
+regular = False
+strata[0].codimension = 1
+strata[0].dimension = 2
+strata[0].v_prime[0] = 0
+strata[1].codimension = 0
+strata[1].dimension = 3
+strata[1].v_prime[0] = 1
+v[0] = 1
+"""
+
+COXETER_CHECK_TEXT = """\
+checks[{k}].kind = {kind}
+checks[{k}].ok = True
+checks[{k}].passes = 2
+checks[{k}].skipped = 
+checks[{k}].trials = 2
+"""
+COXETER_CHECKS = [("involution", "1"), ("sides", "1"), ("involution", "2"), ("sides", "2"),
+                  ("braid", "1 2")]
+COXETER_TEXT = (
+    "all_pass = True\n"
+    + "".join(
+        COXETER_CHECK_TEXT.format(k=k, kind=kind)
+        + "".join(f"checks[{k}].vertices[{j}] = {vert}\n" for j, vert in enumerate(verts.split()))
+        for k, (kind, verts) in enumerate(COXETER_CHECKS)
+    )
+    + "generic = True\n"
+)
+COXETER_CSV = "kind,vertices,trials,passes,ok,skipped\n" + "".join(
+    f"{kind},{verts},2,2,True,\n" for kind, verts in COXETER_CHECKS
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "pt.json", "pt.json", "--vertex", "1", "--format", "text"], VERIFY_FAILING_TEXT),
+    (workloads.CLI_BATTERY["strata"] + ["--format", "text"], STRATA_TEXT),
+    (workloads.CLI_BATTERY["check_coxeter"] + ["--format", "text"], COXETER_TEXT),
+    (workloads.CLI_BATTERY["check_coxeter"] + ["--format", "csv"], COXETER_CSV),
+], ids=["verify-text", "strata-text", "check-coxeter-text", "check-coxeter-csv"])
+def test_report_renderings(battery_dir, capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(battery_dir)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out == expected
