@@ -18,16 +18,18 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .covariants import ChiData, eval_covariant, validate_chi_data
-from .errors import QuiverLabError, RangeViolation
+from .errors import QuiverLabError, RangeViolation, ShapeMismatch
 from .fields import field_from_name
 from .paths import lusztig_invariants
 from .quiver import (
     Quiver,
     RootVec,
     WeightVec,
+    _json_path,
     cartan_data,
     dominance,
     dynkin_quiver,
@@ -83,14 +85,22 @@ def _load_quiver(name):
 def _load_point(path):
     with open(path) as fh:
         obj = json.load(fh)
-    s = FramedPoint.from_json(obj)
-    lam = (
-        WeightVec(tuple(_weight_token(x) for x in obj["lambda"]))
-        if "lambda" in obj
-        else None
-    )
-    m = WeightVec(tuple(_weight_token(x) for x in obj["m"])) if "m" in obj else None
-    return s, lam, m
+    return FramedPoint.from_json(obj), _point_weight(obj, "lambda"), _point_weight(obj, "m")
+
+
+def _point_weight(obj, key):
+    """The optional weight `key` of a point file, a list of integers or
+    fraction strings; a malformed one is a QuiverLabError that names it."""
+    if key not in obj:
+        return None
+    xs = obj[key]
+    if isinstance(xs, list) and all(type(x) in (int, str) for x in xs):
+        try:
+            return WeightVec(tuple(_weight_token(x) for x in xs))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ShapeMismatch(f"point JSON entry {_json_path((key,))} must be a list of "
+                        f"integers or fractions, not {xs!r}")
 
 
 def _resolve_lambda(args, embedded):
@@ -264,23 +274,10 @@ def _cmd_check_coxeter(args):
         seed=args.seed,
     )
     rows = [("kind", "vertices", "trials", "passes", "ok", "skipped")]
-    checks = []
-    for c in rep.checks:
-        checks.append(
-            {
-                "kind": c.kind,
-                "vertices": list(c.vertices),
-                "trials": c.trials,
-                "passes": c.passes,
-                "ok": c.ok,
-                "skipped": c.skipped,
-            }
-        )
-        rows.append(
-            (c.kind, " ".join(str(v) for v in c.vertices), c.trials, c.passes, c.ok, c.skipped)
-        )
-    payload = {"generic": rep.generic, "all_pass": rep.all_pass, "checks": checks}
-    return payload, rows
+    rows += [(c.kind, " ".join(str(v) for v in c.vertices), c.trials, c.passes, c.ok, c.skipped)
+             for c in rep.checks]
+    checks = [{**asdict(c), "ok": c.ok} for c in rep.checks]
+    return {"generic": rep.generic, "all_pass": rep.all_pass, "checks": checks}, rows
 
 
 def _cmd_reduce(args):
@@ -309,28 +306,9 @@ def _cmd_strata(args):
         return {"d": args.d, "v": args.v, "v_prime": args.v_prime, "dimension": dim}, None
     rep = codim_report(q, d, v)
     rows = [("v_prime", "dimension", "codimension")]
-    strata = []
-    for st in rep.strata:
-        strata.append(
-            {
-                "v_prime": list(st.v_prime),
-                "dimension": st.dimension,
-                "codimension": st.codimension,
-            }
-        )
-        rows.append((" ".join(str(c) for c in st.v_prime), st.dimension, st.codimension))
-    payload = {
-        "d": list(rep.d),
-        "v": list(rep.v),
-        "delta_v": rep.delta_v,
-        "dominant": rep.dominant,
-        "regular": rep.regular,
-        "min_proper_codim": rep.min_proper_codim,
-        "codim_ge_1": rep.codim_ge_1,
-        "codim_ge_2": rep.codim_ge_2,
-        "strata": strata,
-    }
-    return payload, rows
+    rows += [(" ".join(str(c) for c in st.v_prime), st.dimension, st.codimension)
+             for st in rep.strata]
+    return {**asdict(rep), "codim_ge_1": rep.codim_ge_1, "codim_ge_2": rep.codim_ge_2}, rows
 
 
 def _cmd_count(args):
@@ -380,17 +358,7 @@ def _cmd_verify(args):
     s2, _, _ = _load_point(args.point2)
     lam = _resolve_lambda(args, plam)
     rep = verify_Z_conditions(s, s2, args.vertex, lam)
-    payload = {
-        "away_arrows": rep.away_arrows,
-        "away_gamma": rep.away_gamma,
-        "away_delta": rep.away_delta,
-        "exact_sequence": rep.exact_sequence,
-        "ab_identity": rep.ab_identity,
-        "moments": rep.moments,
-        "all_pass": rep.all_pass,
-        "messages": list(rep.messages),
-    }
-    return payload, None
+    return {**asdict(rep), "all_pass": rep.all_pass}, None
 
 
 # -- parser --------------------------------------------------------------------
@@ -403,50 +371,52 @@ def _build_parser():
         help="output rendering (csv only for tabular commands)",
     )
     common.add_argument("-o", "--output", help="write to this file instead of stdout")
+    # the representation space, for commands that read no point file
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--quiver", required=True)
+    space.add_argument("--d", type=_int_vec, required=True)
+    space.add_argument("--v", type=_int_vec, required=True)
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
+    params.add_argument("--m", type=_weight_vec)
+    # a point file; these lambda and m override the ones it embeds
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("point")
+    point.add_argument("--lambda", dest="lam", type=_weight_vec)
+    point.add_argument("--m", type=_weight_vec)
 
     top = argparse.ArgumentParser(prog="quiverlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, func, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+    def cmd(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
         p.set_defaults(func=func)
         return p
 
-    p = cmd("info", _cmd_info, help="Cartan data, finite type, dimensions")
+    p = cmd("info", _cmd_info, "Cartan data, finite type, dimensions")
     p.add_argument("--quiver", required=True)
     p.add_argument("--d", type=_int_vec)
     p.add_argument("--v", type=_int_vec)
     p.add_argument("--weyl", action="store_true", help="also enumerate the Weyl group")
 
-    p = cmd("sample", _cmd_sample, help="sample a point on the lambda moment fiber")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec, required=True)
-    p.add_argument("--v", type=_int_vec, required=True)
-    p.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
-    p.add_argument("--m", type=_weight_vec)
+    p = cmd("sample", _cmd_sample, "sample a point on the lambda moment fiber", space, params)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="Q", help="Q, Q(i), or Fp:<prime>")
     p.add_argument("--height", type=int, default=10)
     p.add_argument("--retries", type=int, default=25)
 
-    p = cmd("reflect", _cmd_reflect, help="reflect a point at one vertex")
-    p.add_argument("point")
+    p = cmd("reflect", _cmd_reflect, "reflect a point at one vertex", point)
     p.add_argument("--vertex", type=_vertex_token, required=True)
     p.add_argument("--side", choices=("auto", "kernel", "cokernel"), default="auto")
-    p.add_argument("--lambda", dest="lam", type=_weight_vec)
-    p.add_argument("--m", type=_weight_vec)
 
-    p = cmd("reflect-word", _cmd_reflect_word, help="reflect along a word of vertices")
-    p.add_argument("point")
+    p = cmd("reflect-word", _cmd_reflect_word, "reflect along a word of vertices", point)
     p.add_argument("--word", required=True, help="comma separated vertices, leftmost first")
-    p.add_argument("--lambda", dest="lam", type=_weight_vec)
-    p.add_argument("--m", type=_weight_vec)
 
-    p = cmd("invariants", _cmd_invariants, help="Lusztig invariants of a point")
+    p = cmd("invariants", _cmd_invariants, "Lusztig invariants of a point")
     p.add_argument("point")
     p.add_argument("--max-len", type=int, default=4)
 
-    p = cmd("covariant", _cmd_covariant, help="evaluate or validate chi-data")
+    p = cmd("covariant", _cmd_covariant, "evaluate or validate chi-data")
     p.add_argument("point", nargs="?")
     p.add_argument("--chi", required=True, help="chi-data JSON file")
     p.add_argument("--quiver")
@@ -454,32 +424,16 @@ def _build_parser():
     p.add_argument("--v", type=_int_vec)
     p.add_argument("--m", type=_weight_vec, help="also check chi-goodness for this weight")
 
-    p = cmd("check-coxeter", _cmd_check_coxeter, help="Coxeter relation report")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec, required=True)
-    p.add_argument("--v", type=_int_vec, required=True)
-    p.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
-    p.add_argument("--m", type=_weight_vec)
+    p = cmd("check-coxeter", _cmd_check_coxeter, "Coxeter relation report", space, params)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
-    p = cmd("reduce", _cmd_reduce, help="dominance reduction trace")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec, required=True)
-    p.add_argument("--v", type=_int_vec, required=True)
-    p.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
-    p.add_argument("--m", type=_weight_vec)
+    cmd("reduce", _cmd_reduce, "dominance reduction trace", space, params)
 
-    p = cmd("strata", _cmd_strata, help="stratum dimensions and codimensions")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec, required=True)
-    p.add_argument("--v", type=_int_vec, required=True)
+    p = cmd("strata", _cmd_strata, "stratum dimensions and codimensions", space)
     p.add_argument("--v-prime", type=_int_vec, help="report a single stratum")
 
-    p = cmd("count", _cmd_count, help="stratum point counts of the fiber over F_p")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec, required=True)
-    p.add_argument("--v", type=_int_vec, required=True)
+    p = cmd("count", _cmd_count, "stratum point counts of the fiber over F_p", space)
     p.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
     p.add_argument(
         "--p", "--prime", dest="p", type=_int_vec, required=True,
@@ -487,7 +441,7 @@ def _build_parser():
     )
     p.add_argument("--budget", type=int, help="override the enumeration budget")
 
-    p = cmd("verify", _cmd_verify, help="check the reflection conditions on a pair")
+    p = cmd("verify", _cmd_verify, "check the reflection conditions on a pair")
     p.add_argument("point")
     p.add_argument("point2")
     p.add_argument("--vertex", type=_vertex_token, required=True)
@@ -500,10 +454,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, csv_rows = args.func(args)
-    except QuiverLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as e:
+    except (QuiverLabError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.format == "csv" and csv_rows is None:
@@ -518,8 +469,7 @@ def run(argv=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

@@ -219,9 +219,11 @@ def evaluate(expr, s: FramedPoint) -> Mat:
 def enumerate_paths(q: Quiver, max_len: int):
     """All nonempty paths of length <= max_len, shortest first, arrows in id
     order; deterministic, so invariant lists line up between points."""
+    if max_len < 0:
+        raise RangeViolation(f"max_len is {max_len}; it must be >= 0")
     arrows = sorted(q.arrows, key=lambda a: a.id)
     out_of = {vert: [a for a in arrows if a.h0 == vert] for vert in q.vertices}
-    level = [PathExpr(q, (a.id,)) for a in arrows]
+    level = [PathExpr(q, (a.id,)) for a in arrows] if max_len else []
     for p in level:
         yield p
     for _ in range(max_len - 1):

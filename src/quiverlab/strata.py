@@ -131,20 +131,19 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     over the vertices, all in the stratum reachable_dims, which reads only B
     and gamma.
 
-    The budget still bounds the whole space: the call refuses to start when
-    p^dim exceeds it (10^7 by default), although only p^(dim B + dim gamma)
-    points are visited.
+    The budget bounds the points visited: the call refuses to start when
+    p^(dim B + dim gamma) exceeds it (10^7 by default).
     """
     field = PrimeField(p)
     space_dim = dims.space_dimension(q)
     _check_len(q, lam, "lambda")
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if p ** space_dim > cap:
-        raise BudgetExceeded(
-            f"p^dim = {p}^{space_dim} exceeds the enumeration budget {cap}"
-        )
     size = dims.sizes(q)
     free_dim = sum(size[blk.row] * size[blk.col] for blk in q.layout if blk.part != "delta")
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if p ** free_dim > cap:
+        raise BudgetExceeded(
+            f"p^(dim B + dim gamma) = {p}^{free_dim} exceeds the enumeration budget {cap}"
+        )
     level = {vert: Mat.scalar(field, size["V", vert], field.coerce(lam[k]))
              for k, vert in enumerate(q.vertices)}  # lambda_i Id
 

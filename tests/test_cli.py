@@ -151,6 +151,11 @@ class TestInvariantsAndCovariant:
         assert payload["max_len"] == 2
         assert {"key": ["fr", "e1", 0, 0], "value": "1"} in payload["entries"]
 
+    def test_invariants_negative_max_len(self, capsys, worked_point):
+        code, _, err = invoke(capsys, "invariants", str(worked_point), "--max-len", "-2")
+        assert code == 1
+        assert "max_len is -2; it must be >= 0" in err
+
     def test_invariants_csv(self, capsys, worked_point):
         code, out, _ = invoke(
             capsys, "invariants", str(worked_point), "--format", "csv"
@@ -268,7 +273,7 @@ class TestCombinatoricCommands:
     def test_count_budget(self, capsys):
         code, _, err = invoke(
             capsys, "count", "--quiver", "A1", "--d", "2", "--v", "1",
-            "--lambda", "0", "--p", "2", "--budget", "10",
+            "--lambda", "0", "--p", "2", "--budget", "3",
         )
         assert code == 1
         assert "budget" in err
@@ -358,8 +363,24 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", None), ("m", None), ("lambda", "1,1"), ("lambda", ["x", "1"]),
+        ("lambda", [True, 1]),
+    ], ids=["lambda-null", "m-null", "lambda-string", "lambda-x", "lambda-bool"])
+    def test_point_file_malformed_weight(self, tmp_path, key, value):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0).to_json()
+        obj[key] = value
+        path = tmp_path / "pt.json"
+        path.write_text(json.dumps(obj))
+        proc = self.child(["reflect", str(path), "--vertex", "1"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert (f"point JSON entry ['{key}'] must be a list of integers or fractions, "
+                f"not {value!r}") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("change, message", [
-        ({"target_copies": 1}, "chi JSON entry ['target_copies'] must be a list of integers, not 1"),
+        ({"target_copies": 1},"chi JSON entry ['target_copies'] must be a list of integers, not 1"),
         ({"entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}, {"key": ["zz", 1, 1, 1], "expr": "e1"}]},
          "chi entry ('zz', 1, 1, 1) is not of kind vv, vb, av or ab"),
         ({"target_copies": [1, 0]}, "chi target_copies has length 2, quiver has 1 vertices"),

@@ -12,6 +12,7 @@ from quiverlab import (
     Intertwiner,
     Mat,
     PathExpr,
+    RangeViolation,
     empty_path,
     enumerate_paths,
     evaluate,
@@ -132,6 +133,14 @@ class TestEnumeration:
         lens = [len(p) for p in enumerate_paths(q, 4)]
         assert lens == sorted(lens)
 
+    def test_length_zero_gives_no_paths(self):
+        assert list(enumerate_paths(dynkin_quiver("A2"), 0)) == []
+
+    @pytest.mark.parametrize("max_len", [-1, -3])
+    def test_negative_length_rejected(self, max_len):
+        with pytest.raises(RangeViolation, match=f"max_len is {max_len}; it must be >= 0"):
+            list(enumerate_paths(dynkin_quiver("A2"), max_len))
+
 
 class TestInvariants:
     def test_zero_point_all_zero(self):
@@ -151,6 +160,11 @@ class TestInvariants:
             ("fr", "e1", 1, 0): QQ.zero(),
             ("fr", "e1", 1, 1): QQ.zero(),
         }
+
+    def test_length_zero_gives_the_framing_loops_only(self):
+        q, s = a2_point()
+        keys = [k for k, _ in lusztig_invariants(s, 0)]
+        assert keys == [("fr", "e1", r, c) for r in range(2) for c in range(2)] + [("fr", "e2", 0, 0)]
 
     def test_no_empty_traces(self):
         q, s = a2_point()

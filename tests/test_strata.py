@@ -178,7 +178,14 @@ class TestCounting:
     def test_budget_guard(self):
         q, dims = a1_setup(d=2, v=1)
         with pytest.raises(BudgetExceeded):
-            count_points_Fq(q, dims, WeightVec((0,)), 2, budget=10)
+            count_points_Fq(q, dims, WeightVec((0,)), 2, budget=3)
+
+    def test_budget_bounds_the_points_visited(self):
+        # gamma spans the 7^2 points visited, the whole space 7^4
+        q, dims = a1_setup(d=2, v=1)
+        assert count_points_Fq(q, dims, WeightVec((0,)), 7, budget=49).total == 7**3 + 7**2 - 7
+        with pytest.raises(BudgetExceeded, match=r"p\^\(dim B \+ dim gamma\) = 7\^2 exceeds"):
+            count_points_Fq(q, dims, WeightVec((0,)), 7, budget=48)
 
     def test_composite_p_rejected(self):
         from quiverlab import WrongField
