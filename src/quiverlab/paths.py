@@ -354,38 +354,44 @@ class OrbitDecision:
 
 
 # orbit_equivalent compares the Lusztig invariants of paths up to this
-# length, then tries this many random combinations of a hom-set basis
+# length only on the way to a "no": equal invariants never prove a "yes".
+# It then tries this many random combinations of a hom-set basis.
 ORBIT_INVARIANT_LEN = 4
 ORBIT_TRIALS = 24
+
+
+def _invariant_mismatch(s: FramedPoint, t: FramedPoint):
+    """A "no" naming the first Lusztig invariant that differs, else None."""
+    inv_s = lusztig_invariants(s, ORBIT_INVARIANT_LEN)
+    inv_t = lusztig_invariants(t, ORBIT_INVARIANT_LEN)
+    for (ds_, vs_), (_, vt_) in zip(inv_s, inv_t):
+        if vs_ != vt_:
+            return OrbitDecision("no", reason=f"invariant mismatch at {ds_}")
+    return None
 
 
 def orbit_equivalent(s: FramedPoint, t: FramedPoint, seed=0) -> OrbitDecision:
     """Decide whether t = g . s for some invertible block tuple g.
 
-    Yes always comes with a verified witness.  No is certified either by an
-    invariant mismatch, by an empty or dimension-mismatched hom set, or by a
+    Yes always comes with a verified witness.  hom(s, t) is solved first,
+    and an invertible particular solution that moves s to t answers yes.
+    Only then are the Lusztig invariants compared; they can certify only a
+    no, and a mismatch is reported before any hom-set reason.  No is
+    otherwise certified by an empty or dimension-mismatched hom set, or by a
     zero-dimensional hom set whose single point is singular.  When the hom
     set is positive-dimensional and every tried combination is singular the
     answer stays Unknown: random evaluation cannot soundly prove that the
-    determinant vanishes on the whole affine set.
+    determinant vanishes on the whole affine set.  When every fiber is zero
+    the invariants are compared and no hom set is solved.
     """
     import random as _random
 
     if s.dims != t.dims:
         raise ShapeMismatch("orbit comparison needs equal dimension data")
     q = s.quiver
-    inv_s = lusztig_invariants(s, ORBIT_INVARIANT_LEN)
-    inv_t = lusztig_invariants(t, ORBIT_INVARIANT_LEN)
-    for (ds_, vs_), (_, vt_) in zip(inv_s, inv_t):
-        if vs_ != vt_:
-            return OrbitDecision("no", reason=f"invariant mismatch at {ds_}")
-
     if all(s.dims.v_of(q, vert) == 0 for vert in q.vertices):
-        return OrbitDecision("yes", identity_group(q, s.dims, s.field), "all fibers are zero")
-
-    fwd = hom_space(s, t)
-    if not fwd.exists:
-        return OrbitDecision("no", reason="no intertwiner in one direction")
+        return _invariant_mismatch(s, t) or OrbitDecision(
+            "yes", identity_group(q, s.dims, s.field), "all fibers are zero")
 
     def try_candidate(g: Intertwiner):
         try:
@@ -396,11 +402,17 @@ def orbit_equivalent(s: FramedPoint, t: FramedPoint, seed=0) -> OrbitDecision:
             return ge
         return None  # cannot happen for true intertwiners; guards the solver
 
-    w = try_candidate(fwd.particular)
+    fwd = hom_space(s, t)
+    w = try_candidate(fwd.particular) if fwd.exists else None
     if w is not None:
         # w^{-1} lies in hom(t, s), and the linear parts of both hom sets are
         # isomorphic to that of hom(s, s): the backward checks cannot fail
         return OrbitDecision("yes", w, "particular solution is invertible")
+    mismatch = _invariant_mismatch(s, t)
+    if mismatch is not None:
+        return mismatch
+    if not fwd.exists:
+        return OrbitDecision("no", reason="no intertwiner in one direction")
     bwd = hom_space(t, s)
     if not bwd.exists:
         return OrbitDecision("no", reason="no intertwiner in one direction")

@@ -81,10 +81,18 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     """
     if side not in ("auto", "kernel", "cokernel"):
         raise RangeViolation(f"unknown side {side!r}")
-    q = s.quiver
-    idx = q.vertex_index(vertex)
+    s.quiver.vertex_index(vertex)  # names an unknown vertex
     if not moment_matches(s, lam):
         raise MomentMismatch("point is not on the lambda fiber")
+    return _reflect_on_fiber(s, vertex, lam, m, side)
+
+
+def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> ReflectionResult:
+    """The body of `reflect_point` for a point already known to satisfy
+    mu(s) = lambda Id; it still checks that the result lies on the reflected
+    fiber."""
+    q = s.quiver
+    idx = q.vertex_index(vertex)
     ab = assemble_ab(s, vertex)
     vi = s.dims.v_of(q, vertex)
     t_dim = ab.a.rows
@@ -219,7 +227,11 @@ class WordResult:
 
 def reflect_word(s: FramedPoint, word, lam: WeightVec, m: WeightVec | None = None) -> WordResult:
     """Apply reflections along the word, leftmost letter first, updating
-    (lambda, m) at every step.  Each step needs (lambda_i, m_i) != (0, 0)."""
+    (lambda, m) at every step.  Each step needs (lambda_i, m_i) != (0, 0).
+
+    The start point's moment is checked once, and each intermediate point
+    once: the post-check of letter k, which puts it on the reflected fiber,
+    stands in for letter k+1's pre-check."""
     q = s.quiver
     cur, cl, cm = s, lam, m
     steps = []
@@ -231,7 +243,8 @@ def reflect_word(s: FramedPoint, word, lam: WeightVec, m: WeightVec | None = Non
                 f"(lambda_i, m_i) = (0, 0) at step {k} (prefix {list(word[: k + 1])})"
             )
         try:
-            res = reflect_point(cur, vertex, cl, cm, side="auto")
+            reflect = reflect_point if k == 0 else _reflect_on_fiber
+            res = reflect(cur, vertex, cl, cm, "auto")
         except ReflectionUndefined as e:
             raise ReflectionUndefined(f"step {k} (prefix {list(word[: k + 1])}): {e}")
         cur, cl, cm = res.point, res.lam, res.m

@@ -187,6 +187,12 @@ class FramedPoint:
         return cls.build(q, dims, f, load_mat)
 
 
+def _signed(eps, m: Mat) -> Mat:
+    """eps * m for an arrow sign eps = +1 or -1 (`Quiver` checks that it is
+    one of the two).  A Mat is never mutated, so m itself serves for +1."""
+    return m if eps == 1 else -m
+
+
 @dataclass(frozen=True)
 class VertexAB:
     vertex: object
@@ -205,7 +211,7 @@ def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
     layout = tuple(into.col if into.part == "gamma" else ("V", into.key, into.col[1])
                    for _, into, _ in star)
     a = vstack([s.block(out) for _, _, out in star])
-    b = hstack([s.block(into).scale(eps) for eps, into, _ in star])
+    b = hstack([_signed(eps, s.block(into)) for eps, into, _ in star])
     return VertexAB(vertex, layout, a, b)
 
 
@@ -221,7 +227,7 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     for eps, into, out in q.star[ab.vertex]:
         stop = start + size[into.col]
         parts[out.part][out.key] = a2.submatrix(range(start, stop), range(a2.cols))
-        parts[into.part][into.key] = b2.submatrix(range(b2.rows), range(start, stop)).scale(eps)
+        parts[into.part][into.key] = _signed(eps, b2.submatrix(range(b2.rows), range(start, stop)))
         start = stop
     return FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, **parts)
 
@@ -383,9 +389,9 @@ def sample_fiber(
             terms = []
             for eps, into, out in q.star[vert]:
                 if into[:2] in known:  # (part, key)
-                    terms.append((known[into[:2]].scale(eps), out[:2], None))
+                    terms.append((_signed(eps, known[into[:2]]), out[:2], None))
                 else:
-                    terms.append((None, into[:2], known[out[:2]].scale(eps)))
+                    terms.append((None, into[:2], _signed(eps, known[out[:2]])))
             vi = dims.v_of(q, vert)
             system.equation(terms, Mat.scalar(field, vi, lam[q.vertex_index(vert)]))
         try:

@@ -5,7 +5,8 @@ costs.
 inverses, `paths.hom_space` is the one intertwiner solve, and
 `linalg.Mat._matmul` is every matrix product; each is wrapped with a
 counter, and each question below must cost exactly what its construction
-needs.  `FramedPoint.build` makes every point `count_points_Fq` visits, so
+needs.  So are the orbit invariants `paths.lusztig_invariants` and the
+moment checks `reflection.moment_matches` of the reflection functors.  `FramedPoint.build` makes every point `count_points_Fq` visits, so
 counting it counts that enumeration.
 """
 
@@ -18,10 +19,13 @@ from quiverlab import (
     DimData,
     FramedPoint,
     GroupElement,
+    PrimeField,
     RootVec,
+    ShapeMismatch,
     WeightVec,
     complete_to_basis,
     count_points_Fq,
+    doubled_quiver,
     dynkin_quiver,
     group_act,
     limit_project,
@@ -33,16 +37,20 @@ from quiverlab import (
     random_group,
     random_invertible,
     reflect_point,
+    reflect_word,
+    reflection,
     sample_fiber,
 )
-from util import a1_point, mat
+from util import a1_point, a1_setup, mat
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of linalg.rref, paths.hom_space and Mat._matmul (under the
-    key "matmul") calls made after set-up."""
-    counts = {"rref": 0, "hom_space": 0, "matmul": 0}
+    """Counts of linalg.rref, paths.hom_space, paths.lusztig_invariants,
+    reflection.moment_matches and Mat._matmul (under the key "matmul") calls
+    made after set-up."""
+    counts = {"rref": 0, "hom_space": 0, "lusztig_invariants": 0,
+              "moment_matches": 0, "matmul": 0}
 
     def counted(owner, name, key):
         fn = getattr(owner, name)
@@ -55,6 +63,8 @@ def calls(monkeypatch):
 
     counted(linalg, "rref", "rref")
     counted(paths, "hom_space", "hom_space")
+    counted(paths, "lusztig_invariants", "lusztig_invariants")
+    counted(reflection, "moment_matches", "moment_matches")
     counted(linalg.Mat, "_matmul", "matmul")
     return counts
 
@@ -155,6 +165,38 @@ def test_orbit_yes_by_particular_solves_hom_once(calls):
     dec = orbit_equivalent(s, t)
     assert (dec.kind, dec.reason) == ("yes", "particular solution is invertible")
     assert calls["hom_space"] == 1
+    assert calls["lusztig_invariants"] == 0  # invariants only certify a "no"
+
+
+def test_orbit_invariant_mismatch_after_one_hom_solve(calls):
+    s = a1_point(gamma=(1, 0), delta=(1, 0))
+    t = a1_point(gamma=(2, 0), delta=(1, 0))
+    dec = orbit_equivalent(s, t)
+    assert (dec.kind, dec.reason) == ("no", "invariant mismatch at ('fr', 'e1', 0, 0)")
+    assert (calls["hom_space"], calls["lusztig_invariants"]) == (1, 2)
+
+
+def test_orbit_all_fibers_zero_solves_nothing(calls):
+    dims = DimData(WeightVec((1, 1)), RootVec((0, 0)))
+    s = FramedPoint.zero(dynkin_quiver("A2"), dims)
+    dec = orbit_equivalent(s, s)
+    assert (dec.kind, dec.reason) == ("yes", "all fibers are zero")
+    assert (calls["hom_space"], calls["lusztig_invariants"]) == (0, 2)
+
+
+@pytest.mark.parametrize("apart", ["quivers", "fields"])
+def test_orbit_points_apart_raise_before_invariants(calls, apart):
+    # the framing invariants of s and t differ, but the hom solve comes first
+    s = a1_point(gamma=(1, 0), delta=(1, 0))
+    if apart == "fields":
+        t = a1_point(gamma=(2, 0), delta=(1, 0), field=PrimeField(7))
+    else:
+        q = doubled_quiver([5], [])
+        _, dims = a1_setup()
+        t = FramedPoint(q, dims, QQ, {}, {5: mat(QQ, [[2, 0]])}, {5: mat(QQ, [[1], [0]])})
+    with pytest.raises(ShapeMismatch, match=f"different {apart}"):
+        orbit_equivalent(s, t)
+    assert calls["lusztig_invariants"] == 0
 
 
 def test_orbit_scan_still_solves_both_directions(calls):
@@ -167,6 +209,18 @@ def test_orbit_scan_still_solves_both_directions(calls):
     assert dec.kind == "yes"
     assert dec.reason != "particular solution is invertible"
     assert calls["hom_space"] == 2
+
+
+@pytest.mark.parametrize("word", [[], [2], [2, 3, 2], [3, 2, 3]], ids=["e", "s2", "s2s3s2", "s3s2s3"])
+def test_reflect_word_checks_each_point_once(calls, word):
+    # the start point before letter 0, then each letter's result once
+    lam = WeightVec((1, 2, 3, 4))
+    s = fiber("D4", (1, 1, 1, 2), (1, 2, 1, 2), lam.coords, 5)
+    out = reflect_word(s, word, lam)
+    assert len(out.steps) == len(word)
+    assert calls["moment_matches"] == (len(word) + 1 if word else 0)
+    if not word:
+        assert out.point is s
 
 
 def test_count_visits_b_and_gamma_only(monkeypatch):

@@ -170,6 +170,17 @@ class TestReflectWord:
         assert out.lam == WeightVec((1,))
         assert out.steps == ()
 
+    def test_off_fiber_start_rejected(self):
+        s = a1_point()  # mu = 1
+        with pytest.raises(MomentMismatch):
+            reflect_word(s, [1, 1], WeightVec((2,)))
+
+    def test_zero_parameters_rejected_before_the_moment_check(self):
+        # s is off the lambda = 0 fiber too; the (0, 0) test comes first
+        s = a1_point()  # mu = 1
+        with pytest.raises(ReflectionUndefined, match=r"\(0, 0\) at step 0"):
+            reflect_word(s, [1, 1], WeightVec((0,)))
+
     def test_involution_up_to_orbit(self):
         s = a1_point(gamma=(1, 0), delta=(1, 0))
         out = reflect_word(s, [1, 1], WeightVec((1,)))
