@@ -6,8 +6,9 @@ inverses, `paths.hom_space` is the one intertwiner solve, and
 `linalg.Mat._matmul` is every matrix product; each is wrapped with a
 counter, and each question below must cost exactly what its construction
 needs.  So are the orbit invariants `paths.lusztig_invariants` and the
-moment checks `reflection.moment_matches` of the reflection functors.  `FramedPoint.build` makes every point `count_points_Fq` visits, so
-counting it counts that enumeration.
+moment checks `reflection.moment_matches` of the reflection functors.
+`FramedPoint.build` makes every point `count_points_Fq` visits, so counting
+it counts that enumeration.
 """
 
 import random
@@ -211,7 +212,8 @@ def test_orbit_scan_still_solves_both_directions(calls):
     assert calls["hom_space"] == 2
 
 
-@pytest.mark.parametrize("word", [[], [2], [2, 3, 2], [3, 2, 3]], ids=["e", "s2", "s2s3s2", "s3s2s3"])
+@pytest.mark.parametrize("word", [[], [2], [2, 3, 2], [3, 2, 3]],
+                         ids=["e", "s2", "s2s3s2", "s3s2s3"])
 def test_reflect_word_checks_each_point_once(calls, word):
     # the start point before letter 0, then each letter's result once
     lam = WeightVec((1, 2, 3, 4))
