@@ -58,7 +58,10 @@ def _int_vec(text):
 
 
 def _weight_token(tok):
-    f = Fraction(str(tok))
+    try:
+        f = Fraction(str(tok))
+    except ZeroDivisionError:  # argparse reports a ValueError as a usage error
+        raise ValueError(f"{tok!r} has a zero denominator") from None
     return int(f) if f.denominator == 1 else f
 
 

@@ -17,7 +17,10 @@ Kernels are pinned per field:
     Q(i) it is the signed pivot product that `_rref_field` returns.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
-`BlockSystem` from `vec(L X R) = kron(L, R^T) vec(X)`, with vec row-major.
+`BlockSystem` entry by entry: the coefficient of X[p, q] in (L X R)[i, j] is
+L[i, p] R[q, j], placed straight into its equation row.  With vec row-major
+that is the matrix `vec(L X R) = kron(L, R^T) vec(X)`; `kron` remains as the
+reference the assembly is tested against.
 
 Zero-dimensional matrices (0 x k, k x 0) are legal everywhere; an empty
 product is a zero matrix of the right shape and det of the 0 x 0 matrix is 1.
@@ -464,6 +467,8 @@ class BlockSystem:
     equations are stacked in the order they are added, each row-major over
     the entries of its C.  A term (L, key, R) contributes kron(L, R^T) in the
     equation's rows and the unknown's columns; L or R None is the identity.
+    `matrix` fills these entries one by one, skipping zero entries of L's
+    rows and R's columns, and builds no identity, transpose or kron.
     """
 
     def __init__(self, field):
@@ -489,20 +494,34 @@ class BlockSystem:
     def matrix(self):
         """The assembled coefficient matrix A and right-hand side column c."""
         field = self.field
-        z = field.zero()
+        z, one = field.zero(), field.one()
         rows, rhs = [], []
         for terms, c in self._eqs:
-            eq = [[z] * self.cols for _ in range(c.rows * c.cols)]
+            n = c.cols
+            eq = [[z] * self.cols for _ in range(c.rows * n)]
             for L, key, R in terms:
                 off, xr, xc = self.blocks[key]
-                K = kron(
-                    Mat.identity(field, xr) if L is None else L,
-                    Mat.identity(field, xc) if R is None else R.transpose(),
-                )
-                for r, row in enumerate(eq):
-                    for j, y in enumerate(K.row_list(r), off):
-                        if y != z:  # skipping zeros leaves every sum as it is
-                            row[j] = row[j] + y
+                # entry (i, j) of L X R is the sum of L[i, p] R[q, j] X[p, q];
+                # a None factor stands for the identity, with the one p = i
+                # or q = j and no coefficient (None) of its own
+                lrows = ([[(i, None)] for i in range(xr)] if L is None else
+                         [[(p, x) for p, x in enumerate(L.row_list(i)) if x != z]
+                          for i in range(L.rows)])
+                rcols = ([[(j, None)] for j in range(xc)] if R is None else
+                         [[(q, y) for q, y in enumerate(R.col_list(j)) if y != z]
+                          for j in range(n)])
+                for i, lrow in enumerate(lrows):
+                    for j, rcol in enumerate(rcols):
+                        row = eq[i * n + j]
+                        for p, x in lrow:
+                            base = off + p * xc
+                            for q, y in rcol:
+                                k = base + q
+                                if x is None:
+                                    coef = one if y is None else y
+                                else:
+                                    coef = x if y is None else x * y
+                                row[k] = row[k] + coef
             rows.extend(eq)
             rhs.extend(c._d)
         return (

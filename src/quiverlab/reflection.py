@@ -40,6 +40,7 @@ from .paths import orbit_equivalent
 from .quiver import (
     RootVec,
     WeightVec,
+    _check_len,
     cartan_data,
     dominance,
     dot_action,
@@ -283,6 +284,8 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
     pairs are skipped), plus kernel/cokernel side agreement where
     lambda_i != 0.  Results are informational when (m, lambda) is not generic.
     """
+    if trials < 0:
+        raise RangeViolation(f"trials is {trials}; it must be >= 0")
     rng = _random.Random(seed)
     cd = cartan_data(q)
     dims = DimData(d, v)
@@ -386,6 +389,9 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
     case and stops.
     """
     cd = cartan_data(q)
+    _check_len(cd, lam, "lambda")
+    if m is not None:
+        _check_len(cd, m, "m")
     cur_v, cur_l, cur_m = v, lam, m
     steps = []
     word = []

@@ -97,6 +97,8 @@ class FramedPoint:
     B: dict       # arrow id -> Mat (v_{h1} x v_{h0})
     gamma: dict   # vertex -> Mat (v_i x d_i)
     delta: dict   # vertex -> Mat (d_i x v_i)
+    # vertex -> mu_i, filled by moment_map; no part of the point's value
+    _mu: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = self.dims.sizes(self.quiver)
@@ -229,16 +231,36 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
         parts[out.part][out.key] = a2.submatrix(range(start, stop), range(a2.cols))
         parts[into.part][into.key] = _signed(eps, b2.submatrix(range(b2.rows), range(start, stop)))
         start = stop
-    return FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, **parts)
+    t = FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, **parts)
+    _carry_mu(s, t)
+    return t
+
+
+def _carry_mu(s: FramedPoint, t: FramedPoint):
+    """Copy into t each mu_j memoized on s whose q.star[j] blocks are the
+    same objects in s and t; so a move at vertex i leaves mu_i and mu_j for
+    the neighbours j of i to be recomputed."""
+    for vert, mu in s._mu.items():
+        if all(s.block(into) is t.block(into) and s.block(out) is t.block(out)
+               for _, into, out in s.quiver.star[vert]):
+            t._mu[vert] = mu
 
 
 def moment_map(s: FramedPoint) -> dict:
-    """mu_i = b_i a_i at every vertex i (the summands are `Quiver.star`'s)."""
-    out = {}
+    """mu_i = b_i a_i at every vertex i (the summands are `Quiver.star`'s),
+    as a new dict.
+
+    Each mu_i is computed at most once per point and memoized on it
+    (`FramedPoint._mu`).  That is sound because a point is frozen and no Mat
+    is mutated after construction; `split_ab` carries a memoized mu_j over
+    to the new point only where every block of q.star[j] is the same object
+    in both."""
+    memo = s._mu
     for vert in s.quiver.vertices:
-        ab = assemble_ab(s, vert)
-        out[vert] = ab.b * ab.a
-    return out
+        if vert not in memo:
+            ab = assemble_ab(s, vert)
+            memo[vert] = ab.b * ab.a
+    return {vert: memo[vert] for vert in s.quiver.vertices}
 
 
 def moment_map_real(s: FramedPoint) -> dict:
@@ -365,6 +387,10 @@ def sample_fiber(
 
     size = dims.sizes(q)
     _check_len(q, lam, "lambda")
+    if retries < 1:
+        raise RangeViolation(f"retries is {retries}; it must be >= 1")
+    if field.kind != "Fp" and height < 1:  # F_p draws ignore the height
+        raise RangeViolation(f"height is {height}; it must be >= 1")
     if rng is None:
         rng = _random.Random(seed)
     last_err = None

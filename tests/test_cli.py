@@ -322,6 +322,44 @@ class TestErrorsAndExitCodes:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("option", ["--lambda", "--m"])
+    def test_zero_denominator_is_a_usage_error(self, tmp_path, option):
+        argv = ["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1"]
+        proc = self.child(argv + [option, "1/0,1"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"argument {option}: invalid _weight_vec value: '1/0,1'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--lambda", "0,0,5"], "lambda has length 3, quiver has 2 vertices"),
+        (["--lambda", "0", "--m", "1,2,3"], "lambda has length 1, quiver has 2 vertices"),
+        (["--lambda", "0,0", "--m", "1,2,3"], "m has length 3, quiver has 2 vertices"),
+    ], ids=["lambda", "lambda-and-m", "m"])
+    def test_reduce_wrong_parameter_length(self, capsys, extra, message):
+        code, out, err = invoke(capsys, "reduce", "--quiver", "A2", "--d", "1,1", "--v", "2,0", *extra)
+        assert code == 1 and out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-coxeter", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "1",
+          "--trials", "-1"], "trials is -1; it must be >= 0"),
+        (["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1",
+          "--height", "0"], "height is 0; it must be >= 1"),
+        (["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1",
+          "--field", "Q(i)", "--height", "-3"], "height is -3; it must be >= 1"),
+        (["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1",
+          "--retries", "0"], "retries is 0; it must be >= 1"),
+    ], ids=["trials", "height", "height-Qi", "retries"])
+    def test_out_of_range_counts(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"error: {message}" in err
+
+    def test_prime_field_sample_ignores_height(self, capsys):
+        argv = ["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1",
+                "--field", "Fp:3"]
+        assert invoke_json(capsys, *argv, "--height", "0") == invoke_json(capsys, *argv)
+
     @pytest.mark.parametrize("drop, message", [
         (("quiver",), "point JSON has no entry ['quiver']"),
         (("B", "h1"), "point JSON has no entry ['B']['h1']"),

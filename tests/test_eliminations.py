@@ -90,24 +90,28 @@ def test_kernel_side_reflection(calls, side):
 def test_moment_map_one_product_per_vertex(calls):
     lam = WeightVec((1, -1, 2, 1))
     s = fiber("D4", (1, 0, 0, 1), (1, 1, 1, 2), lam.coords, 7)
+    fresh = FramedPoint.build(s.quiver, s.dims, s.field, lambda blk, r, c: s.block(blk))
     calls["matmul"] = 0
-    moment_map(s)
+    moment_map(fresh)
     assert calls["matmul"] == 4  # b_i a_i at each vertex
-    calls["matmul"] = 0
-    assert moment_matches(s, lam)
-    assert calls["matmul"] == 4
+    moment_map(fresh)
+    assert moment_matches(fresh, lam)
+    assert calls["matmul"] == 4  # each mu_i is memoized on the point
 
 
-@pytest.mark.parametrize("side, products", [("kernel", 9), ("cokernel", 10)])
-def test_reflect_point_products(calls, side, products):
+@pytest.mark.parametrize("side, extra", [("kernel", 2), ("cokernel", 3)])
+def test_reflect_point_products(calls, side, extra):
     lam = WeightVec((1, 2, 3, 4))
     s = fiber("D4", (1, 1, 1, 2), (1, 2, 1, 2), lam.coords, 5)
+    degree = {1: 1, 2: 3, 3: 1, 4: 1}
     for vertex in s.quiver.vertices:
         calls["matmul"] = 0
         assert reflect_point(s, vertex, lam, side=side).side == side
-        # moment check before and after (4 each), a_i b_i, and on the
-        # cokernel side (a_i b_i - lambda_i) times the complement
-        assert calls["matmul"] == products
+        # the pre-check reads mu memoized by the sampler's own check; then
+        # a_i b_i, on the cokernel side (a_i b_i - lambda_i) times the
+        # complement, and the post-check recomputes mu only at the vertex
+        # and its neighbours
+        assert calls["matmul"] == extra + degree[vertex]
 
 
 def test_group_element_and_action(calls):

@@ -400,6 +400,103 @@ class TestBlockSystem:
             sys_.equation([(None, "x", None)], Mat.zeros(QQ, 1, 2))
 
 
+def kron_assembled(system):
+    """The reference assembly of a BlockSystem: each term (L, key, R) adds
+    kron(L, R^T) in its equation's rows and its unknown's columns, with an
+    identity Mat for a None factor."""
+    f = system.field
+    z = f.zero()
+    rows, rhs = [], []
+    for terms, c in system._eqs:
+        eq = [[z] * system.cols for _ in range(c.rows * c.cols)]
+        for L, key, R in terms:
+            off, xr, xc = system.blocks[key]
+            K = kron(Mat.identity(f, xr) if L is None else L,
+                     Mat.identity(f, xc) if R is None else R.transpose())
+            for r, row in enumerate(eq):
+                for j, y in enumerate(K.row_list(r), off):
+                    if y != z:
+                        row[j] = row[j] + y
+        rows.extend(eq)
+        rhs.extend(c._d)
+    return (Mat(f, len(rows), system.cols, [x for row in rows for x in row]),
+            Mat(f, len(rhs), 1, rhs))
+
+
+class TestBlockSystemAssembly:
+    """`BlockSystem.matrix` fills entries directly; `kron` is its reference."""
+
+    @pytest.mark.parametrize("field", [QQ, QQI, PrimeField(3)], ids=["Q", "Qi", "F3"])
+    def test_random_terms_match_kron(self, field):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(150):
+            system = BlockSystem(field)
+            for key in range(rng.randint(1, 3)):
+                system.unknown(key, rng.randint(0, 3), rng.randint(0, 3))
+            for _ in range(rng.randint(1, 3)):
+                m, n = rng.randint(0, 3), rng.randint(0, 3)
+                terms = []
+                for _ in range(rng.randint(1, 3)):
+                    key = rng.randrange(len(system.blocks))
+                    _, xr, xc = system.blocks[key]
+                    L = None if xr == m and rng.random() < 0.5 else random_matrix(field, m, xr, rng, 2)
+                    R = None if xc == n and rng.random() < 0.5 else random_matrix(field, xc, n, rng, 2)
+                    seen.add((L is None, R is None, 0 in (xr, xc)))
+                    terms.append((L, key, R))
+                system.equation(terms, random_matrix(field, m, n, rng, 3))
+            assert system.matrix() == kron_assembled(system)
+        # every kind of factor pair, with and without an empty unknown
+        assert seen == {(l, r, e) for l in (False, True) for r in (False, True)
+                        for e in (False, True)}
+
+    @pytest.mark.parametrize("L, R", [
+        (None, None),
+        (None, mat(QQ, [[0, 2], [1, 0]])),
+        (mat(QQ, [[3, 0], [0, 0]]), None),
+        (mat(QQ, [[1, -1], [0, 2]]), mat(QQ, [[0, 1], [Fraction(1, 2), 0]])),
+    ], ids=["both-none", "L-none", "R-none", "both"])
+    def test_identity_factors_and_repeated_unknown(self, L, R):
+        # the same unknown twice in one equation: its coefficients add up
+        system = BlockSystem(QQ)
+        system.unknown("x", 2, 2)
+        system.equation([(L, "x", R), (mat(QQ, [[1, 0], [1, 1]]), "x", None)],
+                        mat(QQ, [[1, 2], [3, 4]]))
+        assert system.matrix() == kron_assembled(system)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_unknown(self, rows, cols):
+        system = BlockSystem(QQ)
+        system.unknown("e", rows, cols)
+        system.unknown("y", 1, 1)
+        system.equation([(Mat.zeros(QQ, 1, rows), "e", Mat.zeros(QQ, cols, 1)),
+                         (None, "y", None)], mat(QQ, [[5]]))
+        A, c = system.matrix()
+        assert (A, c) == kron_assembled(system)
+        assert A == mat(QQ, [[1]]) and c == mat(QQ, [[5]])
+
+    def test_hom_space_systems_match_kron(self, monkeypatch):
+        # the systems hom_space assembles for fiber points on A2 and D4
+        systems = []
+        real = BlockSystem.matrix
+
+        def recording(self):
+            systems.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BlockSystem, "matrix", recording)
+        for name, d, v, lam in [("A2", (2, 1), (1, 1), (1, 2)),
+                                ("D4", (1, 0, 0, 1), (1, 1, 1, 2), (1, -1, 2, 1))]:
+            q = dynkin_quiver(name)
+            dims = DimData(WeightVec(d), RootVec(v))
+            s = sample_fiber(q, dims, WeightVec(lam), seed=3)
+            t = group_act(random_group(q, dims, QQ, random.Random(4)), s)
+            hom_space(s, t)
+        assert len(systems) == 4  # two samples, two hom sets
+        for system in systems:
+            assert real(system) == kron_assembled(system)
+
+
 # -- Q kernels on cleared denominators against two references -----------------
 #
 # Over Q, rref, matmul and det run on integers.  The first reference is the

@@ -15,6 +15,7 @@ from quiverlab import (
     RankTooLarge,
     ReflectionUndefined,
     RootVec,
+    ShapeMismatch,
     WeightVec,
     check_coxeter,
     dominance,
@@ -260,6 +261,16 @@ class TestCoxeterChecks:
         assert inv[2].skipped == "lambda_i = m_i = 0"
         assert not inv[1].skipped
 
+    def test_negative_trials_rejected(self):
+        q = dynkin_quiver("A1")
+        with pytest.raises(RangeViolation, match="trials is -1; it must be >= 0"):
+            check_coxeter(q, WeightVec((2,)), RootVec((1,)), WeightVec((1,)), trials=-1)
+
+    def test_zero_trials_pass_vacuously(self):
+        q = dynkin_quiver("A1")
+        rep = check_coxeter(q, WeightVec((2,)), RootVec((1,)), WeightVec((1,)), trials=0)
+        assert all(c.trials == 0 and c.passes == 0 for c in rep.checks)
+
 
 class TestReduction:
     def test_a2_double_drop(self):
@@ -310,6 +321,20 @@ class TestReduction:
         tr = reduce_to_dominant(q, WeightVec((0,)), RootVec((1,)),
                                 WeightVec((1,)), m=WeightVec((2,)))
         assert tr.m == WeightVec((-2,))
+
+    @pytest.mark.parametrize("lam, m, message", [
+        ((0, 0, 5), None, "lambda has length 3, quiver has 2 vertices"),
+        ((0,), (1, 2, 3), "lambda has length 1, quiver has 2 vertices"),
+        ((0, 0), (1, 2, 3), "m has length 3, quiver has 2 vertices"),
+        ((0, 0), (1,), "m has length 1, quiver has 2 vertices"),
+    ], ids=["lambda", "lambda-first", "m-long", "m-short"])
+    def test_wrong_parameter_lengths_rejected(self, lam, m, message):
+        # A2 with d = (1, 1), v = (2, 0) and lambda_1 = 0 reduces by drops
+        # alone, so no reflect step would ever look at lambda or m
+        q = dynkin_quiver("A2")
+        with pytest.raises(ShapeMismatch, match=message):
+            reduce_to_dominant(q, WeightVec((1, 1)), RootVec((2, 0)), WeightVec(lam),
+                               m=None if m is None else WeightVec(m))
 
 
 class TestEmbedding:

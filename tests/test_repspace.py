@@ -35,6 +35,9 @@ from quiverlab import (
     random_invertible,
     rank,
     reflect_point,
+    reflect_word,
+    reflection,
+    repspace,
     sample_fiber,
     split_ab,
     stratum_dimension,
@@ -319,6 +322,27 @@ class TestSampler:
             with pytest.raises(ShapeMismatch, match=msg):
                 sample_fiber(q, dims, WeightVec(lam), seed=0)
 
+    @pytest.mark.parametrize("field", [QQ, QQI], ids=["Q", "Qi"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"retries": 0}, "retries is 0; it must be >= 1"),
+        ({"retries": -2}, "retries is -2; it must be >= 1"),
+        ({"height": 0}, "height is 0; it must be >= 1"),
+        ({"height": -1}, "height is -1; it must be >= 1"),
+    ], ids=["retries-0", "retries-neg", "height-0", "height-neg"])
+    def test_out_of_range_counts_rejected(self, field, kwargs, message):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        with pytest.raises(RangeViolation, match=message):
+            sample_fiber(q, dims, WeightVec((1, 1)), seed=0, field=field, **kwargs)
+
+    def test_prime_field_ignores_height(self):
+        q, dims = a2_setup(d=(2, 1), v=(1, 1))
+        lam = WeightVec((1, 1))
+        f = PrimeField(3)
+        s = sample_fiber(q, dims, lam, seed=0, field=f, height=0)
+        assert s == sample_fiber(q, dims, lam, seed=0, field=f)
+        with pytest.raises(RangeViolation, match="retries is 0"):
+            sample_fiber(q, dims, lam, seed=0, field=f, retries=0)
+
 
 def moment_differential(s):
     """d mu at s as one matrix: unknowns dB (by arrow), d gamma, d delta; one
@@ -528,3 +552,84 @@ class TestLayout:
         back = split_ab(s, assemble_ab(s, 1), res.a_prime, res.b_prime)
         assert back == res.point
         assert back.dims.v.coords == (res.a_prime.cols, 1)
+
+
+def rebuilt(s):
+    """A copy of s made block by block from fresh Mats, with nothing memoized."""
+    return FramedPoint.build(s.quiver, s.dims, s.field,
+                             lambda blk, r, c: Mat(s.field, r, c, list(s.block(blk)._d)))
+
+
+def neighbours(q, vertex):
+    return {a.h0 for a in q.arrows_into(vertex)} - {vertex}
+
+
+class TestMomentMemo:
+    """`moment_map` memoizes mu_i on the point; `split_ab` carries mu_j over
+    only where every block of q.star[j] is the same object."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+    @pytest.mark.parametrize("name, d, v, lam, word", [
+        ("A1", (3,), (1,), (1,), (1, 1)),
+        ("A2", (2, 1), (1, 1), (1, 2), (1, 2, 2, 1)),
+        ("A3", (1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 2, 3, 3, 2, 1)),
+        ("D4", (1, 1, 1, 2), (1, 2, 1, 2), (1, 2, 1, 1), (1, 2, 3, 4, 2, 1)),
+    ])
+    def test_memo_matches_a_fresh_copy_along_a_word(self, monkeypatch, field, name, d, v, lam, word):
+        q = dynkin_quiver(name)
+        seen = []  # (vertex, point, vertices carried over) per split
+        real = reflection.split_ab
+
+        def recording(s, ab, a2, b2):
+            t = real(s, ab, a2, b2)
+            seen.append((ab.vertex, t, set(t._mu)))
+            return t
+
+        monkeypatch.setattr(reflection, "split_ab", recording)
+        for seed in range(3):
+            seen.clear()
+            s = sample_fiber(q, DimData(WeightVec(d), RootVec(v)), WeightVec(lam),
+                             seed=seed, field=field)
+            reflect_word(s, word, WeightVec(lam))
+            assert len(seen) == len(word)
+            for vertex, t, carried in seen:
+                # every reflected point enters split_ab fully memoized
+                assert carried == set(q.vertices) - {vertex} - neighbours(q, vertex)
+                assert moment_map(t) == moment_map(rebuilt(t))
+
+    def test_stale_memo_cannot_hide_a_moved_block(self, monkeypatch):
+        # a split_ab that also swaps gamma at a vertex two steps away from
+        # the reflected one: that block is a new object, so mu there is
+        # recomputed and the post-check sees the point leave the fiber
+        q = dynkin_quiver("A3")
+        lam = WeightVec((2, 1, 1))
+        s = sample_fiber(q, DimData(WeightVec((1, 1, 1)), RootVec((1, 2, 1))), lam, seed=0)
+        assert not (s.gamma[3] * s.delta[3]).is_zero()
+        real = reflection.split_ab
+
+        def swapping(s, ab, a2, b2):
+            t = real(s, ab, a2, b2)
+            gamma = {**t.gamma, 3: t.gamma[3].scale(2)}
+            u = FramedPoint(t.quiver, t.dims, t.field, t.B, gamma, t.delta)
+            repspace._carry_mu(s, u)
+            assert 3 not in u._mu
+            return u
+
+        monkeypatch.setattr(reflection, "split_ab", swapping)
+        with pytest.raises(AssertionError, match="reflected point is off the reflected fiber"):
+            reflect_point(s, 1, lam)
+
+    def test_returned_dict_is_a_copy(self):
+        s = moment_points("A2-Qi", 1)[0]
+        want = moment_map(rebuilt(s))
+        mu = moment_map(s)
+        mu[1] = Mat.zeros(QQI, 0, 0)
+        del mu[2]
+        assert moment_map(s) == want
+
+    def test_memo_is_not_part_of_the_point(self):
+        s = sample_fiber(dynkin_quiver("A2"), DimData(WeightVec((2, 1)), RootVec((1, 1))),
+                         WeightVec((1, 2)), seed=0)
+        fresh = rebuilt(s)
+        assert s._mu and not fresh._mu
+        assert s == fresh and repr(s) == repr(fresh) and s.to_json() == fresh.to_json()
