@@ -5,16 +5,24 @@ constraints, in order: exactness, determinism, and only then speed (the
 matrices in this project are tiny, but there are many of them).
 
 Kernels are pinned per field:
-  * over Q, `rref` and matmul clear denominators (`_cleared`) and run on
-    plain ints: `rref` is a fraction-free Gauss-Jordan that divides each
-    updated row by its content, and matmul takes one integer dot product per
-    entry; each result entry is built as one Fraction at the end;
-  * over Q(i) and F_p, `rref` is Gauss-Jordan with exact field division
-    (`_rref_field`), and matmul is the plain triple loop;
+  * over Q a matrix stores its entries as ints over one positive
+    denominator, the least one: entry k is `_d[k] / _den` and
+    gcd(_den, *_d) == 1, so equal matrices store equal lists.  Every Q
+    kernel runs on these ints and builds no Fraction: matmul takes one
+    integer dot product per entry over den_a den_b, `rref` is a
+    fraction-free Gauss-Jordan on the stored rows (one denominator scales
+    them all) that divides each updated row by its content, add and sub
+    work over the lcm of the two denominators, and `solve_right` reads its
+    solution off the stored rref.  Only the accessors (`m[r, c]`,
+    `row_list`, `col_list`, `to_lists`, `trace`) hand out Fractions;
+  * over Q(i) and F_p, `_d` holds field elements; `rref` is Gauss-Jordan
+    with exact field division (`_rref_field`), and matmul is the plain
+    triple loop;
   * `det` is fraction-free Bareiss on ints wherever the field has an integer
-    form: over Q on the cleared rows, over F_p on the residues (det is an
-    integer polynomial in the entries, so it commutes with Z -> F_p).  Over
-    Q(i) it is the signed pivot product that `_rref_field` returns.
+    form: over Q on the stored ints, divided by _den^n, and over F_p on the
+    residues (det is an integer polynomial in the entries, so it commutes
+    with Z -> F_p).  Over Q(i) it is the signed pivot product that
+    `_rref_field` returns.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` entry by entry: the coefficient of X[p, q] in (L X R)[i, j] is
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -43,9 +51,11 @@ from .errors import (
 
 
 class Mat:
-    __slots__ = ("field", "rows", "cols", "_d")
+    __slots__ = ("field", "rows", "cols", "_d", "_den")
 
     def __init__(self, field, rows, cols, data):
+        """data: the rows*cols entries, row-major; over Q each an int or a
+        Fraction (WrongField otherwise), elsewhere field elements."""
         if len(data) != rows * cols:
             raise ShapeMismatch(
                 f"need {rows * cols} entries for {rows}x{cols}, got {len(data)}"
@@ -53,22 +63,28 @@ class Mat:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._d = data  # flat, row-major; treated as immutable
+        if field.kind == "Q":
+            for x in data:
+                if not isinstance(x, (int, Fraction)):
+                    raise WrongField(f"cannot hold {x!r} in a matrix over Q")
+            den = lcm(*[x.denominator for x in data])
+            self._d = [x.numerator * (den // x.denominator) for x in data]
+            self._den = den
+        else:
+            self._d = data
+            self._den = None
+        # _d is flat, row-major and treated as immutable
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
+        z, _, den = _units(field)
+        return _mat(field, rows, cols, [z] * (rows * cols), den)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        data = [z] * (n * n)
-        for k in range(n):
-            data[k * n + k] = o
-        return cls(field, n, n, data)
+        return cls.scalar(field, n, 1)
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -85,11 +101,10 @@ class Mat:
     @classmethod
     def scalar(cls, field, n, value):
         """value * identity."""
-        m = cls.zeros(field, n, n)
-        v = field.coerce(value)
-        for k in range(n):
-            m._d[k * n + k] = v
-        return m
+        z, v, den = _units(field, value)
+        data = [z] * (n * n)
+        data[:: n + 1] = [v] * n
+        return _mat(field, n, n, data, den)
 
     @classmethod
     def column(cls, field, entries):
@@ -97,31 +112,55 @@ class Mat:
 
     # -- access --------------------------------------------------------
 
+    def _out(self, xs):
+        """Stored entries xs as field elements."""
+        den = self._den
+        return xs if den is None else [Fraction(x, den) for x in xs]
+
+    def _col(self, c):
+        return self._d[c :: self.cols] if self.cols else []
+
     def __getitem__(self, rc):
         r, c = rc
-        return self._d[r * self.cols + c]
+        x = self._d[r * self.cols + c]
+        return x if self._den is None else Fraction(x, self._den)
 
     def row_list(self, r):
-        return self._d[r * self.cols : (r + 1) * self.cols]
+        return self._out(self._d[r * self.cols : (r + 1) * self.cols])
 
     def col_list(self, c):
-        return self._d[c :: self.cols] if self.cols else []
+        return self._out(self._col(c))
 
     def to_lists(self):
         return [self.row_list(r) for r in range(self.rows)]
 
     def column_vec(self, c):
-        return Mat(self.field, self.rows, 1, self.col_list(c))
+        return _mat(self.field, self.rows, 1, self._col(c), self._den)
 
     def submatrix(self, row_ids, col_ids):
         data = [self._d[r * self.cols + c] for r in row_ids for c in col_ids]
-        return Mat(self.field, len(row_ids), len(col_ids), data)
+        return _mat(self.field, len(row_ids), len(col_ids), data, self._den)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
+        if self._den is not None:
+            return not any(self._d)
         z = self.field.zero()
         return all(x == z for x in self._d)
+
+    def is_scalar(self, value):
+        """self == value * identity, read off the stored diagonal and the
+        zeros around it; no matrix is built."""
+        z, v, den = _units(self.field, value)
+        n = self.rows
+        if self.cols != n:
+            return False
+        if not n:
+            return True
+        d, step = self._d, n + 1
+        return (self._den == den and d[::step] == [v] * n
+                and all(x == z for k in range(n - 1) for x in d[k * step + 1 : (k + 1) * step]))
 
     def shape(self):
         return (self.rows, self.cols)
@@ -133,6 +172,7 @@ class Mat:
             self.field.name == other.field.name
             and self.rows == other.rows
             and self.cols == other.cols
+            and self._den == other._den
             and self._d == other._d
         )
 
@@ -144,30 +184,20 @@ class Mat:
         if self.field.name != other.field.name:
             raise WrongField(f"{self.field.name} vs {other.field.name}")
 
-    def __add__(self, other):
-        self._check_same(other)
+    def _entrywise(self, other, op, what):
+        (a, b), den = _common([self, other])
         if self.shape() != other.shape():
-            raise ShapeMismatch(f"add {self.shape()} vs {other.shape()}")
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self._d, other._d)],
-        )
+            raise ShapeMismatch(f"{what} {self.shape()} vs {other.shape()}")
+        return _mat(self.field, self.rows, self.cols, list(map(op, a, b)), den)
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "add")
 
     def __sub__(self, other):
-        self._check_same(other)
-        if self.shape() != other.shape():
-            raise ShapeMismatch(f"sub {self.shape()} vs {other.shape()}")
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self._d, other._d)],
-        )
+        return self._entrywise(other, sub, "sub")
 
     def __neg__(self):
-        return Mat(self.field, self.rows, self.cols, [-a for a in self._d])
+        return _mat(self.field, self.rows, self.cols, [-a for a in self._d], self._den)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -184,19 +214,15 @@ class Mat:
 
     def _matmul(self, other):
         n, k, m = self.rows, self.cols, other.cols
-        if self.field.kind == "Q" and k and n * k * m > 1:
-            rows = [_cleared(self._d[i * k : (i + 1) * k]) for i in range(n)]
-            cols = [_cleared(other._d[j::m]) for j in range(m)]
-            out = [
-                _fraction(sum(map(mul, ar, bc)), la * lb)
-                for ar, la in rows
-                for bc, lb in cols
-            ]
-            return Mat(self.field, n, m, out)
+        a, b = self._d, other._d
+        if self._den is not None:
+            rows = [a[i * k : (i + 1) * k] for i in range(n)]
+            cols = [b[j::m] for j in range(m)]
+            out = [sum(map(mul, ar, bc)) for ar in rows for bc in cols]
+            return _mat(self.field, n, m, out, self._den * other._den)
         if not k:
             return Mat.zeros(self.field, n, m)
         out = []
-        a, b = self._d, other._d
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
             for j in range(m):
@@ -207,12 +233,14 @@ class Mat:
         return Mat(self.field, n, m, out)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return Mat(self.field, self.rows, self.cols, [c * a for a in self._d])
+        _, c, den = _units(self.field, c)
+        if den is not None:
+            den *= self._den
+        return _mat(self.field, self.rows, self.cols, [c * a for a in self._d], den)
 
     def transpose(self):
         data = [self._d[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return Mat(self.field, self.cols, self.rows, data)
+        return _mat(self.field, self.cols, self.rows, data, self._den)
 
     def conj_transpose(self):
         if not self.field.has_conjugation:
@@ -227,6 +255,8 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare(f"trace of {self.shape()}")
+        if self._den is not None:
+            return Fraction(sum(self._d[:: self.cols + 1]), self._den)
         acc = self.field.zero()
         for k in range(self.rows):
             acc = acc + self._d[k * self.cols + k]
@@ -236,20 +266,57 @@ class Mat:
         return f"Mat({self.field.name}, {self.rows}x{self.cols}, {self.to_lists()!r})"
 
 
+def _units(field, value=1):
+    """(zero, value, den) in stored form: over Q the ints 0 and
+    value.numerator over den = value.denominator, elsewhere the field
+    elements zero and value with den None.  value is coerced into the field;
+    over Q an int or a Fraction is used as it is, so no Fraction is built."""
+    if field.kind == "Q":
+        v = value if isinstance(value, (int, Fraction)) else field.coerce(value)
+        return 0, v.numerator, v.denominator
+    return field.zero(), field.coerce(value), None
+
+
+def _mat(field, rows, cols, data, den):
+    """The Mat with stored entries data: over Q ints over den > 0, brought to
+    lowest terms here; elsewhere field elements, with den None."""
+    if den is not None:
+        g = gcd(den, *data)
+        if g > 1:
+            data = [x // g for x in data]
+            den //= g
+    m = Mat.__new__(Mat)
+    m.field, m.rows, m.cols, m._d, m._den = field, rows, cols, data, den
+    return m
+
+
+def _common(mats):
+    """The stored entries of mats (one field) over one denominator: (list of
+    entry lists, den); over Q den is the lcm of theirs, elsewhere None."""
+    for m in mats[1:]:
+        mats[0]._check_same(m)
+    den = mats[0]._den
+    if den is None:
+        return [m._d for m in mats], None
+    den = lcm(*[m._den for m in mats])
+    return [m._d if m._den == den else [x * (den // m._den) for x in m._d]
+            for m in mats], den
+
+
 def hstack(mats):
     mats = list(mats)
     if not mats:
         raise ShapeMismatch("hstack of nothing")
     rows = mats[0].rows
-    field = mats[0].field
     for m in mats:
         if m.rows != rows:
             raise ShapeMismatch("hstack row mismatch")
+    ds, den = _common(mats)
     data = []
     for r in range(rows):
-        for m in mats:
-            data.extend(m.row_list(r))
-    return Mat(field, rows, sum(m.cols for m in mats), data)
+        for m, d in zip(mats, ds):
+            data.extend(d[r * m.cols : (r + 1) * m.cols])
+    return _mat(mats[0].field, rows, sum(m.cols for m in mats), data, den)
 
 
 def vstack(mats):
@@ -257,32 +324,16 @@ def vstack(mats):
     if not mats:
         raise ShapeMismatch("vstack of nothing")
     cols = mats[0].cols
-    field = mats[0].field
-    data = []
     for m in mats:
         if m.cols != cols:
             raise ShapeMismatch("vstack col mismatch")
-        data.extend(m._d)
-    return Mat(field, sum(m.rows for m in mats), cols, data)
+    ds, den = _common(mats)
+    return _mat(mats[0].field, sum(m.rows for m in mats), cols, [x for d in ds for x in d], den)
 
 
 def block(grid):
     """Assemble a matrix from a 2d grid of blocks (lists of lists of Mat)."""
     return vstack([hstack(row) for row in grid])
-
-
-_ZERO = Fraction(0)
-
-
-def _fraction(x, den):
-    return Fraction(x, den) if x else _ZERO
-
-
-def _cleared(xs):
-    """Rationals xs as (ints, l) with xs[k] == ints[k] / l, l the lcm of the
-    denominators."""
-    l = lcm(*{x.denominator for x in xs})
-    return [x.numerator * (l // x.denominator) for x in xs], l
 
 
 def _rref_int(m, ncols):
@@ -367,21 +418,24 @@ def _rref_field(m, field):
 
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot column tuple)."""
-    if a.field.kind == "Q":
-        m = [_cleared(a.row_list(r))[0] for r in range(a.rows)]
-        pivots = _rref_int(m, a.cols)
+    if a._den is not None:
+        # the stored rows are the rows of a times _den, with the same rref;
+        # row r of it is m[r] / m[r][pivots[r]], put over the lcm of the pivots
+        n = a.cols
+        m = [a._d[r * n : (r + 1) * n] for r in range(a.rows)]
+        pivots = _rref_int(m, n)
+        den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
         data = []
         for r, row in enumerate(m):
             if r < len(pivots):
-                pv = row[pivots[r]]
-                data.extend(_fraction(x, pv) for x in row)
+                s = den // row[pivots[r]]
+                data.extend([x * s for x in row])
             else:
-                data.extend([_ZERO] * a.cols)
-    else:
-        m = a.to_lists()
-        pivots, _ = _rref_field(m, a.field)
-        data = [x for row in m for x in row]
-    return Mat(a.field, a.rows, a.cols, data), tuple(pivots)
+                data.extend([0] * n)
+        return _mat(a.field, a.rows, n, data, den), tuple(pivots)
+    m = a.to_lists()
+    pivots, _ = _rref_field(m, a.field)
+    return Mat(a.field, a.rows, a.cols, [x for row in m for x in row]), tuple(pivots)
 
 
 def rank(a):
@@ -392,19 +446,23 @@ def _kernel_from_rref(R, pivots, ncols):
     """Kernel basis of the first ncols columns of a reduced echelon form.
 
     Deterministic: one vector per free column, free coordinate set to 1,
-    pivot coordinates read off R.
+    pivot coordinates read off R.  Over Q the vectors are stored over R's
+    denominator, where 1 is R._den.
     """
-    field = R.field
+    z, one, den = _units(R.field)
+    if den is not None:
+        one = den = R._den
+    d, n = R._d, R.cols
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
+        vec = [z] * ncols
+        vec[f] = one
         for r, p in enumerate(pivots):
-            vec[p] = -R[r, f]
-        basis.append(Mat.column(field, vec))
+            vec[p] = -d[r * n + f]
+        basis.append(_mat(R.field, ncols, 1, vec, den))
     return basis
 
 
@@ -435,13 +493,12 @@ def solve_right(a, c):
     for p in pivots:
         if p >= a.cols:
             raise NoSolution("inconsistent linear system")
-    field = a.field
-    x = [[field.zero()] * c.cols for _ in range(a.cols)]
+    n, k, w = a.cols, c.cols, R.cols
+    x = [_units(a.field)[0]] * (n * k)
     for r, p in enumerate(pivots):
-        for j in range(c.cols):
-            x[p][j] = R[r, a.cols + j]
-    part = Mat.from_rows(field, x) if a.cols else Mat.zeros(field, 0, c.cols)
-    return SolveResult(part, _kernel_from_rref(R, pivots, a.cols))
+        x[p * k : (p + 1) * k] = R._d[r * w + n : (r + 1) * w]
+    part = _mat(a.field, n, k, x, R._den)
+    return SolveResult(part, _kernel_from_rref(R, pivots, n))
 
 
 def kron(a, b):
@@ -452,12 +509,13 @@ def kron(a, b):
     a._check_same(b)
     data = []
     for i in range(a.rows):
-        arow = a.row_list(i)
+        arow = a._d[i * a.cols : (i + 1) * a.cols]
         for k in range(b.rows):
-            brow = b.row_list(k)
+            brow = b._d[k * b.cols : (k + 1) * b.cols]
             for x in arow:
                 data.extend(x * y for y in brow)
-    return Mat(a.field, a.rows * b.rows, a.cols * b.cols, data)
+    den = None if a._den is None else a._den * b._den
+    return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, den)
 
 
 class BlockSystem:
@@ -468,7 +526,9 @@ class BlockSystem:
     the entries of its C.  A term (L, key, R) contributes kron(L, R^T) in the
     equation's rows and the unknown's columns; L or R None is the identity.
     `matrix` fills these entries one by one, skipping zero entries of L's
-    rows and R's columns, and builds no identity, transpose or kron.
+    rows and R's columns, and builds no identity, transpose or kron.  Over Q
+    it works on stored ints: the system is put over the lcm of every term's
+    den(L) den(R) and every C's denominator.
     """
 
     def __init__(self, field):
@@ -494,21 +554,31 @@ class BlockSystem:
     def matrix(self):
         """The assembled coefficient matrix A and right-hand side column c."""
         field = self.field
-        z, one = field.zero(), field.one()
+        z, one, den = _units(field)
+        if den is not None:
+            den = lcm(*[c._den for _, c in self._eqs],
+                      *[(1 if L is None else L._den) * (1 if R is None else R._den)
+                        for terms, _ in self._eqs for L, _, R in terms])
         rows, rhs = [], []
         for terms, c in self._eqs:
             n = c.cols
             eq = [[z] * self.cols for _ in range(c.rows * n)]
             for L, key, R in terms:
                 off, xr, xc = self.blocks[key]
+                # over Q, t brings this term's products of stored ints to den;
+                # it rides on L's entries, or stands for L when L is None
+                t = None
+                if den is not None:
+                    t = den // ((1 if L is None else L._den) * (1 if R is None else R._den))
                 # entry (i, j) of L X R is the sum of L[i, p] R[q, j] X[p, q];
                 # a None factor stands for the identity, with the one p = i
                 # or q = j and no coefficient (None) of its own
-                lrows = ([[(i, None)] for i in range(xr)] if L is None else
-                         [[(p, x) for p, x in enumerate(L.row_list(i)) if x != z]
+                lrows = ([[(i, t)] for i in range(xr)] if L is None else
+                         [[(p, x if t is None else x * t)
+                           for p, x in enumerate(L._d[i * L.cols : (i + 1) * L.cols]) if x != z]
                           for i in range(L.rows)])
                 rcols = ([[(j, None)] for j in range(xc)] if R is None else
-                         [[(q, y) for q, y in enumerate(R.col_list(j)) if y != z]
+                         [[(q, y) for q, y in enumerate(R._col(j)) if y != z]
                           for j in range(n)])
                 for i, lrow in enumerate(lrows):
                     for j, rcol in enumerate(rcols):
@@ -523,16 +593,16 @@ class BlockSystem:
                                     coef = x if y is None else x * y
                                 row[k] = row[k] + coef
             rows.extend(eq)
-            rhs.extend(c._d)
+            rhs.extend(c._d if den is None else [y * (den // c._den) for y in c._d])
         return (
-            Mat(field, len(rows), self.cols, [x for row in rows for x in row]),
-            Mat(field, len(rhs), 1, rhs),
+            _mat(field, len(rows), self.cols, [x for row in rows for x in row], den),
+            _mat(field, len(rhs), 1, rhs, den),
         )
 
     def _split(self, x):
         """A solution column as {key: block}."""
         return {
-            key: Mat(self.field, r, c, x._d[off : off + r * c])
+            key: _mat(self.field, r, c, x._d[off : off + r * c], x._den)
             for key, (off, r, c) in self.blocks.items()
         }
 
@@ -577,14 +647,9 @@ def det(a):
         return a.field.one()
     if n == 1:
         return a[0, 0]
-    if a.field.kind == "Q":
-        scale = 1
-        m = []
-        for r in range(n):
-            row, l = _cleared(a.row_list(r))
-            scale *= l
-            m.append(row)
-        return Fraction(_det_bareiss_int(m), scale)
+    if a._den is not None:
+        m = [a._d[r * n : (r + 1) * n] for r in range(n)]
+        return Fraction(_det_bareiss_int(m), a._den ** n)
     if a.field.kind == "Fp":
         m = [[x.val for x in a.row_list(r)] for r in range(n)]
         return a.field.from_int(_det_bareiss_int(m))

@@ -438,7 +438,7 @@ def j_embed(s: FramedPoint, v_target: RootVec) -> FramedPoint:
 
     def pad(blk, r, c):
         mat = s.block(blk)
-        data = list(Mat.zeros(field, r, c)._d)
+        data = [field.zero()] * (r * c)
         for i in range(mat.rows):
             for j in range(mat.cols):
                 data[i * c + j] = mat[i, j]

@@ -282,12 +282,7 @@ def moment_matches(s: FramedPoint, lam: WeightVec) -> bool:
     q = s.quiver
     _check_len(q, lam, "lambda")
     mu = moment_map(s)
-    for vert in q.vertices:
-        vi = s.dims.v_of(q, vert)
-        want = Mat.scalar(s.field, vi, s.field.coerce(lam[q.vertex_index(vert)]))
-        if mu[vert] != want:
-            return False
-    return True
+    return all(mu[vert].is_scalar(lam[q.vertex_index(vert)]) for vert in q.vertices)
 
 
 def _block_inverse(m, what):

@@ -39,8 +39,9 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     """
     cd = cartan_data(q)
     n = cd.n
-    if len(v_prime) != n or len(v) != n or len(d) != n:
-        raise RangeViolation("vector length does not match the quiver")
+    for nm, vec in (("d", d), ("v", v), ("v_prime", v_prime)):
+        if len(vec) != n:
+            raise RangeViolation(f"{nm} has length {len(vec)}, quiver has {n} vertices")
     dims = DimData(d, v)
     dims.check(q)  # names a negative entry of d or v before the v' bounds
     for k in range(n):

@@ -294,6 +294,12 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "csv" in err
 
+    def test_strata_v_prime_length(self, capsys):
+        code, out, err = invoke(capsys, "strata", "--quiver", "A2", "--d", "1,1", "--v", "1,1",
+                                "--v-prime", "0,1,1")
+        assert code == 1 and out == ""
+        assert "v_prime has length 3, quiver has 2 vertices" in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -12,11 +12,13 @@ it counts that enumeration.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from quiverlab import (
     QQ,
+    BlockSystem,
     DimData,
     FramedPoint,
     GroupElement,
@@ -29,6 +31,7 @@ from quiverlab import (
     doubled_quiver,
     dynkin_quiver,
     group_act,
+    hstack,
     limit_project,
     linalg,
     moment_map,
@@ -37,10 +40,13 @@ from quiverlab import (
     paths,
     random_group,
     random_invertible,
+    random_matrix,
     reflect_point,
     reflect_word,
     reflection,
+    rref,
     sample_fiber,
+    solve_right,
 )
 from util import a1_point, a1_setup, mat
 
@@ -244,3 +250,35 @@ def test_count_visits_b_and_gamma_only(monkeypatch):
     res = count_points_Fq(q, DimData(WeightVec((2,)), RootVec((1,))), WeightVec((0,)), 7)
     assert res.total == 385
     assert len(builds) == 7 ** 2
+
+
+def test_q_kernels_build_no_fraction(monkeypatch):
+    # over Q a matrix stores ints over one denominator: products, eliminations,
+    # solves and block-system assembly never box an entry as a Fraction
+    rng = random.Random(41)
+    a = random_matrix(QQ, 4, 3, rng, 9)
+    b = random_matrix(QQ, 3, 5, rng, 9)
+    c = a * random_matrix(QQ, 3, 2, rng, 9)
+    system = BlockSystem(QQ)
+    system.unknown("x", 3, 3)
+    left, right = a.submatrix(range(3), range(3)), b.submatrix(range(3), range(3))
+    system.equation([(left, "x", None), (None, "x", right), (left, "x", right)],
+                    random_matrix(QQ, 3, 3, rng, 9))
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    a[0, 0]
+    assert len(built) == 1  # the accessors do build Fractions
+    built.clear()
+    a * b
+    rref(hstack([a, c]))
+    sol = solve_right(a, c)
+    system.matrix()
+    system.solve()
+    assert built == []
+    assert a * sol.particular == c

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from quiverlab import (
 )
 from quiverlab import DimData, RootVec, WeightVec, dynkin_quiver, group_act, hom_space, linalg
 from quiverlab import random_group, sample_fiber
-from util import mat
+from util import entries, mat
 
 
 class TestMatBasics:
@@ -339,11 +340,11 @@ class TestKron:
             L = random_matrix(QQ, p, m, rng, 5)
             X = random_matrix(QQ, m, n, rng, 5)
             R = random_matrix(QQ, n, q, rng, 5)
-            vec_x = Mat(QQ, m * n, 1, list(X._d))
+            vec_x = Mat(QQ, m * n, 1, entries(X))
             lhs = kron(L, R.transpose()) * vec_x
-            assert lhs._d == (L * X * R)._d  # row-major vec of L X R
+            assert entries(lhs) == entries(L * X * R)  # row-major vec of L X R
             nL, nX, nR = (np.array(M.to_lists(), dtype=object) for M in (L, X, R))
-            assert lhs._d == list(np.kron(nL, nR.T).dot(nX.reshape(-1)))
+            assert entries(lhs) == list(np.kron(nL, nR.T).dot(nX.reshape(-1)))
 
     def test_field_mismatch(self):
         with pytest.raises(WrongField):
@@ -418,7 +419,7 @@ def kron_assembled(system):
                     if y != z:
                         row[j] = row[j] + y
         rows.extend(eq)
-        rhs.extend(c._d)
+        rhs.extend(entries(c))
     return (Mat(f, len(rows), system.cols, [x for row in rows for x in row]),
             Mat(f, len(rhs), 1, rhs))
 
@@ -526,7 +527,7 @@ def q_cases(seed, count=40):
             mid = rng.randint(0, min(rows, cols) - 1) if min(rows, cols) > 1 else 0
             a = rand_q(rng, rows, mid, height) * rand_q(rng, mid, cols, height)
         if k % 5 == 2:  # a zero row and a zero column
-            d = list(a._d)
+            d = entries(a)
             r0, c0 = rng.randrange(rows), rng.randrange(cols)
             for j in range(cols):
                 d[r0 * cols + j] = Fraction(0)
@@ -621,7 +622,7 @@ class TestQKernelsAgainstFieldElimination:
             b = rand_q(rng, inner, m, height, rng.choice((0.3, 1.0)))
             want = [sum((a[i, t] * b[t, j] for t in range(inner)), Fraction(0))
                     for i in range(n) for j in range(m)]
-            assert (a * b)._d == want
+            assert entries(a * b) == want
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_det(self, seed):
@@ -647,7 +648,7 @@ class TestQKernelsAgainstFieldElimination:
 class TestQKernelsAgainstSympy:
     @staticmethod
     def to_sympy(sp, a):
-        return sp.Matrix(a.rows, a.cols, [sp.Rational(x.numerator, x.denominator) for x in a._d])
+        return sp.Matrix(a.rows, a.cols, [sp.Rational(x.numerator, x.denominator) for x in entries(a)])
 
     @staticmethod
     def from_sympy(a):
@@ -657,10 +658,10 @@ class TestQKernelsAgainstSympy:
         R, piv = rref(a)
         S, spiv = self.to_sympy(sp, a).rref()
         assert piv == spiv
-        assert R._d == self.from_sympy(S)
+        assert entries(R) == self.from_sympy(S)
         assert rank(a) == len(spiv)
         null = self.to_sympy(sp, a).nullspace()
-        assert [k._d for k in kernel_basis(a)] == [self.from_sympy(v) for v in null]
+        assert [entries(k) for k in kernel_basis(a)] == [self.from_sympy(v) for v in null]
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_rref_rank_kernel(self, seed):
@@ -682,7 +683,7 @@ class TestQKernelsAgainstSympy:
             height = (9, 10**6)[k % 2]
             a = rand_q(rng, n, inner, height)
             b = rand_q(rng, inner, n, height)
-            assert (a * b)._d == self.from_sympy(self.to_sympy(sp, a) * self.to_sympy(sp, b))
+            assert entries(a * b) == self.from_sympy(self.to_sympy(sp, a) * self.to_sympy(sp, b))
             d = self.to_sympy(sp, a * b).det()
             assert det(a * b) == Fraction(int(d.p), int(d.q))
 
@@ -791,8 +792,7 @@ def greedy_completion(cols):
     for j in range(n):
         if work.cols == n:
             break
-        e = Mat.zeros(field, n, 1)
-        e._d[j] = field.one()
+        e = Mat(field, n, 1, [field.one() if i == j else field.zero() for i in range(n)])
         cand = hstack([work, e])
         if rank(cand) > work.cols:
             work = cand
@@ -820,3 +820,136 @@ class TestCompleteToBasisAgainstGreedy:
                      mat(QQ, [[1, 0, 1], [0, 1, 1]])):
             with pytest.raises(ShapeMismatch, match="columns to complete are dependent"):
                 complete_to_basis(cols)
+
+
+# -- the stored form over Q: ints over the least common denominator ------------
+
+
+def assert_canonical(m):
+    """m over Q stores ints over the lcm of its entries' reduced denominators,
+    so gcd(_den, *_d) == 1, and those ints over _den are its entries."""
+    xs = entries(m)
+    assert type(m._den) is int and m._den == lcm(*(x.denominator for x in xs))
+    assert all(type(x) is int for x in m._d)
+    assert [Fraction(x, m._den) for x in m._d] == xs
+
+
+def stored_form_cases(seed):
+    """Q matrices from every constructor: random, zero and empty shapes,
+    identities and scalars, and entries whose denominators cancel."""
+    rng = random.Random(seed)
+    out = [Mat.zeros(QQ, r, c) for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]]
+    out += [Mat.identity(QQ, n) for n in (0, 1, 3)]
+    out += [Mat.scalar(QQ, 2, x) for x in (0, 5, Fraction(-3, 4), Fraction(6, 3))]
+    out += [mat(QQ, [[Fraction(1, 2), Fraction(1, 2)]]), mat(QQ, [[Fraction(2, 4), 3]]),
+            Mat.column(QQ, [Fraction(1, 6), Fraction(1, 10)]), Mat.from_rows(QQ, [[0, 0], [0, 0]])]
+    for k in range(20):
+        out.append(rand_q(rng, rng.randint(1, 4), rng.randint(1, 4), (1, 9, 10**6)[k % 3],
+                          rng.choice((0.3, 1.0))))
+    return out
+
+
+class TestQStoredForm:
+    def test_constructors(self):
+        for m in stored_form_cases(31):
+            assert_canonical(m)
+        assert Mat.zeros(QQ, 2, 3)._den == 1 and Mat.scalar(QQ, 2, Fraction(3, 4))._den == 4
+
+    def test_every_operation(self):
+        rng = random.Random(32)
+        cases = [m for m in stored_form_cases(33) if m.rows and m.cols]
+        for a in cases:
+            b = rand_q(rng, a.rows, a.cols, 9)
+            c = rand_q(rng, a.cols, rng.randint(1, 3), 9)
+            ops = [a + b, a - b, a - a, a + (-a), -a, a.scale(0), a.scale(Fraction(2, 3)),
+                   a.scale(a._den), a * c, a * Mat.scalar(QQ, a.cols, a._den), a.transpose(),
+                   a.submatrix([0], range(a.cols)), a.column_vec(a.cols - 1),
+                   hstack([a, b]), vstack([a, b]), kron(a, c), rref(a)[0],
+                   *kernel_basis(a)]
+            sol = solve_right(a, a * c)
+            ops += [sol.particular, *sol.homogeneous]
+            if is_invertible(a):
+                ops.append(inverse(a))
+            for m in ops:
+                assert_canonical(m)
+        assert (cases[0] - cases[0])._den == 1
+
+    def test_block_system_matrix(self):
+        rng = random.Random(34)
+        for _ in range(30):
+            system = BlockSystem(QQ)
+            system.unknown("x", 2, 2)
+            system.unknown("y", 1, 2)
+            system.equation([(rand_q(rng, 2, 2, 9), "x", None), (None, "x", rand_q(rng, 2, 2, 9))],
+                            rand_q(rng, 2, 2, 9))
+            system.equation([(rand_q(rng, 1, 2, 9), "x", rand_q(rng, 2, 2, 9)), (None, "y", None)],
+                            rand_q(rng, 1, 2, 9))
+            A, c = system.matrix()
+            assert_canonical(A)
+            assert_canonical(c)
+            assert (A, c) == kron_assembled(system)
+
+    def test_equal_values_by_different_routes(self):
+        rng = random.Random(35)
+        for a in stored_form_cases(36):
+            b = rand_q(rng, a.rows, a.cols, 9)
+            assert (a + b) - b == a
+            assert a.scale(3).scale(Fraction(1, 3)) == a
+            assert Mat(QQ, a.rows, a.cols, entries(a)) == a
+            assert a.transpose().transpose() == a
+            assert hstack([a.submatrix(range(a.rows), [j]) for j in range(a.cols)] or [a]) == a
+            assert a * Mat.identity(QQ, a.cols) == a
+        half = Fraction(1, 2)
+        assert mat(QQ, [[half, 1]]) == Mat.from_rows(QQ, [[Fraction(2, 4), Fraction(3, 3)]])
+        assert mat(QQ, [[half]]) * mat(QQ, [[2]]) == Mat.identity(QQ, 1)
+        assert Mat.scalar(QQ, 2, half) + Mat.scalar(QQ, 2, half) == Mat.identity(QQ, 2)
+
+    def test_unequal_values_compare_unequal(self):
+        half = Fraction(1, 2)
+        a = mat(QQ, [[half, 1], [0, 2]])
+        assert mat(QQ, [[half]]) != mat(QQ, [[1]])  # the same stored int, another denominator
+        assert a != a.scale(2) and a != a.transpose() and a != -a
+        assert a != mat(QQ, [[half, 1], [0, Fraction(5, 2)]])
+        assert mat(QQ, [[1, 2]]) != mat(QQ, [[1], [2]])  # the same entries, another shape
+        assert Mat.zeros(QQ, 0, 2) != Mat.zeros(QQ, 2, 0)
+        assert Mat.identity(QQ, 2) != Mat.identity(PrimeField(7), 2)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/3", 1.0, None, 1j, QQI.one()])
+    def test_rejects_non_rationals(self, bad):
+        with pytest.raises(WrongField):
+            Mat(QQ, 1, 2, [Fraction(1, 3), bad])
+        with pytest.raises(WrongField):
+            Mat.scalar(QQ, 2, bad)
+        with pytest.raises(WrongField):
+            Mat.identity(QQ, 2).is_scalar(bad)
+
+    def test_float_and_string_are_not_held(self):
+        # such a matrix used to construct and then add entry by entry
+        # ("1/3" + "1/3" == "1/31/3")
+        with pytest.raises(WrongField, match="cannot hold 0.5"):
+            Mat(QQ, 1, 2, [0.5, "1/3"])
+
+
+class TestIsScalar:
+    @pytest.mark.parametrize("field", [QQ, QQI, PrimeField(5)], ids=["Q", "Qi", "F5"])
+    def test_against_the_scalar_matrix(self, field):
+        rng = random.Random(37)
+        values = [0, 1, 2, -3] + ([Fraction(1, 2), Fraction(-2, 3)] if field.kind != "Fp" else [])
+        for _ in range(200):
+            n = rng.randint(0, 3)
+            c = rng.choice(values)
+            m = Mat.scalar(field, n, c)
+            if rng.random() < 0.7 and n:  # disturb one entry
+                d = entries(m)
+                k = rng.randrange(n * n)
+                d[k] = d[k] + field.coerce(rng.choice([1, -1, 2]))
+                m = Mat(field, n, n, d)
+            for value in values:
+                assert m.is_scalar(value) == (m == Mat.scalar(field, n, value))
+
+    def test_shapes(self):
+        assert Mat.zeros(QQ, 0, 0).is_scalar(5)
+        assert not Mat.zeros(QQ, 1, 2).is_scalar(0)
+        assert not Mat.zeros(QQ, 0, 1).is_scalar(0)
+        assert Mat.scalar(QQ, 3, Fraction(3, 2)).is_scalar(Fraction(3, 2))
+        assert not Mat.scalar(QQ, 3, Fraction(3, 2)).is_scalar(3)

@@ -42,7 +42,7 @@ from quiverlab import (
     split_ab,
     stratum_dimension,
 )
-from util import MOMENT_POINTS, a1_point, a1_setup, a2_setup, mat, moment_points
+from util import MOMENT_POINTS, a1_point, a1_setup, a2_setup, entries, mat, moment_points
 
 QUIVERS = ["A1", "A2", "A3", "D4"]
 
@@ -400,9 +400,9 @@ class TestMomentDifferential:
         s = sample_fiber(q, dims, WeightVec((1, 3)), seed=4)
         x = FramedPoint.random(q, dims, QQ, rng, 4)
         col = Mat(QQ, dims.space_dimension(q), 1, [
-            e for a in q.arrows for e in x.B[a.id]._d
+            e for a in q.arrows for e in entries(x.B[a.id])
         ] + [
-            e for vert in q.vertices for e in x.gamma[vert]._d + x.delta[vert]._d
+            e for vert in q.vertices for e in entries(x.gamma[vert]) + entries(x.delta[vert])
         ])
         got = moment_differential(s) * col
         mu_s, mu_x = moment_map(s), moment_map(x)
@@ -412,8 +412,8 @@ class TestMomentDifferential:
                            {v: s.delta[v] + x.delta[v] for v in s.delta})
         mu_sum = moment_map(both)
         want = [e for vert in q.vertices
-                for e in (mu_sum[vert] - mu_s[vert] - mu_x[vert])._d]
-        assert got._d == want
+                for e in entries(mu_sum[vert] - mu_s[vert] - mu_x[vert])]
+        assert entries(got) == want
 
 
 class TestSerialization:
@@ -557,7 +557,7 @@ class TestLayout:
 def rebuilt(s):
     """A copy of s made block by block from fresh Mats, with nothing memoized."""
     return FramedPoint.build(s.quiver, s.dims, s.field,
-                             lambda blk, r, c: Mat(s.field, r, c, list(s.block(blk)._d)))
+                             lambda blk, r, c: Mat(s.field, r, c, entries(s.block(blk))))
 
 
 def neighbours(q, vertex):

@@ -77,6 +77,15 @@ class TestStratumDimension:
         with pytest.raises(RangeViolation):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((0, 0)))
 
+    @pytest.mark.parametrize("d, v, v_prime, message", [
+        ((1,), (1, 1), (0, 1), "d has length 1, quiver has 2 vertices"),
+        ((1, 1), (1, 1, 0), (0, 1), "v has length 3, quiver has 2 vertices"),
+        ((1, 1), (1, 1), (0, 1, 1), "v_prime has length 3, quiver has 2 vertices"),
+    ], ids=["d", "v", "v_prime"])
+    def test_length_error_names_the_vector(self, d, v, v_prime, message):
+        with pytest.raises(RangeViolation, match=f"^{message}$"):
+            stratum_dimension(dynkin_quiver("A2"), WeightVec(d), RootVec(v), RootVec(v_prime))
+
 
 class TestCodimReport:
     def test_dominant_case(self):

@@ -17,6 +17,11 @@ def mat(field, rows):
     return ql.Mat(field, nr, nc, data)
 
 
+def entries(m):
+    """The entries of m as field elements, flat and row-major."""
+    return [x for r in range(m.rows) for x in m.row_list(r)]
+
+
 def frac(a, b=1):
     return Fraction(a, b)
 
