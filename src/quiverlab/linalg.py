@@ -79,7 +79,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z, _, den = _units(field)
+        z, den = _zero(field)
         return _mat(field, rows, cols, [z] * (rows * cols), den)
 
     @classmethod
@@ -101,7 +101,8 @@ class Mat:
     @classmethod
     def scalar(cls, field, n, value):
         """value * identity."""
-        z, v, den = _units(field, value)
+        z, _ = _zero(field)
+        v, den = _stored(field, value)
         data = [z] * (n * n)
         data[:: n + 1] = [v] * n
         return _mat(field, n, n, data, den)
@@ -119,6 +120,11 @@ class Mat:
 
     def _col(self, c):
         return self._d[c :: self.cols] if self.cols else []
+
+    def _rows(self):
+        """The stored rows, as new lists."""
+        n = self.cols
+        return [self._d[r * n : (r + 1) * n] for r in range(self.rows)]
 
     def __getitem__(self, rc):
         r, c = rc
@@ -152,7 +158,8 @@ class Mat:
     def is_scalar(self, value):
         """self == value * identity, read off the stored diagonal and the
         zeros around it; no matrix is built."""
-        z, v, den = _units(self.field, value)
+        z, _ = _zero(self.field)
+        v, den = _stored(self.field, value)
         n = self.rows
         if self.cols != n:
             return False
@@ -185,9 +192,12 @@ class Mat:
             raise WrongField(f"{self.field.name} vs {other.field.name}")
 
     def _entrywise(self, other, op, what):
-        (a, b), den = _common([self, other])
+        self._check_same(other)
         if self.shape() != other.shape():
             raise ShapeMismatch(f"{what} {self.shape()} vs {other.shape()}")
+        a, b, den = self._d, other._d, self._den
+        if other._den != den:
+            (a, b), den = _common([self, other])
         return _mat(self.field, self.rows, self.cols, list(map(op, a, b)), den)
 
     def __add__(self, other):
@@ -216,9 +226,8 @@ class Mat:
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._d, other._d
         if self._den is not None:
-            rows = [a[i * k : (i + 1) * k] for i in range(n)]
             cols = [b[j::m] for j in range(m)]
-            out = [sum(map(mul, ar, bc)) for ar in rows for bc in cols]
+            out = [sum(map(mul, ar, bc)) for ar in self._rows() for bc in cols]
             return _mat(self.field, n, m, out, self._den * other._den)
         if not k:
             return Mat.zeros(self.field, n, m)
@@ -233,8 +242,10 @@ class Mat:
         return Mat(self.field, n, m, out)
 
     def scale(self, c):
-        _, c, den = _units(self.field, c)
-        if den is not None:
+        if self._den is None:
+            c, den = self.field.coerce(c), None
+        else:
+            c, den = _stored(self.field, c)
             den *= self._den
         return _mat(self.field, self.rows, self.cols, [c * a for a in self._d], den)
 
@@ -266,15 +277,20 @@ class Mat:
         return f"Mat({self.field.name}, {self.rows}x{self.cols}, {self.to_lists()!r})"
 
 
-def _units(field, value=1):
-    """(zero, value, den) in stored form: over Q the ints 0 and
-    value.numerator over den = value.denominator, elsewhere the field
-    elements zero and value with den None.  value is coerced into the field;
-    over Q an int or a Fraction is used as it is, so no Fraction is built."""
+def _zero(field):
+    """(zero, den): the stored zero of field and its denominator, the int 0
+    over 1 over Q, elsewhere the field's zero and None."""
+    return (0, 1) if field.kind == "Q" else (field.zero(), None)
+
+
+def _stored(field, value):
+    """(value, den): value coerced into field, in stored form; over Q its
+    numerator over its denominator, elsewhere the field element and None.
+    Over Q an int or a Fraction is used as it is, so no Fraction is built."""
     if field.kind == "Q":
         v = value if isinstance(value, (int, Fraction)) else field.coerce(value)
-        return 0, v.numerator, v.denominator
-    return field.zero(), field.coerce(value), None
+        return v.numerator, v.denominator
+    return field.coerce(value), None
 
 
 def _mat(field, rows, cols, data, den):
@@ -285,19 +301,26 @@ def _mat(field, rows, cols, data, den):
         if g > 1:
             data = [x // g for x in data]
             den //= g
-    m = Mat.__new__(Mat)
-    m.field, m.rows, m.cols, m._d, m._den = field, rows, cols, data, den
+    m = object.__new__(Mat)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m._d = data
+    m._den = den
     return m
 
 
 def _common(mats):
     """The stored entries of mats (one field) over one denominator: (list of
     entry lists, den); over Q den is the lcm of theirs, elsewhere None."""
-    for m in mats[1:]:
-        mats[0]._check_same(m)
-    den = mats[0]._den
-    if den is None:
-        return [m._d for m in mats], None
+    name = mats[0].field.name
+    ds = []
+    for m in mats:
+        if m.field.name != name:
+            raise WrongField(f"{name} vs {m.field.name}")
+        ds.append(m._d)
+    if mats[0]._den is None:
+        return ds, None
     den = lcm(*[m._den for m in mats])
     return [m._d if m._den == den else [x * (den // m._den) for x in m._d]
             for m in mats], den
@@ -328,7 +351,10 @@ def vstack(mats):
         if m.cols != cols:
             raise ShapeMismatch("vstack col mismatch")
     ds, den = _common(mats)
-    return _mat(mats[0].field, sum(m.rows for m in mats), cols, [x for d in ds for x in d], den)
+    data = []
+    for d in ds:
+        data.extend(d)
+    return _mat(mats[0].field, sum(m.rows for m in mats), cols, data, den)
 
 
 def block(grid):
@@ -418,11 +444,11 @@ def _rref_field(m, field):
 
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot column tuple)."""
+    m = a._rows()
+    n = a.cols
     if a._den is not None:
         # the stored rows are the rows of a times _den, with the same rref;
         # row r of it is m[r] / m[r][pivots[r]], put over the lcm of the pivots
-        n = a.cols
-        m = [a._d[r * n : (r + 1) * n] for r in range(a.rows)]
         pivots = _rref_int(m, n)
         den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
         data = []
@@ -433,9 +459,8 @@ def rref(a):
             else:
                 data.extend([0] * n)
         return _mat(a.field, a.rows, n, data, den), tuple(pivots)
-    m = a.to_lists()
     pivots, _ = _rref_field(m, a.field)
-    return Mat(a.field, a.rows, a.cols, [x for row in m for x in row]), tuple(pivots)
+    return Mat(a.field, a.rows, n, [x for row in m for x in row]), tuple(pivots)
 
 
 def rank(a):
@@ -449,9 +474,9 @@ def _kernel_from_rref(R, pivots, ncols):
     pivot coordinates read off R.  Over Q the vectors are stored over R's
     denominator, where 1 is R._den.
     """
-    z, one, den = _units(R.field)
-    if den is not None:
-        one = den = R._den
+    z, _ = _zero(R.field)
+    den = R._den
+    one = R.field.one() if den is None else den
     d, n = R._d, R.cols
     pivset = set(pivots)
     basis = []
@@ -494,7 +519,7 @@ def solve_right(a, c):
         if p >= a.cols:
             raise NoSolution("inconsistent linear system")
     n, k, w = a.cols, c.cols, R.cols
-    x = [_units(a.field)[0]] * (n * k)
+    x = [_zero(a.field)[0]] * (n * k)
     for r, p in enumerate(pivots):
         x[p * k : (p + 1) * k] = R._d[r * w + n : (r + 1) * w]
     part = _mat(a.field, n, k, x, R._den)
@@ -554,7 +579,8 @@ class BlockSystem:
     def matrix(self):
         """The assembled coefficient matrix A and right-hand side column c."""
         field = self.field
-        z, one, den = _units(field)
+        z, den = _zero(field)
+        one, _ = _stored(field, 1)
         if den is not None:
             den = lcm(*[c._den for _, c in self._eqs],
                       *[(1 if L is None else L._den) * (1 if R is None else R._den)
@@ -647,13 +673,12 @@ def det(a):
         return a.field.one()
     if n == 1:
         return a[0, 0]
+    m = a._rows()
     if a._den is not None:
-        m = [a._d[r * n : (r + 1) * n] for r in range(n)]
         return Fraction(_det_bareiss_int(m), a._den ** n)
     if a.field.kind == "Fp":
-        m = [[x.val for x in a.row_list(r)] for r in range(n)]
-        return a.field.from_int(_det_bareiss_int(m))
-    pivots, d = _rref_field(a.to_lists(), a.field)
+        return a.field.from_int(_det_bareiss_int([[x.val for x in row] for row in m]))
+    pivots, d = _rref_field(m, a.field)
     return d if len(pivots) == n else a.field.zero()
 
 
