@@ -5,24 +5,25 @@ constraints, in order: exactness, determinism, and only then speed (the
 matrices in this project are tiny, but there are many of them).
 
 Kernels are pinned per field:
-  * over Q a matrix stores its entries as ints over one positive
-    denominator, the least one: entry k is `_d[k] / _den` and
-    gcd(_den, *_d) == 1, so equal matrices store equal lists.  Every Q
-    kernel runs on these ints and builds no Fraction: matmul takes one
-    integer dot product per entry over den_a den_b, `rref` is a
+  * over Q and F_p a matrix stores its entries as ints over one positive
+    denominator: entry k is `_d[k] / _den`.  Over Q `_den` is the least
+    one, gcd(_den, *_d) == 1; over F_p the ints are residues in 0..p-1 and
+    `_den` is 1.  Either way equal matrices store equal lists.  One int
+    core serves both fields and builds no Fraction or FpScalar: matmul
+    takes one integer dot product per entry over den_a den_b, `rref` is a
     fraction-free Gauss-Jordan on the stored rows (one denominator scales
     them all) that divides each updated row by its content, add and sub
-    work over the lcm of the two denominators, and `solve_right` reads its
-    solution off the stored rref.  Only the accessors (`m[r, c]`,
-    `row_list`, `col_list`, `to_lists`, `trace`) hand out Fractions;
-  * over Q(i) and F_p, `_d` holds field elements; `rref` is Gauss-Jordan
-    with exact field division (`_rref_field`), and matmul is the plain
-    triple loop;
-  * `det` is fraction-free Bareiss on ints wherever the field has an integer
-    form: over Q on the stored ints, divided by _den^n, and over F_p on the
-    residues (det is an integer polynomial in the entries, so it commutes
-    with Z -> F_p).  Over Q(i) it is the signed pivot product that
-    `_rref_field` returns.
+    work over the lcm of the two denominators, `solve_right` reads its
+    solution off the stored rref, and `det` is Bareiss over _den^n (over
+    F_p on the residues: det is an integer polynomial in the entries, so it
+    commutes with Z -> F_p).  Of the kernels only `_mat`, which reduces
+    stored ints mod p and divides them by den mod p, and `_rref_int`, which
+    reduces each updated row mod p, know about F_p.  The accessors (`m[r, c]`,
+    `row_list`, `col_list`, `to_lists`, `trace`) and `det` hand out
+    Fractions or FpScalars;
+  * over Q(i), `_d` holds field elements; `rref` and `det` use Gauss-Jordan
+    with exact field division (`_rref_field`, also the tests' reference
+    elimination), and matmul is the same dot product per entry.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` entry by entry: the coefficient of X[p, q] in (L X R)[i, j] is
@@ -54,8 +55,8 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "_d", "_den")
 
     def __init__(self, field, rows, cols, data):
-        """data: the rows*cols entries, row-major; over Q each an int or a
-        Fraction (WrongField otherwise), elsewhere field elements."""
+        """data: the rows*cols entries, row-major: over Q ints or Fractions,
+        elsewhere what `field.coerce` takes (WrongField otherwise)."""
         if len(data) != rows * cols:
             raise ShapeMismatch(
                 f"need {rows * cols} entries for {rows}x{cols}, got {len(data)}"
@@ -70,8 +71,12 @@ class Mat:
             den = lcm(*[x.denominator for x in data])
             self._d = [x.numerator * (den // x.denominator) for x in data]
             self._den = den
+        elif field.kind == "Fp":
+            p = field.p
+            self._d = [x % p if type(x) is int else field.coerce(x).val for x in data]
+            self._den = 1
         else:
-            self._d = data
+            self._d = [field.coerce(x) for x in data]
             self._den = None
         # _d is flat, row-major and treated as immutable
 
@@ -95,7 +100,7 @@ class Mat:
         for row in rows:
             if len(row) != c:
                 raise ShapeMismatch("ragged rows")
-            data.extend(field.coerce(x) for x in row)
+            data.extend(row)
         return cls(field, r, c, data)
 
     @classmethod
@@ -116,7 +121,7 @@ class Mat:
     def _out(self, xs):
         """Stored entries xs as field elements."""
         den = self._den
-        return xs if den is None else [Fraction(x, den) for x in xs]
+        return xs if den is None else [_elem(self.field, x, den) for x in xs]
 
     def _col(self, c):
         return self._d[c :: self.cols] if self.cols else []
@@ -129,7 +134,7 @@ class Mat:
     def __getitem__(self, rc):
         r, c = rc
         x = self._d[r * self.cols + c]
-        return x if self._den is None else Fraction(x, self._den)
+        return x if self._den is None else _elem(self.field, x, self._den)
 
     def row_list(self, r):
         return self._out(self._d[r * self.cols : (r + 1) * self.cols])
@@ -150,15 +155,11 @@ class Mat:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        if self._den is not None:
-            return not any(self._d)
-        z = self.field.zero()
-        return all(x == z for x in self._d)
+        return not any(self._d)
 
     def is_scalar(self, value):
         """self == value * identity, read off the stored diagonal and the
         zeros around it; no matrix is built."""
-        z, _ = _zero(self.field)
         v, den = _stored(self.field, value)
         n = self.rows
         if self.cols != n:
@@ -167,7 +168,7 @@ class Mat:
             return True
         d, step = self._d, n + 1
         return (self._den == den and d[::step] == [v] * n
-                and all(x == z for k in range(n - 1) for x in d[k * step + 1 : (k + 1) * step]))
+                and not any(x for k in range(n - 1) for x in d[k * step + 1 : (k + 1) * step]))
 
     def shape(self):
         return (self.rows, self.cols)
@@ -223,31 +224,16 @@ class Mat:
         return self.scale(other)
 
     def _matmul(self, other):
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._d, other._d
-        if self._den is not None:
-            cols = [b[j::m] for j in range(m)]
-            out = [sum(map(mul, ar, bc)) for ar in self._rows() for bc in cols]
-            return _mat(self.field, n, m, out, self._den * other._den)
-        if not k:
-            return Mat.zeros(self.field, n, m)
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = arow[0] * b[j]
-                for t in range(1, k):
-                    acc = acc + arow[t] * b[t * m + j]
-                out.append(acc)
-        return Mat(self.field, n, m, out)
+        m, b = other.cols, other._d
+        z, den = _zero(self.field)
+        cols = [b[j::m] for j in range(m)]
+        out = [sum(map(mul, ar, bc), z) for ar in self._rows() for bc in cols]
+        return _mat(self.field, self.rows, m, out, den and self._den * other._den)
 
     def scale(self, c):
-        if self._den is None:
-            c, den = self.field.coerce(c), None
-        else:
-            c, den = _stored(self.field, c)
-            den *= self._den
-        return _mat(self.field, self.rows, self.cols, [c * a for a in self._d], den)
+        c, den = _stored(self.field, c)
+        return _mat(self.field, self.rows, self.cols, [c * a for a in self._d],
+                    den and den * self._den)
 
     def transpose(self):
         data = [self._d[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
@@ -266,12 +252,7 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare(f"trace of {self.shape()}")
-        if self._den is not None:
-            return Fraction(sum(self._d[:: self.cols + 1]), self._den)
-        acc = self.field.zero()
-        for k in range(self.rows):
-            acc = acc + self._d[k * self.cols + k]
-        return acc
+        return self._out([sum(self._d[:: self.cols + 1], _zero(self.field)[0])])[0]
 
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols}, {self.to_lists()!r})"
@@ -279,24 +260,37 @@ class Mat:
 
 def _zero(field):
     """(zero, den): the stored zero of field and its denominator, the int 0
-    over 1 over Q, elsewhere the field's zero and None."""
-    return (0, 1) if field.kind == "Q" else (field.zero(), None)
+    over 1 over Q and F_p, over Q(i) the field's zero and None."""
+    return (field.zero(), None) if field.kind == "Qi" else (0, 1)
 
 
 def _stored(field, value):
     """(value, den): value coerced into field, in stored form; over Q its
-    numerator over its denominator, elsewhere the field element and None.
-    Over Q an int or a Fraction is used as it is, so no Fraction is built."""
+    numerator over its denominator, over F_p its residue over 1, over Q(i)
+    the field element and None.  Over Q an int or a Fraction is used as it
+    is, so no Fraction is built."""
     if field.kind == "Q":
         v = value if isinstance(value, (int, Fraction)) else field.coerce(value)
         return v.numerator, v.denominator
+    if field.kind == "Fp":
+        return (value % field.p if type(value) is int else field.coerce(value).val), 1
     return field.coerce(value), None
+
+
+def _elem(field, x, den):
+    """The field element x / den of a stored int x (den is 1 over F_p)."""
+    return field.from_int(x) if field.kind == "Fp" else Fraction(x, den)
 
 
 def _mat(field, rows, cols, data, den):
     """The Mat with stored entries data: over Q ints over den > 0, brought to
-    lowest terms here; elsewhere field elements, with den None."""
-    if den is not None:
+    lowest terms here; over F_p ints over den prime to p, brought to residues
+    over 1 here; over Q(i) field elements, with den None."""
+    if field.kind == "Fp":
+        p = field.p
+        s = 1 if den == 1 else pow(den, -1, p)
+        data, den = [x * s % p for x in data], 1
+    elif den not in (None, 1):
         g = gcd(den, *data)
         if g > 1:
             data = [x // g for x in data]
@@ -362,12 +356,13 @@ def block(grid):
     return vstack([hstack(row) for row in grid])
 
 
-def _rref_int(m, ncols):
+def _rref_int(m, ncols, p=0):
     """Fraction-free Gauss-Jordan on int rows (mutates m); returns the pivots.
 
     Each elimination scales the target row so that the pivot row's multiple
     is integral, subtracts that multiple on the pivot row's nonzero columns,
-    then divides the row by its content.
+    reduces the row mod p when p is a prime (the rows are residues over
+    F_p), then divides the row by its content.
     Scaling rows leaves the reduced echelon form unchanged, so on return row
     r divided by its entry at pivots[r] is row r of it; later rows are zero.
     """
@@ -398,6 +393,8 @@ def _rref_int(m, ncols):
             row = m[i] if a == 1 else [x * a for x in m[i]]
             for j, x in support:
                 row[j] -= b * x
+            if p:
+                row = [x % p for x in row]
             g = gcd(*row)
             m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
@@ -406,7 +403,8 @@ def _rref_int(m, ncols):
 
 
 def _rref_field(m, field):
-    """Gauss-Jordan with exact field division (mutates m).
+    """Gauss-Jordan with exact field division (mutates m): the Q(i) kernel,
+    and the reference elimination the int core is tested against.
 
     Returns (pivots, d), d the product of the pivot values with one sign
     flip per row swap: det m when m is square and of full rank.
@@ -448,8 +446,9 @@ def rref(a):
     n = a.cols
     if a._den is not None:
         # the stored rows are the rows of a times _den, with the same rref;
-        # row r of it is m[r] / m[r][pivots[r]], put over the lcm of the pivots
-        pivots = _rref_int(m, n)
+        # row r of it is m[r] / m[r][pivots[r]], put over the lcm of the
+        # pivots (over F_p each pivot is below p, so the lcm is a unit)
+        pivots = _rref_int(m, n, a.field.p if a.field.kind == "Fp" else 0)
         den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
         data = []
         for r, row in enumerate(m):
@@ -471,8 +470,8 @@ def _kernel_from_rref(R, pivots, ncols):
     """Kernel basis of the first ncols columns of a reduced echelon form.
 
     Deterministic: one vector per free column, free coordinate set to 1,
-    pivot coordinates read off R.  Over Q the vectors are stored over R's
-    denominator, where 1 is R._den.
+    pivot coordinates read off R.  Over Q and F_p the vectors are stored
+    over R's denominator, where 1 is R._den.
     """
     z, _ = _zero(R.field)
     den = R._den
@@ -539,8 +538,7 @@ def kron(a, b):
             brow = b._d[k * b.cols : (k + 1) * b.cols]
             for x in arow:
                 data.extend(x * y for y in brow)
-    den = None if a._den is None else a._den * b._den
-    return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, den)
+    return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, a._den and a._den * b._den)
 
 
 class BlockSystem:
@@ -552,8 +550,8 @@ class BlockSystem:
     equation's rows and the unknown's columns; L or R None is the identity.
     `matrix` fills these entries one by one, skipping zero entries of L's
     rows and R's columns, and builds no identity, transpose or kron.  Over Q
-    it works on stored ints: the system is put over the lcm of every term's
-    den(L) den(R) and every C's denominator.
+    and F_p it works on stored ints: the system is put over the lcm of every
+    term's den(L) den(R) and every C's denominator.
     """
 
     def __init__(self, field):
@@ -568,7 +566,14 @@ class BlockSystem:
 
     def equation(self, terms, rhs):
         """Add the equation sum of L X_key R over (L, key, R) in terms = rhs."""
+        name = self.field.name
+        if rhs.field.name != name:
+            raise WrongField(f"right-hand side over {rhs.field.name} in a system over {name}")
         for L, key, R in terms:
+            if key not in self.blocks:
+                raise ShapeMismatch(f"term in {key!r}, which is not a declared unknown")
+            if (L is not None and L.field.name != name) or (R is not None and R.field.name != name):
+                raise WrongField(f"term in {key!r} has a factor over another field than {name}")
             _, xr, xc = self.blocks[key]
             left = (xr, xr) if L is None else L.shape()
             right = (xc, xc) if R is None else R.shape()
@@ -671,13 +676,9 @@ def det(a):
     n = a.rows
     if n == 0:
         return a.field.one()
-    if n == 1:
-        return a[0, 0]
     m = a._rows()
     if a._den is not None:
-        return Fraction(_det_bareiss_int(m), a._den ** n)
-    if a.field.kind == "Fp":
-        return a.field.from_int(_det_bareiss_int([[x.val for x in row] for row in m]))
+        return _elem(a.field, _det_bareiss_int(m), a._den ** n)
     pivots, d = _rref_field(m, a.field)
     return d if len(pivots) == n else a.field.zero()
 

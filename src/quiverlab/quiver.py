@@ -193,7 +193,8 @@ def dynkin_quiver(name):
     A_n is the line 1 - 2 - ... - n; D_n is the line 1 - ... - (n-2) with both
     (n-1) and n attached to (n-2).
     """
-    kind, num = name[0].upper(), int(name[1:])
+    kind, num = name[:1].upper(), name[1:]
+    num = int(num) if num.isdecimal() else 0
     if kind == "A" and num >= 1:
         return doubled_quiver(range(1, num + 1), [(k, k + 1) for k in range(1, num)])
     if kind == "D" and num >= 4:

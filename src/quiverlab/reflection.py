@@ -35,6 +35,7 @@ from .linalg import (
     kernel_basis,
     rank,
     solve_right,
+    vstack,
 )
 from .paths import orbit_equivalent
 from .quiver import (
@@ -438,11 +439,8 @@ def j_embed(s: FramedPoint, v_target: RootVec) -> FramedPoint:
 
     def pad(blk, r, c):
         mat = s.block(blk)
-        data = [field.zero()] * (r * c)
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                data[i * c + j] = mat[i, j]
-        return Mat(field, r, c, data)
+        right = hstack([mat, Mat.zeros(field, mat.rows, c - mat.cols)])
+        return vstack([right, Mat.zeros(field, r - mat.rows, c)])
 
     return FramedPoint.build(q, DimData(s.dims.d, v_target), field, pad)
 

@@ -145,7 +145,7 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
         raise BudgetExceeded(
             f"p^(dim B + dim gamma) = {p}^{free_dim} exceeds the enumeration budget {cap}"
         )
-    level = {vert: Mat.scalar(field, size["V", vert], field.coerce(lam[k]))
+    level = {vert: Mat.scalar(field, size["V", vert], lam[k])
              for k, vert in enumerate(q.vertices)}  # lambda_i Id
 
     def take(blk, r, c):  # delta is zero; every other block takes the next r * c entries
@@ -156,7 +156,7 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     counts = {}
     total = 0
     for flat in itertools.product(range(p), repeat=free_dim):
-        entries = map(field.from_int, flat)
+        entries = iter(flat)
         s = FramedPoint.build(q, dims, field, take)
         if next(entries, None) is not None:
             raise AssertionError("the blocks do not use every entry")

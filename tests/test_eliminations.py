@@ -20,6 +20,7 @@ from quiverlab import (
     QQ,
     BlockSystem,
     DimData,
+    FpScalar,
     FramedPoint,
     GroupElement,
     PrimeField,
@@ -31,7 +32,10 @@ from quiverlab import (
     doubled_quiver,
     dynkin_quiver,
     group_act,
+    det,
     hstack,
+    kernel_basis,
+    kron,
     limit_project,
     linalg,
     moment_map,
@@ -281,4 +285,45 @@ def test_q_kernels_build_no_fraction(monkeypatch):
     system.matrix()
     system.solve()
     assert built == []
+    assert a * sol.particular == c
+
+
+def test_fp_kernels_build_no_fpscalar(monkeypatch):
+    # over F_p a matrix stores residues over 1: products, eliminations,
+    # solves, kernels, kron and block-system assembly never box an entry as an
+    # FpScalar; det builds one, the value it hands out
+    field = PrimeField(7)
+    rng = random.Random(42)
+    a = random_matrix(field, 4, 3, rng)
+    b = random_matrix(field, 3, 5, rng)
+    c = a * random_matrix(field, 3, 2, rng)
+    square = a * random_matrix(field, 3, 4, rng) + random_matrix(field, 4, 4, rng)
+    system = BlockSystem(field)
+    system.unknown("x", 3, 3)
+    left, right = a.submatrix(range(3), range(3)), b.submatrix(range(3), range(3))
+    system.equation([(left, "x", None), (None, "x", right), (left, "x", right)],
+                    random_matrix(field, 3, 3, rng))
+    built = []
+    init = FpScalar.__init__
+
+    def counted(self, val, p):
+        built.append(val)
+        init(self, val, p)
+
+    monkeypatch.setattr(FpScalar, "__init__", counted)
+    a[0, 0]
+    assert len(built) == 1  # the accessors do build FpScalars
+    built.clear()
+    a * b
+    rref(hstack([a, c]))
+    sol = solve_right(a, c)
+    kernel_basis(b)
+    kron(a, b)
+    system.matrix()
+    system.solve()
+    assert built == []
+    for n in (2, 4):
+        det(square.submatrix(range(n), range(n)))
+        assert len(built) == 1
+        built.clear()
     assert a * sol.particular == c

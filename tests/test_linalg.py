@@ -12,10 +12,12 @@ from quiverlab import (
     QQ,
     QQI,
     BlockSystem,
+    FpScalar,
     Mat,
     NoSolution,
     NotSquare,
     PrimeField,
+    QuiverLabError,
     ShapeMismatch,
     SingularMatrix,
     WrongField,
@@ -400,6 +402,31 @@ class TestBlockSystem:
         with pytest.raises(ShapeMismatch):  # identity factors need a square fit
             sys_.equation([(None, "x", None)], Mat.zeros(QQ, 1, 2))
 
+    def test_term_field_checked(self):
+        # an F_3 factor in a Q system once failed inside matrix() with a
+        # TypeError; with F_p stored as ints over 1 it would solve silently
+        # as if over Q (2 X = Id giving X = Id / 2)
+        f3 = PrimeField(3)
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("x", 2, 2)
+        with pytest.raises(WrongField, match="term in 'x'"):
+            sys_.equation([(Mat.scalar(f3, 2, 2), "x", None)], Mat.identity(QQ, 2))
+        with pytest.raises(WrongField, match="term in 'x'"):
+            sys_.equation([(None, "x", Mat.identity(QQI, 2))], Mat.identity(QQ, 2))
+        with pytest.raises(WrongField, match="right-hand side over Fp:3"):
+            sys_.equation([(Mat.scalar(QQ, 2, 2), "x", None)], Mat.identity(f3, 2))
+        with pytest.raises(WrongField):  # F_3 against F_5
+            system = BlockSystem(f3)
+            system.unknown("y", 1, 1)
+            system.equation([(Mat.identity(PrimeField(5), 1), "y", None)], Mat.identity(f3, 1))
+        assert sys_._eqs == []
+
+    def test_unknown_key(self):
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("x", 1, 1)
+        with pytest.raises(QuiverLabError, match="term in 'y'"):
+            sys_.equation([(None, "y", None)], Mat.identity(QQ, 1))
+
 
 def kron_assembled(system):
     """The reference assembly of a BlockSystem: each term (L, key, R) adds
@@ -501,7 +528,7 @@ class TestBlockSystemAssembly:
 # -- Q kernels on cleared denominators against two references -----------------
 #
 # Over Q, rref, matmul and det run on integers.  The first reference is the
-# field elimination (the Q(i) / F_p code path) called directly on the same Q
+# field elimination (the Q(i) code path) called directly on the same Q
 # matrix; the second is sympy.  Inputs cover entries up to height 10^6, zero
 # rows and columns, empty shapes, rank-deficient products and the sparse
 # kron-shaped systems hom_space assembles.
@@ -928,6 +955,126 @@ class TestQStoredForm:
         # ("1/3" + "1/3" == "1/31/3")
         with pytest.raises(WrongField, match="cannot hold 0.5"):
             Mat(QQ, 1, 2, [0.5, "1/3"])
+
+
+# -- the stored form over F_p: residues over 1 --------------------------------
+
+
+def assert_fp_canonical(m):
+    """m over F_p stores its residues in 0..p-1 as ints over 1."""
+    p = m.field.p
+    assert m._den == 1
+    assert all(type(x) is int and 0 <= x < p for x in m._d)
+    assert [x.val for x in entries(m)] == m._d
+
+
+def fp_stored_form_cases(field, seed):
+    """F_p matrices from every constructor: random, zero and empty shapes,
+    identities and scalars of every representative, and entries given as
+    negative or unreduced ints and as FpScalars."""
+    p = field.p
+    rng = random.Random(seed)
+    out = [Mat.zeros(field, r, c) for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]]
+    out += [Mat.identity(field, n) for n in (0, 1, 3)]
+    out += [Mat.scalar(field, 2, x) for x in (0, -1, p, p + 2, -3 * p - 1, FpScalar(p - 1, p))]
+    out += [Mat(field, 1, 3, [-1, p, 5 * p + 1]), Mat(field, 2, 1, [FpScalar(-2, p), 2 * p - 1]),
+            Mat.from_rows(field, [[p, -p], [1 - p, 0]]), Mat.column(field, [-4, FpScalar(3, p)])]
+    for _ in range(16):
+        out.append(random_matrix(field, rng.randint(1, 4), rng.randint(1, 4), rng))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003])
+class TestFpStoredForm:
+    def test_constructors(self, p):
+        field = PrimeField(p)
+        for m in fp_stored_form_cases(field, 41):
+            assert_fp_canonical(m)
+        assert Mat(field, 1, 3, [-1, p, p + 1])._d == [p - 1, 0, 1]
+        for value in (-1, 2 * p - 1, FpScalar(-1, p)):
+            assert Mat.scalar(field, 2, p - 1).is_scalar(value)
+
+    def test_every_operation(self, p):
+        field = PrimeField(p)
+        rng = random.Random(42)
+        cases = [m for m in fp_stored_form_cases(field, 43) if m.rows and m.cols]
+        for a in cases:
+            b = random_matrix(field, a.rows, a.cols, rng)
+            c = random_matrix(field, a.cols, rng.randint(1, 3), rng)
+            ops = [a + b, a - b, a - a, a + (-a), -a, a.scale(0), a.scale(-1), a.scale(-5 * p - 2),
+                   a.scale(FpScalar(p - 1, p)), a * c, a * Mat.scalar(field, a.cols, -1),
+                   a.transpose(), a.submatrix([0], range(a.cols)), a.column_vec(a.cols - 1),
+                   hstack([a, b]), vstack([a, b]), kron(a, c), rref(a)[0], *kernel_basis(a)]
+            sol = solve_right(a, a * c)
+            ops += [sol.particular, *sol.homogeneous]
+            if is_invertible(a):
+                ops.append(inverse(a))
+            for m in ops:
+                assert_fp_canonical(m)
+            for k in (-1, -5 * p - 2, FpScalar(p - 1, p)):
+                assert entries(a.scale(k)) == [x * k for x in entries(a)]
+            assert (a - a).is_zero() and a.is_zero() == (entries(a) == [0] * len(a._d))
+            if a.rows == a.cols:
+                assert a.trace() == sum((a[k, k] for k in range(a.rows)), field.zero())
+
+    def test_block_system_matrix(self, p):
+        field = PrimeField(p)
+        rng = random.Random(44)
+        for _ in range(30):
+            system = BlockSystem(field)
+            system.unknown("x", 2, 2)
+            system.unknown("y", 1, 2)
+            system.equation([(random_matrix(field, 2, 2, rng), "x", None),
+                             (None, "x", Mat.scalar(field, 2, -1))], random_matrix(field, 2, 2, rng))
+            system.equation([(random_matrix(field, 1, 2, rng), "x", random_matrix(field, 2, 2, rng)),
+                             (None, "y", None)], random_matrix(field, 1, 2, rng))
+            A, c = system.matrix()
+            assert_fp_canonical(A)
+            assert_fp_canonical(c)
+            assert (A, c) == kron_assembled(system)
+
+    def test_eliminations_against_the_field_elimination(self, p):
+        # rref, kernels and solves on residues equal those of _rref_field on
+        # the boxed entries
+        field = PrimeField(p)
+        rng = random.Random(45)
+        for k in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            a = random_matrix(field, rows, cols, rng)
+            if k % 2:  # rank-deficient: a product through a narrow middle
+                mid = rng.randint(0, min(rows, cols) - 1)
+                a = random_matrix(field, rows, mid, rng) * random_matrix(field, mid, cols, rng)
+            assert rref(a) == field_rref(a)
+            assert kernel_basis(a) == linalg._kernel_from_rref(*field_rref(a), a.cols)
+            c = a * random_matrix(field, cols, 2, rng)
+            R, piv = field_rref(hstack([a, c]))
+            sol = solve_right(a, c)
+            assert sol.homogeneous == linalg._kernel_from_rref(R, piv, a.cols)
+            assert a * sol.particular == c
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("bad", [0.5, "1/3", "x", None, 1j, FpScalar(1, 3)])
+    def test_qi_coerces_every_entry(self, bad):
+        # Mat(QQI, 1, 1, ["x"]) used to construct, and adding it to itself gave "xx"
+        with pytest.raises(WrongField):
+            Mat(QQI, 1, 2, [QQI.one(), bad])
+        m = Mat(QQI, 1, 2, [1, Fraction(1, 2)])
+        assert all(type(x) is type(QQI.one()) for x in m._d)
+        assert m + m == Mat(QQI, 1, 2, [2, 1])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, Fraction(1, 2), QQI.one(), FpScalar(1, 5)])
+    def test_fp_coerces_every_entry(self, bad):
+        # Mat(PrimeField(3), 1, 2, [FpScalar(1, 5), 1]) used to construct
+        f3 = PrimeField(3)
+        with pytest.raises(WrongField):
+            Mat(f3, 1, 2, [bad, 1])
+        with pytest.raises(WrongField):
+            Mat.scalar(f3, 2, bad)
+        with pytest.raises(WrongField):
+            Mat.identity(f3, 2).scale(bad)
+        with pytest.raises(WrongField):
+            Mat.identity(f3, 2).is_scalar(bad)
 
 
 class TestIsScalar:

@@ -88,6 +88,12 @@ class TestQuiverStructure:
         with pytest.raises(InvalidQuiver):
             dynkin_quiver("D2")
 
+    @pytest.mark.parametrize("name", ["", "A", "Ax", "A-1", "A0", "D", "2A", "A 2"])
+    def test_malformed_dynkin_names(self, name):
+        # "", "A" and "Ax" used to fail with IndexError or ValueError
+        with pytest.raises(InvalidQuiver, match="unsupported Dynkin name"):
+            dynkin_quiver(name)
+
 
 class TestCartan:
     def test_a2(self):
