@@ -85,7 +85,7 @@ class Mat:
     @classmethod
     def zeros(cls, field, rows, cols):
         z, den = _zero(field)
-        return _mat(field, rows, cols, [z] * (rows * cols), den)
+        return _wrap(field, rows, cols, [z] * (rows * cols), den)
 
     @classmethod
     def identity(cls, field, n):
@@ -237,7 +237,7 @@ class Mat:
 
     def transpose(self):
         data = [self._d[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return _mat(self.field, self.cols, self.rows, data, self._den)
+        return _wrap(self.field, self.cols, self.rows, data, self._den)
 
     def conj_transpose(self):
         if not self.field.has_conjugation:
@@ -295,6 +295,12 @@ def _mat(field, rows, cols, data, den):
         if g > 1:
             data = [x // g for x in data]
             den //= g
+    return _wrap(field, rows, cols, data, den)
+
+
+def _wrap(field, rows, cols, data, den):
+    """The Mat whose stored form is data over den, taken as it is: zeros,
+    transposes and stacks of stored forms are stored forms."""
     m = object.__new__(Mat)
     m.field = field
     m.rows = rows
@@ -333,7 +339,7 @@ def hstack(mats):
     for r in range(rows):
         for m, d in zip(mats, ds):
             data.extend(d[r * m.cols : (r + 1) * m.cols])
-    return _mat(mats[0].field, rows, sum(m.cols for m in mats), data, den)
+    return _wrap(mats[0].field, rows, sum(m.cols for m in mats), data, den)
 
 
 def vstack(mats):
@@ -348,7 +354,7 @@ def vstack(mats):
     data = []
     for d in ds:
         data.extend(d)
-    return _mat(mats[0].field, sum(m.rows for m in mats), cols, data, den)
+    return _wrap(mats[0].field, sum(m.rows for m in mats), cols, data, den)
 
 
 def block(grid):

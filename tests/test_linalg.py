@@ -719,8 +719,8 @@ class TestQKernelsAgainstSympy:
 #
 # Over F_p, det is Bareiss on the integer residues; over Q(i) it is the pivot
 # product of the field elimination.  The reference is the Leibniz expansion.
-# Matmul over both fields starts each entry at its first product; the
-# reference is the triple sum from zero.
+# Matmul over F_p is the integer dot product of the residues, over Q(i) a sum
+# of boxed products; the reference is the triple sum of the accessors' scalars.
 
 
 def leibniz(rows, zero):
