@@ -286,15 +286,16 @@ def _mat(field, rows, cols, data, den):
     """The Mat with stored entries data: over Q ints over den > 0, brought to
     lowest terms here; over F_p ints over den prime to p, brought to residues
     over 1 here; over Q(i) field elements, with den None."""
-    if field.kind == "Fp":
-        p = field.p
-        s = 1 if den == 1 else pow(den, -1, p)
-        data, den = [x * s % p for x in data], 1
-    elif den not in (None, 1):
-        g = gcd(den, *data)
-        if g > 1:
-            data = [x // g for x in data]
-            den //= g
+    if den is not None:
+        if field.kind == "Fp":
+            p = field.p
+            s = 1 if den == 1 else pow(den, -1, p)
+            data, den = [x * s % p for x in data], 1
+        else:
+            g = gcd(den, *data)
+            if g > 1:
+                data = [x // g for x in data]
+                den //= g
     return _wrap(field, rows, cols, data, den)
 
 
