@@ -3,7 +3,8 @@ decisions, reflections on both sides, limit projections, basis completion,
 determinants over Q(i) and F_p, random points, the moment map and the
 vertex (a, b) packaging off the fiber, the group action with
 framing blocks, F_p stratum counts, determinant covariants with their
-chi-goodness violations, and the block determinants f_S and Phi_ab.
+chi-goodness violations, the block determinants f_S and Phi_ab, and the
+Weyl-group layer: Coxeter reports, genericity walls and dominance reduction.
 
 Each case renders its result as canonical JSON (sorted keys, no spaces,
 entries through `field.dump`) and compares the sha256 of that text with a
@@ -12,7 +13,9 @@ linear systems or to the elimination that changes a sampled point, a
 particular solution, a kernel basis or a witness shows up here.
 """
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -31,14 +34,17 @@ from quiverlab import (
     RootVec,
     WeightVec,
     assemble_ab,
+    check_coxeter,
     complete_to_basis,
     count_points_Fq,
     det,
+    doubled_quiver,
     dynkin_quiver,
     enumerate_S_XY,
     eval_covariant,
     eval_fS,
     eval_phi_ab,
+    genericity,
     group_act,
     hom_space,
     j_embed,
@@ -50,6 +56,7 @@ from quiverlab import (
     random_invertible,
     random_matrix,
     rank,
+    reduce_to_dominant,
     reflect_point,
     sample_fiber,
     validate_chi_data,
@@ -565,3 +572,117 @@ def test_block_determinants_pinned(case):
         fam, phi, alpha, beta = random_bordered_family(y, x, field, rng)
         got.append(field.dump(eval_phi_ab(fam, phi, alpha, beta)))
     assert digest(got) == BLOCK_DET_DIGESTS[case]
+
+
+# -- the Weyl-group layer -----------------------------------------------------
+
+WEYL_QUIVERS = {
+    "A1": dynkin_quiver("A1"),
+    "A2": dynkin_quiver("A2"),
+    "A3": dynkin_quiver("A3"),
+    "D4": dynkin_quiver("D4"),
+    "edgeless": doubled_quiver([1, 2], []),
+    "kronecker": doubled_quiver([1, 2], [(1, 2), (1, 2)]),
+}
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result as plain data, or the name and message of the
+    QuiverLabError it raises."""
+    try:
+        return dataclasses.asdict(fn(*args, **kwargs))
+    except QuiverLabError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# (quiver, d, v, lambda, m): the full CoxeterReport at trials=3 for seeds 0
+# and 5; the Kronecker braid check is skipped (a_12 = 2)
+COXETERS = {
+    "A1-lambda0-m": ("A1", (2,), (1,), (0,), (1,)),
+    "A1-zero": ("A1", (2,), (1,), (0,), (0,)),
+    "A2-generic": ("A2", (2, 2), (1, 1), (1, 1), None),
+    "A2-nongeneric": ("A2", (2, 2), (1, 1), (1, -1), None),
+    "A3": ("A3", (1, 0, 1), (1, 1, 1), (1, 2, 3), None),
+    "D4": ("D4", (1, 0, 0, 1), (1, 1, 1, 2), (1, -1, 2, 1), None),
+    "edgeless": ("edgeless", (2, 2), (1, 1), (1, 2), None),
+    "kronecker": ("kronecker", (1, 1), (1, 1), (1, 1), None),
+}
+
+COXETER_DIGESTS = {
+    "A1-lambda0-m": "d2b65d6d048ff4ed91eb047c9e36536455737e7f8b946242b51cfe7bd5bc287e",
+    "A1-zero": "fd4cfbf4f9e3de5aa32b0b4618288e6efc32c23cbe35de8ef384e828115c5dcf",
+    "A2-generic": "5d4a2bac926e30f77d29f1d33788283fccf0649a9b7cb4538b5e40b3022d076b",
+    "A2-nongeneric": "f325d99545c1942dbaca0b674d2c4e221f01eb08cdc32ce0a6ff28bfb027f746",
+    "A3": "1f4f29c466082e37932f54feee0dcd9151d61256c3efe1ec82cc6f64018eff05",
+    "D4": "a09ba3624095b3aa2e23ffea89e50648b2014170aca087a0468b3fa193d9f349",
+    "edgeless": "d2e4ed9fd6f38ff8b67654cc590477646d501fed095de65b4c7a774037dd29b0",
+    "kronecker": "9af250bd5ddb3f4b57df08d7f3531f92565810563a8e8cdb0cd618d8daaa7582",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COXETERS))
+def test_check_coxeter_pinned(case):
+    name, d, v, lam, m = COXETERS[case]
+    got = [outcome(check_coxeter, WEYL_QUIVERS[name], WeightVec(d), RootVec(v), WeightVec(lam),
+                   None if m is None else WeightVec(m), trials=3, seed=seed)
+           for seed in (0, 5)]
+    assert digest(got) == COXETER_DIGESTS[case]
+
+
+# (quiver, m, v, d): genericity at every lambda in {0, 1, -1}^n in each mode,
+# an unknown mode, and mode Gv without d; Gv and Hinf raise NotFiniteType
+# on the Kronecker quiver
+GENERICITY = {
+    "A2": ("A2", (0, 0), (1, 1), (1, 1)),
+    "A3": ("A3", (1, 0, 0), (1, 1, 1), (1, 0, 1)),
+    "D4": ("D4", (0, 0, 0, 0), (1, 1, 1, 2), (1, 0, 0, 1)),
+    "kronecker": ("kronecker", (0, 1), (1, 1), (1, 0)),
+}
+
+GENERICITY_DIGESTS = {
+    "A2": "d0b4294a0902292185446d24231ca7e5bc3196e71006941409c1020d378cd334",
+    "A3": "5f9635350187c0be2bedcdd0d4b482de3b32fb07398d82ef348e151b7a8796d3",
+    "D4": "8b714d329d3ca8e3645a5265adcdcf315b06fb691e7e7273ff187500d47ad0d0",
+    "kronecker": "cefdebd69ecd797561bc0613b75b7adaa6317d7da2f34ee8d87720450b965a28",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERICITY))
+def test_genericity_pinned(case):
+    name, m, v, d = GENERICITY[case]
+    q = WEYL_QUIVERS[name]
+    got = []
+    for lam in itertools.product((0, 1, -1), repeat=q.n):
+        for mode, dd in [("Uv", d), ("UvTilde", d), ("Gv", d), ("Hinf", d), ("??", d),
+                         ("Gv", None)]:
+            got.append(outcome(genericity, q, WeightVec(m), WeightVec(lam), RootVec(v),
+                               mode=mode, d=None if dd is None else WeightVec(dd)))
+    assert digest(got) == GENERICITY_DIGESTS[case]
+
+
+# (quiver, lambda, m): reduce_to_dominant at every d in {0, 1, 2}^n and v in
+# {-1, ..., 2}^n; the "m-short" case raises on every input
+REDUCTIONS = {
+    "A2": ("A2", (1, 0), None),
+    "A2-m": ("A2", (0, 1), (1, 2)),
+    "A2-m-short": ("A2", (1, 1), (1,)),
+    "A3-m": ("A3", (1, 0, -1), (0, 1, 1)),
+}
+
+REDUCTION_DIGESTS = {
+    "A2": "e91ea9b8174e37b8989ffaee72df8d4962c1ddea17143dc69b6089f768f2f0b3",
+    "A2-m": "2cecaad4cb1e6cb1d17e46a1a772d37bb2436d843abb9a0759204e63e8d9dfae",
+    "A2-m-short": "6baba4fa42afe69ac55e986eb1630164c621b7b563e213c06ae8bbf5fde441d6",
+    "A3-m": "9fa377fadabeb028121da4941cd140e02da27b0d0ca9c7e02afee284720e83c6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTIONS))
+def test_reduce_to_dominant_pinned(case):
+    name, lam, m = REDUCTIONS[case]
+    q = WEYL_QUIVERS[name]
+    got = [outcome(reduce_to_dominant, q, WeightVec(d), RootVec(v), WeightVec(lam),
+                   None if m is None else WeightVec(m))
+           for d in itertools.product(range(3), repeat=q.n)
+           for v in itertools.product(range(-1, 3), repeat=q.n)]
+    assert digest(got) == REDUCTION_DIGESTS[case]
