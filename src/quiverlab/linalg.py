@@ -555,10 +555,10 @@ class BlockSystem:
     equations are stacked in the order they are added, each row-major over
     the entries of its C.  A term (L, key, R) contributes kron(L, R^T) in the
     equation's rows and the unknown's columns; L or R None is the identity.
-    `matrix` fills these entries one by one, skipping zero entries of L's
-    rows and R's columns, and builds no identity, transpose or kron.  Over Q
-    and F_p it works on stored ints: the system is put over the lcm of every
-    term's den(L) den(R) and every C's denominator.
+    `matrix` adds L[i, p] R[q, j] for each pair of nonzero entries, in one
+    flat loop, and builds no identity, transpose or kron.  Over Q and F_p it
+    works on stored ints: the system is put over the lcm of every term's
+    den(L) den(R) and every C's denominator.
     """
 
     def __init__(self, field):
@@ -597,43 +597,32 @@ class BlockSystem:
             den = lcm(*[c._den for _, c in self._eqs],
                       *[(1 if L is None else L._den) * (1 if R is None else R._den)
                         for terms, _ in self._eqs for L, _, R in terms])
-        rows, rhs = [], []
+        width = self.cols
+        data, rhs = [], []
         for terms, c in self._eqs:
             n = c.cols
-            eq = [[z] * self.cols for _ in range(c.rows * n)]
+            eq = [z] * (c.rows * n * width)
             for L, key, R in terms:
                 off, xr, xc = self.blocks[key]
-                # over Q, t brings this term's products of stored ints to den;
-                # it rides on L's entries, or stands for L when L is None
-                t = None
-                if den is not None:
-                    t = den // ((1 if L is None else L._den) * (1 if R is None else R._den))
-                # entry (i, j) of L X R is the sum of L[i, p] R[q, j] X[p, q];
-                # a None factor stands for the identity, with the one p = i
-                # or q = j and no coefficient (None) of its own
-                lrows = ([[(i, t)] for i in range(xr)] if L is None else
-                         [[(p, x if t is None else x * t)
-                           for p, x in enumerate(L._d[i * L.cols : (i + 1) * L.cols]) if x != z]
-                          for i in range(L.rows)])
-                rcols = ([[(j, None)] for j in range(xc)] if R is None else
-                         [[(q, y) for q, y in enumerate(R._col(j)) if y != z]
-                          for j in range(n)])
-                for i, lrow in enumerate(lrows):
-                    for j, rcol in enumerate(rcols):
-                        row = eq[i * n + j]
-                        for p, x in lrow:
-                            base = off + p * xc
-                            for q, y in rcol:
-                                k = base + q
-                                if x is None:
-                                    coef = one if y is None else y
-                                else:
-                                    coef = x if y is None else x * y
-                                row[k] = row[k] + coef
-            rows.extend(eq)
+                # over Q, t brings this term's products of stored ints to den
+                t = one if den is None else den // ((1 if L is None else L._den)
+                                                    * (1 if R is None else R._den))
+                # entry (i, j) of L X R is the sum of L[i, p] R[q, j] X[p, q]
+                # over the nonzero (i, p, x) of L and (q, j, y) of R; a None
+                # factor is the identity
+                ls = ([(i, i, t) for i in range(xr)] if L is None else
+                      [(k // xr, k % xr, x * t) for k, x in enumerate(L._d) if x != z])
+                rs = ([(j, j, one) for j in range(xc)] if R is None else
+                      [(k // n, k % n, y) for k, y in enumerate(R._d) if y != z])
+                for i, p, x in ls:
+                    base = i * n * width + off + p * xc
+                    for q, j, y in rs:
+                        k = base + j * width + q
+                        eq[k] += x * y
+            data.extend(eq)
             rhs.extend(c._d if den is None else [y * (den // c._den) for y in c._d])
         return (
-            _mat(field, len(rows), self.cols, [x for row in rows for x in row], den),
+            _mat(field, len(rhs), width, data, den),
             _mat(field, len(rhs), 1, rhs, den),
         )
 

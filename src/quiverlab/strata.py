@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .covariants import reachable_dims
 from .errors import BudgetExceeded, RangeViolation
 from .fields import PrimeField
-from .linalg import Mat, hstack, rank
+from .linalg import Mat, hstack, rref
 from .quiver import RootVec, WeightVec, _check_len, cartan_data, dominance
 from .repspace import DimData, FramedPoint, moment_map
 
@@ -128,9 +128,9 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     vertex i is affine in delta: gamma_i delta_i = R_i, where
     R_i = lambda_i Id - sum of eps B_h B_bar(h) is mu_i at delta = 0.  It has
     a solution iff rank [gamma_i | R_i] = r = rank gamma_i, and then exactly
-    p^(v_i (d_i - r)) of them.  A (B, gamma) stands for the product of these
-    over the vertices, all in the stratum reachable_dims, which reads only B
-    and gamma.
+    p^(v_i (d_i - r)) of them; one elimination of [gamma_i | R_i] gives both
+    ranks.  A (B, gamma) stands for the product of these over the vertices,
+    all in the stratum reachable_dims, which reads only B and gamma.
 
     The budget bounds the points visited: the call refuses to start when
     p^(dim B + dim gamma) exceeds it (10^7 by default).
@@ -164,10 +164,11 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
         free = 0  # the solutions delta make p^free points
         for vert, want in level.items():
             g = s.gamma[vert]  # v_i x d_i
-            r = rank(g)
-            if rank(hstack([g, want - mu[vert]])) != r:
+            # the pivots of rref [g | R_i] left of g's columns are those of g
+            pivots = rref(hstack([g, want - mu[vert]]))[1]
+            if pivots and pivots[-1] >= g.cols:
                 break
-            free += g.rows * (g.cols - r)
+            free += g.rows * (g.cols - len(pivots))
         else:
             label = reachable_dims(s)
             counts[label] = counts.get(label, 0) + p ** free

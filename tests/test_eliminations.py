@@ -51,6 +51,7 @@ from quiverlab import (
     rref,
     sample_fiber,
     solve_right,
+    strata,
 )
 from util import a1_point, a1_setup, mat
 
@@ -254,6 +255,23 @@ def test_count_visits_b_and_gamma_only(monkeypatch):
     res = count_points_Fq(q, DimData(WeightVec((2,)), RootVec((1,))), WeightVec((0,)), 7)
     assert res.total == 385
     assert len(builds) == 7 ** 2
+
+
+def test_count_one_elimination_per_vertex(monkeypatch):
+    # rank gamma_i and the consistency of gamma_i delta_i = R_i come from one
+    # elimination of [gamma_i | R_i] per vertex (two eliminations made 1634);
+    # the others are reachable_dims' ranks at the points that count
+    eliminations = []
+    for mod in (linalg, strata):  # strata calls rref by its own binding
+        def counted(a, fn=mod.rref):
+            eliminations.append(1)
+            return fn(a)
+
+        monkeypatch.setattr(mod, "rref", counted)
+    q = dynkin_quiver("A2")
+    res = count_points_Fq(q, DimData(WeightVec((2, 1)), RootVec((1, 1))), WeightVec((1, 2)), 3)
+    assert (res.total, res.strata) == (666, (((0, 0), 54), ((1, 1), 612)))
+    assert len(eliminations) == 1169
 
 
 def test_q_kernels_build_no_fraction(monkeypatch):
