@@ -29,6 +29,7 @@ from .quiver import (
     Quiver,
     RootVec,
     WeightVec,
+    _check_len,
     _json_path,
     cartan_data,
     dominance,
@@ -189,6 +190,8 @@ def _cmd_info(args):
 
 def _cmd_sample(args):
     q = _load_quiver(args.quiver)
+    if args.m is not None:  # m is only written to the point file
+        _check_len(q, args.m, "m")
     field = field_from_name(args.field)
     s = sample_fiber(
         q,

@@ -215,6 +215,7 @@ def validate_chi_data(delta: ChiData, m: WeightVec, dims, q) -> list:
     links to at most one fiber summand.
     """
     dims.check(q)
+    _check_len(q, m, "m")
     out = []
     sources, targets, size, src, tgt = _summand_dims(delta, dims, q)
     if src != tgt:

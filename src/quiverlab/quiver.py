@@ -121,7 +121,7 @@ class Quiver:
         try:
             return self._index[v]
         except KeyError:
-            raise InvalidQuiver(f"unknown vertex {v}")
+            raise InvalidQuiver(f"unknown vertex {v!r}")
 
     def arrow(self, arrow_id):
         try:
@@ -474,6 +474,19 @@ def _iter_box(caps):
             yield u
 
 
+def _coroot_orbits(cd):
+    """The Weyl orbits of the simple coroots, each coroot once up to sign."""
+    elements = enumerate_weyl(cd)
+    seen = set()
+    for i in range(cd.n):
+        alpha = CorootVec(tuple(1 if j == i else 0 for j in range(cd.n)))
+        for el in elements:
+            u = el.apply_coroot(alpha).coords
+            if u not in seen and tuple(-c for c in u) not in seen:
+                seen.add(u)
+                yield u
+
+
 def _k_constant(cd):
     best = 1
     for i in range(cd.n):
@@ -500,48 +513,22 @@ def genericity(qc, m: WeightVec, lam: WeightVec, v: RootVec, mode="Uv", d: Weigh
     _check_len(cd, m, "m")
     _check_len(cd, lam, "lambda")
     _check_len(cd, v, "v")
-
-    def on_wall(mm, ll, u):
-        return pair(mm, CorootVec(u)) == 0 and pair(ll, CorootVec(u)) == 0
-
-    if mode == "Uv":
-        for u in _iter_box(v.coords):
-            if on_wall(m, lam, u):
-                return GenericityResult(False, CorootVec(u))
-        return GenericityResult(True)
-
-    if mode == "UvTilde":
-        k = _k_constant(cd)
-        for u in _iter_box(tuple(k * c for c in v.coords)):
-            if on_wall(m, lam, u):
-                return GenericityResult(False, CorootVec(u))
-        return GenericityResult(True)
-
+    if mode == "Gv" and d is None:
+        raise RangeViolation("mode Gv needs the framing vector d")
+    if mode not in ("Uv", "UvTilde", "Gv", "Hinf"):
+        raise RangeViolation(f"unknown genericity mode {mode!r}")
+    k = 1 if mode == "Uv" else _k_constant(cd)
     if mode == "Gv":
-        if d is None:
-            raise RangeViolation("mode Gv needs the framing vector d")
-        k = _k_constant(cd)
-        for el in enumerate_weyl(cd):
-            ms = _apply_word_weight(cd, el.word, m)
-            ls = _apply_word_weight(cd, el.word, lam)
-            vs = dot_action(cd, el.word, d, v)
-            for u in _iter_box(tuple(k * c for c in vs.coords)):
-                if on_wall(ms, ls, u):
-                    return GenericityResult(False, CorootVec(u), el.word)
-        return GenericityResult(True)
-
-    if mode == "Hinf":
-        elements = enumerate_weyl(cd)
-        seen = set()
-        for i in range(cd.n):
-            alpha = CorootVec(tuple(1 if j == i else 0 for j in range(cd.n)))
-            for el in elements:
-                u = el.apply_coroot(alpha).coords
-                if u in seen or tuple(-c for c in u) in seen:
-                    continue
-                seen.add(u)
-                if on_wall(m, lam, u):
-                    return GenericityResult(False, CorootVec(u))
-        return GenericityResult(True)
-
-    raise RangeViolation(f"unknown genericity mode {mode!r}")
+        chambers = ((el.word, _apply_word_weight(cd, el.word, m),
+                     _apply_word_weight(cd, el.word, lam),
+                     _iter_box(tuple(k * c for c in dot_action(cd, el.word, d, v).coords)))
+                    for el in enumerate_weyl(cd))
+    elif mode == "Hinf":
+        chambers = [(None, m, lam, _coroot_orbits(cd))]
+    else:
+        chambers = [(None, m, lam, _iter_box(tuple(k * c for c in v.coords)))]
+    for sigma, ms, ls, us in chambers:
+        for u in map(CorootVec, us):
+            if pair(ms, u) == 0 and pair(ls, u) == 0:
+                return GenericityResult(False, u, sigma)
+    return GenericityResult(True)

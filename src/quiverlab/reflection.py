@@ -15,9 +15,9 @@ so the verifier below is a decision procedure, not a tolerance check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import itertools
 import random as _random
+from dataclasses import dataclass
 
 from .errors import (
     MomentMismatch,
@@ -84,9 +84,17 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     if side not in ("auto", "kernel", "cokernel"):
         raise RangeViolation(f"unknown side {side!r}")
     s.quiver.vertex_index(vertex)  # names an unknown vertex
+    _check_weights(s.quiver, lam, m)
     if not moment_matches(s, lam):
         raise MomentMismatch("point is not on the lambda fiber")
     return _reflect_on_fiber(s, vertex, lam, m, side)
+
+
+def _check_weights(qc, lam, m):
+    """Name lambda or m when its length is not the quiver's vertex count."""
+    _check_len(qc, lam, "lambda")
+    if m is not None:
+        _check_len(qc, m, "m")
 
 
 def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> ReflectionResult:
@@ -168,6 +176,7 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     if isinstance(s2, ReflectionResult):
         s2 = s2.point
     q = s.quiver
+    _check_len(q, lam, "lambda")
     idx = q.vertex_index(vertex)
     msgs = []
 
@@ -235,6 +244,7 @@ def reflect_word(s: FramedPoint, word, lam: WeightVec, m: WeightVec | None = Non
     once: the post-check of letter k, which puts it on the reflected fiber,
     stands in for letter k+1's pre-check."""
     q = s.quiver
+    _check_weights(q, lam, m)
     cur, cl, cm = s, lam, m
     steps = []
     for k, vertex in enumerate(word):
@@ -294,66 +304,42 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
     gen = genericity(cd, m_eff, lam, v, mode="Uv").ok
     checks = []
 
-    def sample():
-        return sample_fiber(q, dims, lam, rng=rng)
-
-    def equivalent(x, y):
-        return orbit_equivalent(x, y, seed=rng.randrange(2**30)).kind == "yes"
-
-    for idx, vertex in enumerate(q.vertices):
-        if lam[idx] == 0 and m_eff[idx] == 0:
-            checks.append(RelationCheck("involution", (vertex,), 0, 0,
-                                        "lambda_i = m_i = 0"))
-            continue
+    def trial(kind, vertices, pair):
+        """Sample, map the sample to two points by `pair`, compare them up to
+        orbit; a sample where a reflection is undefined is not attempted."""
         attempted = passes = 0
         for _ in range(trials):
-            s = sample()
+            s = sample_fiber(q, dims, lam, rng=rng)
             try:
-                out = reflect_word(s, [vertex, vertex], lam, m_eff)
+                x, y = pair(s)
             except ReflectionUndefined:
                 continue
             attempted += 1
-            if equivalent(out.point, s):
-                passes += 1
-        checks.append(RelationCheck("involution", (vertex,), attempted, passes))
+            passes += orbit_equivalent(x, y, seed=rng.randrange(2**30)).kind == "yes"
+        checks.append(RelationCheck(kind, vertices, attempted, passes))
 
+    def words(w1, w2):
+        return lambda s: tuple(reflect_word(s, w, lam, m_eff).point for w in (w1, w2))
+
+    for idx, vertex in enumerate(q.vertices):
+        if lam[idx] == 0 and m_eff[idx] == 0:
+            checks.append(RelationCheck("involution", (vertex,), 0, 0, "lambda_i = m_i = 0"))
+        else:
+            trial("involution", (vertex,), words([vertex, vertex], []))
         if lam[idx] != 0:
             # lambda_i != 0 forces b_i epi and a_i mono, so both sides exist.
-            passes = 0
-            for _ in range(trials):
-                s = sample()
-                rk = reflect_point(s, vertex, lam, m_eff, side="kernel")
-                rc = reflect_point(s, vertex, lam, m_eff, side="cokernel")
-                if equivalent(rk.point, rc.point):
-                    passes += 1
-            checks.append(RelationCheck("sides", (vertex,), trials, passes))
+            trial("sides", (vertex,), lambda s: tuple(reflect_point(s, vertex, lam, m_eff, side).point
+                                                      for side in ("kernel", "cokernel")))
 
-    for i in range(cd.n):
-        for j in range(i + 1, cd.n):
-            vi_, vj_ = q.vertices[i], q.vertices[j]
-            aij = cd.adjacency[i][j]
-            if aij == 0:
-                words = ([vi_, vj_], [vj_, vi_])
-                kind = "commutation"
-            elif aij == 1:
-                words = ([vi_, vj_, vi_], [vj_, vi_, vj_])
-                kind = "braid"
-            else:
-                checks.append(RelationCheck("braid", (vi_, vj_), 0, 0,
-                                            f"a_ij = {aij} >= 2"))
-                continue
-            attempted = passes = 0
-            for _ in range(trials):
-                s = sample()
-                try:
-                    o1 = reflect_word(s, words[0], lam, m_eff)
-                    o2 = reflect_word(s, words[1], lam, m_eff)
-                except ReflectionUndefined:
-                    continue
-                attempted += 1
-                if equivalent(o1.point, o2.point):
-                    passes += 1
-            checks.append(RelationCheck(kind, (vi_, vj_), attempted, passes))
+    for i, j in itertools.combinations(range(cd.n), 2):
+        vi_, vj_ = q.vertices[i], q.vertices[j]
+        aij = cd.adjacency[i][j]
+        if aij == 0:
+            trial("commutation", (vi_, vj_), words([vi_, vj_], [vj_, vi_]))
+        elif aij == 1:
+            trial("braid", (vi_, vj_), words([vi_, vj_, vi_], [vj_, vi_, vj_]))
+        else:
+            checks.append(RelationCheck("braid", (vi_, vj_), 0, 0, f"a_ij = {aij} >= 2"))
 
     return CoxeterReport(tuple(checks), gen)
 
@@ -390,25 +376,16 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
     case and stops.
     """
     cd = cartan_data(q)
-    _check_len(cd, lam, "lambda")
-    if m is not None:
-        _check_len(cd, m, "m")
+    _check_weights(cd, lam, m)
     cur_v, cur_l, cur_m = v, lam, m
-    steps = []
-    word = []
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise AssertionError("dominance reduction did not terminate")
+    steps, word = [], []
+    for _ in range(100000):
         dom = dominance(cd, d, cur_v)
-        if any(c < 0 for c in cur_v.coords):
+        empty = any(c < 0 for c in cur_v.coords)
+        if empty or dom.dominant:
             return ReductionTrace(tuple(steps), cur_v, cur_l, cur_m, tuple(word),
-                                  dominant=False, empty=True)
-        bad = next((k for k, slack in enumerate(dom.slacks) if slack < 0), None)
-        if bad is None:
-            return ReductionTrace(tuple(steps), cur_v, cur_l, cur_m, tuple(word),
-                                  dominant=True, empty=False)
+                                  dominant=not empty, empty=empty)
+        bad = next(k for k, slack in enumerate(dom.slacks) if slack < 0)
         vertex = q.vertices[bad]
         if cur_l[bad] != 0:
             cur_v = dot_action(cd, [bad], d, cur_v)
@@ -422,6 +399,7 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
             coords[bad] -= 1
             cur_v = RootVec(tuple(coords))
             steps.append(ReductionStep(vertex, "drop", cur_v.coords))
+    raise AssertionError("dominance reduction did not terminate")
 
 
 # -- change of fiber dimensions -------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quiverlab
-from quiverlab import QQ, QQI, FramedPoint, WeightVec, moment_matches, sample_fiber
+from quiverlab import (
+    QQ, QQI, FramedPoint, WeightVec, moment_matches, reflect_point, sample_fiber,
+)
 from quiverlab.cli import _build_parser, main, run
 from util import a1_point, a2_setup, cli_env
 
@@ -534,6 +536,85 @@ def test_fuzzed_vectors_end_in_an_exit_code(cmd, quiver, d, v, lam):
     except SystemExit as e:  # argparse usage errors
         code = e.code
     assert code in (0, 1, 2)
+
+
+@pytest.fixture
+def a2_files(tmp_path):
+    """{name: path} of an A2 point on the lambda = (1, 2) fiber with lambda
+    embedded, its reflection at vertex 1, and a chi file for the point."""
+    q, dims = a2_setup(d=(1, 1), v=(1, 1))
+    lam = WeightVec((1, 2))
+    s = sample_fiber(q, dims, lam, seed=0)
+    chi = {"target_copies": [1, 0], "source_copies": [0, 0], "vectors": [[1, 0]],
+           "covectors": [], "entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}]}
+    files = {"pt": {**s.to_json(), "lambda": ["1", "2"]},
+             "pt2": reflect_point(s, 1, lam).point.to_json(), "chi": chi}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(tmp_path / f"{name}.json") for name in files}
+
+
+SPACE = ["--quiver", "A2", "--d", "1,1", "--v", "1,1"]
+
+# every subcommand that takes --lambda or --m: its argv with valid
+# arguments ({name} is a file of a2_files) and the weight options it takes;
+# a repeated option overrides the earlier one
+WEIGHT_COMMANDS = {
+    "sample": (["sample", *SPACE, "--lambda", "1,2"], ("--lambda", "--m")),
+    "reflect": (["reflect", "{pt}", "--vertex", "1"], ("--lambda", "--m")),
+    "reflect-word": (["reflect-word", "{pt}", "--word", "2,1"], ("--lambda", "--m")),
+    "check-coxeter": (["check-coxeter", *SPACE, "--lambda", "1,2", "--trials", "1"],
+                      ("--lambda", "--m")),
+    "reduce": (["reduce", *SPACE, "--lambda", "1,2"], ("--lambda", "--m")),
+    "count": (["count", *SPACE, "--lambda", "1,2", "--p", "2"], ("--lambda",)),
+    "verify": (["verify", "{pt}", "{pt2}", "--vertex", "1"], ("--lambda",)),
+    "covariant": (["covariant", "{pt}", "--chi", "{chi}"], ("--m",)),
+}
+GOOD_WEIGHT = {"--lambda": "1,2", "--m": "1,1"}
+
+
+def weight_argv(files, cmd, option, value):
+    argv, _ = WEIGHT_COMMANDS[cmd]
+    return [arg.format(**files) for arg in argv] + [option, value]
+
+
+class TestWeightLengthSweep:
+    """A --lambda or --m of the wrong length ends as exit 1 and an error line
+    that names the vector, in every subcommand.  The commands run in process,
+    so an uncaught exception fails the test instead of printing a traceback."""
+
+    @pytest.mark.parametrize("cmd, option", [(cmd, option) for cmd, (_, options)
+                                             in WEIGHT_COMMANDS.items() for option in options])
+    def test_right_length_runs(self, capsys, a2_files, cmd, option):
+        code, _, err = invoke(capsys, *weight_argv(a2_files, cmd, option, GOOD_WEIGHT[option]))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("cmd, option, value", [
+        (cmd, option, value) for cmd, (_, options) in WEIGHT_COMMANDS.items()
+        for option in options for value in ("1", "1,2,3")])
+    def test_wrong_length_named(self, capsys, a2_files, cmd, option, value):
+        code, out, err = invoke(capsys, *weight_argv(a2_files, cmd, option, value))
+        name, length = option.lstrip("-"), value.count(",") + 1
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} has length {length}, quiver has 2 vertices\n"
+
+    @pytest.mark.parametrize("key", ["lambda", "m"])
+    @pytest.mark.parametrize("cmd", ["reflect", "reflect-word"])
+    def test_point_file_weight_of_wrong_length(self, capsys, a2_files, cmd, key):
+        with open(a2_files["pt"]) as fh:
+            obj = json.load(fh)
+        obj[key] = ["1", "2", "3"]
+        with open(a2_files["pt"], "w") as fh:
+            json.dump(obj, fh)
+        argv, _ = WEIGHT_COMMANDS[cmd]
+        code, out, err = invoke(capsys, *[arg.format(**a2_files) for arg in argv])
+        assert (code, out) == (1, "")
+        assert err == f"error: {key} has length 3, quiver has 2 vertices\n"
+
+    def test_empty_vertex_named(self, capsys, a2_files):
+        code, _, err = invoke(capsys, "reflect-word", a2_files["pt"], "--word=")
+        assert code == 1
+        assert err == "error: unknown vertex ''\n"
 
 
 class TestDeterminism:

@@ -66,6 +66,14 @@ class TestChiData:
         dims = DimData(WeightVec((2,)), RootVec((1,)))
         assert validate_chi_data(chi, WeightVec((1,)), dims, q) == []
 
+    @pytest.mark.parametrize("m", [(), (1, 0)], ids=["short", "long"])
+    def test_validate_names_m_of_wrong_length(self, m):
+        # a short m indexed past its end, a long one was cut silently
+        q, chi = a1_chi()
+        dims = DimData(WeightVec((2,)), RootVec((1,)))
+        with pytest.raises(ShapeMismatch, match=f"m has length {len(m)}, quiver has 1 vertices"):
+            validate_chi_data(chi, WeightVec(m), dims, q)
+
     def test_value_on_points(self):
         q, chi = a1_chi()
         s = a1_point(gamma=(1, 0), delta=(1, 0))

@@ -76,6 +76,14 @@ class TestQuiverStructure:
         with pytest.raises(InvalidQuiver):
             doubled_quiver([1, 2], [(1, 3)])
 
+    @pytest.mark.parametrize("vertex, message", [
+        (9, "unknown vertex 9"), ("", "unknown vertex ''"), ("1", "unknown vertex '1'"),
+    ], ids=["int", "empty", "digit-string"])
+    def test_vertex_index_names_the_vertex(self, vertex, message):
+        with pytest.raises(InvalidQuiver) as err:
+            dynkin_quiver("A2").vertex_index(vertex)
+        assert str(err.value) == message
+
     def test_json_round_trip(self):
         q = dynkin_quiver("D4")
         assert Quiver.from_json(q.to_json()) == q

@@ -217,6 +217,51 @@ class TestReflectWord:
         assert "prefix [2]" in str(err.value)
 
 
+class TestWeightLengths:
+    """lambda and m of the wrong length are named before any other check."""
+
+    LAM, M = WeightVec((1, 2)), WeightVec((1, 1))
+    BAD = [
+        ((1,), None, "lambda has length 1"),
+        ((1, 2, 3), None, "lambda has length 3"),
+        ((1, 2), (1,), "m has length 1"),
+        ((1, 2), (1, 2, 3), "m has length 3"),
+    ]
+    IDS = ["lambda-short", "lambda-long", "m-short", "m-long"]
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        q, dims = a2_setup(d=(1, 1), v=(1, 1))
+        return sample_fiber(q, dims, self.LAM, seed=0)
+
+    @staticmethod
+    def weights(lam, m):
+        return WeightVec(lam), None if m is None else WeightVec(m)
+
+    @pytest.mark.parametrize("lam, m, message", BAD, ids=IDS)
+    @pytest.mark.parametrize("side", ["auto", "kernel", "cokernel"])
+    def test_reflect_point(self, point, lam, m, message, side):
+        with pytest.raises(ShapeMismatch, match=f"{message}, quiver has 2 vertices"):
+            reflect_point(point, 2, *self.weights(lam, m), side=side)
+
+    @pytest.mark.parametrize("lam, m, message", BAD, ids=IDS)
+    @pytest.mark.parametrize("word", [[], [2], [1, 2]], ids=["empty", "one", "two"])
+    def test_reflect_word(self, point, lam, m, message, word):
+        # lambda_2 = 2, so the letter 2 would look at lam[1] and m[1]
+        with pytest.raises(ShapeMismatch, match=f"{message}, quiver has 2 vertices"):
+            reflect_word(point, word, *self.weights(lam, m))
+
+    @pytest.mark.parametrize("lam", [(1,), (1, 2, 3)], ids=["short", "long"])
+    def test_verify_Z_conditions(self, point, lam):
+        s2 = reflect_point(point, 1, self.LAM).point
+        with pytest.raises(ShapeMismatch, match=f"lambda has length {len(lam)}, quiver has 2"):
+            verify_Z_conditions(point, s2, 1, WeightVec(lam))
+
+    def test_good_lengths_still_reflect(self, point):
+        out = reflect_word(point, [1, 2], self.LAM, self.M)
+        assert out.m == WeightVec((1, -2))
+
+
 class TestCoxeterChecks:
     def test_single_vertex_involution(self):
         q = dynkin_quiver("A1")
