@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: Q, Q(i), and prime fields."""
 
+import operator
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from quiverlab import (
     QQ,
@@ -12,6 +15,7 @@ from quiverlab import (
     GaussianRational,
     GaussianRationalField,
     PrimeField,
+    RationalField,
     WrongField,
     field_from_name,
 )
@@ -178,3 +182,149 @@ def test_fpscalar_repr_is_plain():
     assert isinstance(FpScalar, type)
     f = PrimeField(7)
     assert f.dump(f.coerce(12)) == 5
+
+
+# -- the scalar protocol: reflected operators, zero division, mixed primes ----
+
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def fp7(k):
+    return FpScalar(k, 7)
+
+
+@pytest.mark.parametrize("left, right, expected", [
+    (2, fp7(3), {"add": 5, "sub": 6, "mul": 6, "truediv": 3}),
+    (fp7(3), 2, {"add": 5, "sub": 1, "mul": 6, "truediv": 5}),
+    (3, gi(1, 2), {"add": gi(4, 2), "sub": gi(2, -2), "mul": gi(3, 6),
+                   "truediv": gi(Fraction(3, 5), Fraction(-6, 5))}),
+    (gi(1, 2), 3, {"add": gi(4, 2), "sub": gi(-2, 2), "mul": gi(3, 6),
+                   "truediv": gi(Fraction(1, 3), Fraction(2, 3))}),
+    (Fraction(1, 2), gi(1, 2), {"add": gi(Fraction(3, 2), 2), "sub": gi(Fraction(-1, 2), -2),
+                                "mul": gi(Fraction(1, 2), 1),
+                                "truediv": gi(Fraction(1, 10), Fraction(-1, 5))}),
+    (gi(1, 2), Fraction(1, 2), {"add": gi(Fraction(3, 2), 2), "sub": gi(Fraction(1, 2), 2),
+                                "mul": gi(Fraction(1, 2), 1), "truediv": gi(2, 4)}),
+], ids=["int-Fp", "Fp-int", "int-Qi", "Qi-int", "Fraction-Qi", "Qi-Fraction"])
+@pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+def test_operator_with_a_plain_number_on_either_side(left, right, expected, op):
+    result = op(left, right)
+    scalar = left if isinstance(left, (FpScalar, GaussianRational)) else right
+    assert type(result) is type(scalar)
+    assert result == expected[op.__name__]
+    if isinstance(scalar, FpScalar):
+        assert result.p == 7 and 0 <= result.val < 7
+
+
+@pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("x", [fp7(3), gi(1, 2)], ids=["Fp", "Qi"])
+def test_non_field_operand_is_a_type_error(x, op):
+    for other in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+
+
+def test_fp_rejects_fraction_operands():
+    for op in BINARY_OPS:
+        with pytest.raises(TypeError):
+            op(fp7(3), Fraction(1, 2))
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2), fp7(3))
+
+
+@pytest.mark.parametrize("x, zero, message", [
+    (fp7(3), fp7(0), "division by zero in F_7"),
+    (gi(1, 2), gi(0), "division by zero in Q(i)"),
+], ids=["Fp", "Qi"])
+def test_division_by_zero(x, zero, message):
+    for num, den in ((x, zero), (x, 0), (x, 7 if isinstance(x, FpScalar) else Fraction(0)),
+                     (1, zero), (zero, zero)):
+        with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+            num / den
+    with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+        zero.__rtruediv__(x)
+
+
+@pytest.mark.parametrize("name", ["add", "radd", "sub", "rsub", "mul", "rmul",
+                                  "truediv", "rtruediv"])
+def test_mixed_primes_rejected_in_every_binary_operator(name):
+    a, b = FpScalar(2, 5), FpScalar(3, 7)
+    with pytest.raises(WrongField, match=re.escape("mixing F_5 and F_7")):
+        getattr(a, f"__{name}__")(b)
+    if not name.startswith("r"):
+        with pytest.raises(WrongField, match=re.escape("mixing F_7 and F_5")):
+            getattr(operator, name)(b, a)
+
+
+def test_reflected_operators_order_their_operands():
+    x = fp7(3)
+    assert x.__rsub__(2) == 6 and x.__rtruediv__(2) == 3
+    z = gi(1, 2)
+    assert z.__rsub__(3) == gi(2, -2)
+    assert z.__rtruediv__(3) == gi(Fraction(3, 5), Fraction(-6, 5))
+
+
+def test_scalar_results_are_new_normalized_values():
+    x = FpScalar(-1, 7)
+    assert (x.val, repr(x)) == (6, "6")
+    assert (-x).val == 1 and (x - x).val == 0
+    z = gi(Fraction(2, 4), -1)
+    assert ((-z).re, (-z).im) == (Fraction(-1, 2), 1)
+    assert repr(z) == "1/2+-1i" and repr(gi(3)) == "3"
+    assert repr(z.conjugate()) == "1/2+1i"
+
+
+def test_field_equality_and_hash_across_instances():
+    fields = [PrimeField(7), PrimeField(7), PrimeField(5), QQ, QQI,
+              RationalField(), GaussianRationalField()]
+    for f in fields:
+        for g in fields:
+            assert (f == g) == (f.name == g.name)
+            if f == g:
+                assert hash(f) == hash(g)
+    assert PrimeField(7) != PrimeField(5)
+    assert len(set(fields)) == 4
+    assert {PrimeField(7): "a"}[PrimeField(7)] == "a"
+    assert QQ != "Q" and PrimeField(7) != 7
+
+
+@pytest.mark.parametrize("field, kind", [(QQ, Fraction), (QQI, GaussianRational),
+                                         (PrimeField(7), FpScalar)], ids=["Q", "Qi", "Fp"])
+def test_field_constants_have_the_field_type(field, kind):
+    for x, value in ((field.zero(), 0), (field.one(), 1), (field.from_int(-9), -9),
+                     (field.from_int(12), 12)):
+        assert type(x) is kind
+        assert x == field.coerce(value)
+    assert not field.zero() and field.one()
+    if kind is FpScalar:
+        assert field.from_int(-9).val == 5 and field.from_int(12).p == 7
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "Fp"])
+def test_conjugation_is_only_for_qi(field):
+    assert not field.has_conjugation
+    with pytest.raises(WrongField, match=re.escape("conjugation is only defined over Q(i)")):
+        field.conj(field.one())
+    assert QQI.has_conjugation
+    assert QQI.conj(gi(1, 2)) == gi(1, -2) and QQI.conj(3) == gi(3)
+
+
+def to_sympy(x):
+    return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+        x.im.numerator, x.im.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussians, gaussians, st.sampled_from(BINARY_OPS))
+def test_gaussian_arithmetic_matches_sympy(x, y, op):
+    """Q(i) + - * / against sympy's Rational and I, used here as an oracle."""
+    if op is operator.truediv and not y:
+        return
+    got = op(x, y)
+    want = op(to_sympy(x), to_sympy(y))
+    assert to_sympy(got.conjugate()) == sympy.conjugate(to_sympy(got))
+    assert sympy.expand_complex(want).as_real_imag() == (
+        sympy.Rational(got.re.numerator, got.re.denominator),
+        sympy.Rational(got.im.numerator, got.im.denominator))
