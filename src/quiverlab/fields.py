@@ -17,6 +17,28 @@ from fractions import Fraction
 from .errors import WrongField
 
 
+def _arithmetic(cls):
+    """Class decorator: `+ - * /` and their reflected forms, written once
+    from the scalar type's `_coerce` (None for an operand it does not take),
+    `_add`, `_mul`, `_inv` and negation.  The operators are set on each class
+    itself, so every scalar type holds them in its own `__dict__`."""
+
+    def binary(fn):
+        def op(self, other):
+            o = self._coerce(other)
+            return NotImplemented if o is None else fn(self, o)
+        return op
+
+    cls.__add__ = cls.__radd__ = binary(cls._add)
+    cls.__sub__ = binary(lambda x, y: x._add(-y))
+    cls.__rsub__ = binary(lambda x, y: y._add(-x))
+    cls.__mul__ = cls.__rmul__ = binary(cls._mul)
+    cls.__truediv__ = binary(lambda x, y: x._mul(y._inv()))
+    cls.__rtruediv__ = binary(lambda x, y: y._mul(x._inv()))
+    return cls
+
+
+@_arithmetic
 class GaussianRational:
     """a + b*i with exact rational a, b."""
 
@@ -34,54 +56,17 @@ class GaussianRational:
             return GaussianRational(x)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return GaussianRational(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
+    def _mul(self, o):
+        return GaussianRational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
+    def _inv(self):
+        n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return GaussianRational(self.re / n, -self.im / n)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -109,6 +94,7 @@ class GaussianRational:
         return f"{self.re}+{self.im}i"
 
 
+@_arithmetic
 class FpScalar:
     """Element of F_p, normalized to 0..p-1.
 
@@ -133,47 +119,16 @@ class FpScalar:
             return FpScalar(x, self.p)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return FpScalar(self.val + o.val, self.p)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpScalar(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpScalar(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o):
         return FpScalar(self.val * o.val, self.p)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.val == 0:
+    def _inv(self):
+        if self.val == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpScalar(self.val * pow(o.val, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return FpScalar(pow(self.val, self.p - 2, self.p), self.p)
 
     def __neg__(self):
         return FpScalar(-self.val, self.p)
@@ -195,19 +150,35 @@ class FpScalar:
         return f"{self.val}"
 
 
-class RationalField:
-    name = "Q"
-    kind = "Q"
+class _Field:
+    """What the three fields share: `zero`, `one` and `from_int` are `coerce`
+    of 0, 1 and n; conjugation raises unless a field defines it; two fields
+    are equal, and hash alike, when their names are."""
+
     has_conjugation = False
 
     def zero(self):
-        return Fraction(0)
+        return self.coerce(0)
 
     def one(self):
-        return Fraction(1)
+        return self.coerce(1)
 
     def from_int(self, n):
-        return Fraction(n)
+        return self.coerce(n)
+
+    def conj(self, x):
+        raise WrongField("conjugation is only defined over Q(i)")
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class RationalField(_Field):
+    name = "Q"
+    kind = "Q"
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -217,9 +188,7 @@ class RationalField:
         raise WrongField(f"cannot coerce {x!r} into Q")
 
     def parse(self, obj):
-        if isinstance(obj, str):
-            return Fraction(obj)
-        if isinstance(obj, int):
+        if isinstance(obj, (str, int)):
             return Fraction(obj)
         raise WrongField(f"bad rational literal {obj!r}")
 
@@ -229,35 +198,17 @@ class RationalField:
     def random(self, rng, height=10):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
-    def conj(self, x):
-        raise WrongField("conjugation is only defined over Q(i)")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash(self.name)
-
     def __repr__(self):
         return "QQ"
 
 
-class GaussianRationalField:
+class GaussianRationalField(_Field):
     name = "Q(i)"
     kind = "Qi"
     has_conjugation = True
 
-    def zero(self):
-        return GaussianRational(0)
-
-    def one(self):
-        return GaussianRational(1)
-
     def i(self):
         return GaussianRational(0, 1)
-
-    def from_int(self, n):
-        return GaussianRational(n)
 
     def coerce(self, x):
         if isinstance(x, GaussianRational):
@@ -286,12 +237,6 @@ class GaussianRationalField:
     def conj(self, x):
         return self.coerce(x).conjugate()
 
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationalField)
-
-    def __hash__(self):
-        return hash(self.name)
-
     def __repr__(self):
         return "QQI"
 
@@ -307,24 +252,14 @@ def _is_prime(p):
     return True
 
 
-class PrimeField:
+class PrimeField(_Field):
     kind = "Fp"
-    has_conjugation = False
 
     def __init__(self, p):
         if not _is_prime(p):
             raise WrongField(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
-
-    def zero(self):
-        return FpScalar(0, self.p)
-
-    def one(self):
-        return FpScalar(1, self.p)
-
-    def from_int(self, n):
-        return FpScalar(n, self.p)
 
     def coerce(self, x):
         if isinstance(x, FpScalar):
@@ -347,15 +282,6 @@ class PrimeField:
 
     def random(self, rng, height=None):
         return FpScalar(rng.randrange(self.p), self.p)
-
-    def conj(self, x):
-        raise WrongField("conjugation is only defined over Q(i)")
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.name)
 
     def __repr__(self):
         return f"GF({self.p})"
