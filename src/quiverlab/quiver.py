@@ -151,12 +151,31 @@ class Quiver:
 
     @classmethod
     def from_json(cls, obj):
+        """Inverse of `to_json`; a missing or malformed entry is a
+        QuiverLabError that names it."""
+        def entry(kind, *keys):
+            what, ok = _JSON_KINDS[kind]
+            x = _json_entry(obj, "quiver", *keys)
+            if not ok(x):
+                raise InvalidQuiver(f"quiver JSON entry {_json_path(keys)} must be {what}, not {x!r}")
+            return x
+
+        vertices = tuple(entry("ints", "vertices"))
         arrows = tuple(
-            Arrow(*(_json_entry(obj, "quiver", "arrows", k, f)
-                    for f in ("id", "from", "to", "eps", "bar")))
-            for k in range(len(_json_entry(obj, "quiver", "arrows")))
+            Arrow(*(entry(kind, "arrows", k, f) for f, kind in _ARROW_KINDS))
+            for k in range(len(entry("list", "arrows")))
         )
-        return cls(tuple(_json_entry(obj, "quiver", "vertices")), arrows)
+        return cls(vertices, arrows)
+
+
+# what each quiver JSON entry must be: kind -> (description, test)
+_JSON_KINDS = {
+    "int": ("an integer", lambda x: type(x) is int),
+    "str": ("a string", lambda x: type(x) is str),
+    "list": ("a list", lambda x: type(x) is list),
+    "ints": ("a list of integers", lambda x: type(x) is list and all(type(v) is int for v in x)),
+}
+_ARROW_KINDS = (("id", "str"), ("from", "int"), ("to", "int"), ("eps", "int"), ("bar", "str"))
 
 
 def _json_path(keys):

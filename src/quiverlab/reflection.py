@@ -175,6 +175,8 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     Accepts the reflected FramedPoint or a whole ReflectionResult."""
     if isinstance(s2, ReflectionResult):
         s2 = s2.point
+    if s.quiver != s2.quiver:
+        raise ShapeMismatch("points live on different quivers")
     q = s.quiver
     _check_len(q, lam, "lambda")
     idx = q.vertex_index(vertex)

@@ -14,7 +14,7 @@ from quiverlab import (
     QQ, QQI, FramedPoint, WeightVec, moment_matches, reflect_point, sample_fiber,
 )
 from quiverlab.cli import _build_parser, main, run
-from util import a1_point, a2_setup, cli_env
+from util import a1_point, a2_setup, cli_env, renamed_arrows
 
 
 def invoke(capsys, *argv):
@@ -615,6 +615,59 @@ class TestWeightLengthSweep:
         code, _, err = invoke(capsys, "reflect-word", a2_files["pt"], "--word=")
         assert code == 1
         assert err == "error: unknown vertex ''\n"
+
+
+# malformed entries of a quiver JSON file: (entry path, value, what it must be)
+BAD_QUIVER_ENTRIES = [
+    (("vertices",), [[1], 2], "a list of integers"),
+    (("vertices",), 5, "a list of integers"),
+    (("vertices",), [1.5, 2], "a list of integers"),
+    (("vertices",), [True, 2], "a list of integers"),
+    (("arrows",), 5, "a list"),
+    (("arrows", 0, "from"), [1], "an integer"),
+    (("arrows", 1, "to"), 1.0, "an integer"),
+    (("arrows", 0, "eps"), "1", "an integer"),
+    (("arrows", 0, "id"), ["h1"], "a string"),
+    (("arrows", 0, "bar"), {"x": 1}, "a string"),
+]
+
+
+class TestQuiverJsonSweep:
+    """A malformed entry of a `--quiver` JSON file ends as exit 1 and an error
+    line that names the entry, run in process as in TestWeightLengthSweep."""
+
+    @pytest.mark.parametrize("keys, value, kind", BAD_QUIVER_ENTRIES,
+                             ids=lambda x: repr(x) if not isinstance(x, str) else x)
+    def test_malformed_entry_named(self, capsys, tmp_path, keys, value, kind):
+        obj = quiverlab.dynkin_quiver("A2").to_json()
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, "info", "--quiver", str(path))
+        entry = "".join(f"[{k!r}]" for k in keys)
+        assert (code, out) == (1, "")
+        assert err == f"error: quiver JSON entry {entry} must be {kind}, not {value!r}\n"
+
+    def test_well_formed_file_runs(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(quiverlab.dynkin_quiver("A2").to_json()))
+        assert invoke_json(capsys, "info", "--quiver", str(path)) == invoke_json(
+            capsys, "info", "--quiver", "A2")
+
+    def test_verify_rejects_points_on_different_quivers(self, capsys, tmp_path):
+        # both points sampled on A3, one of them on arrows renamed a-d: this
+        # used to end in the bare KeyError 'h2'
+        q = quiverlab.dynkin_quiver("A3")
+        dims = quiverlab.DimData(WeightVec((1, 1, 1)), quiverlab.RootVec((1, 1, 1)))
+        for name, quiver in (("pt3", q), ("pta3", renamed_arrows(q))):
+            s = sample_fiber(quiver, dims, WeightVec((1, 2, 1)), seed=0)
+            (tmp_path / f"{name}.json").write_text(json.dumps(s.to_json()))
+        code, out, err = invoke(capsys, "verify", str(tmp_path / "pt3.json"),
+                                str(tmp_path / "pta3.json"), "--vertex", "1", "--lambda", "1,2,1")
+        assert (code, out, err) == (1, "", "error: points live on different quivers\n")
 
 
 class TestDeterminism:

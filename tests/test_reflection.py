@@ -35,7 +35,7 @@ from quiverlab import (
     sample_fiber,
     verify_Z_conditions,
 )
-from util import a1_point, a1_setup, a2_setup, mat
+from util import a1_point, a1_setup, a2_setup, mat, renamed_arrows
 
 
 class TestReflectPoint:
@@ -447,3 +447,15 @@ class TestLimitProject:
         s = FramedPoint.zero(q, dims)
         with pytest.raises(RangeViolation):
             limit_project(s, 1)
+
+
+@pytest.mark.parametrize("name, lam", [("A2", (1, 2)), ("A3", (1, 2, 1))])
+def test_verify_rejects_points_on_different_quivers(name, lam):
+    # on A2 this used to report failed conditions, on A3 to end in KeyError 'h2'
+    q = dynkin_quiver(name)
+    dims = DimData(WeightVec((1,) * q.n), RootVec((1,) * q.n))
+    s = sample_fiber(q, dims, WeightVec(lam), seed=0)
+    other = sample_fiber(renamed_arrows(q), dims, WeightVec(lam), seed=0)
+    for pair in ((s, other), (other, s)):
+        with pytest.raises(ShapeMismatch, match="points live on different quivers"):
+            verify_Z_conditions(*pair, 1, WeightVec(lam))

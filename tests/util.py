@@ -46,6 +46,16 @@ def a2_setup(d=(1, 1), v=(1, 1)):
     return q, dims
 
 
+def renamed_arrows(q):
+    """The quiver q read back from JSON with its arrows renamed a, b, c, ...
+    in order: the same graph, but a different quiver."""
+    name = {a.id: chr(ord("a") + k) for k, a in enumerate(q.arrows)}
+    obj = q.to_json()
+    for arrow in obj["arrows"]:
+        arrow["id"], arrow["bar"] = name[arrow["id"]], name[arrow["bar"]]
+    return ql.Quiver.from_json(obj)
+
+
 # a three-vertex line read from JSON, its arrows listed out of id order
 UNSORTED_QUIVER = ql.Quiver.from_json({
     "vertices": [1, 2, 3],
