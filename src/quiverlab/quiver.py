@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
@@ -441,12 +441,17 @@ def _matmul_int(a, b):
 
 
 def enumerate_weyl(qc):
-    """All Weyl group elements by breadth-first closure over the generators.
+    """All Weyl group elements by breadth-first closure over the generators,
+    as a new list; the closure runs once per Cartan matrix.
 
     Raises NotFiniteType when the Cartan matrix is not positive definite
     (the closure would not terminate).
     """
-    cd = _as_cartan(qc)
+    return list(_weyl_elements(_as_cartan(qc)))
+
+
+@cache
+def _weyl_elements(cd):
     if not is_finite_type(cd):
         raise NotFiniteType("Weyl group is infinite")
     n = cd.n
@@ -466,7 +471,7 @@ def enumerate_weyl(qc):
                     new_frontier.append(prod)
                     order.append(prod)
         frontier = new_frontier
-    return [WeylElement(m, seen[m]) for m in order]
+    return tuple(WeylElement(m, seen[m]) for m in order)
 
 
 def _apply_word_weight(cd, word, x: WeightVec) -> WeightVec:

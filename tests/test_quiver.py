@@ -243,6 +243,35 @@ class TestWeylGroup:
         with pytest.raises(NotFiniteType):
             enumerate_weyl(kronecker())
 
+    def test_infinite_type_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NotFiniteType):
+                enumerate_weyl(kronecker())
+
+    def test_each_call_returns_a_new_list(self):
+        q = dynkin_quiver("A3")
+        first = enumerate_weyl(q)
+        words = [e.word for e in first]
+        first.clear()
+        again = enumerate_weyl(cartan_data(q))
+        assert again is not enumerate_weyl(q)
+        assert [e.word for e in again] == words and len(words) == 24
+
+    def test_closure_runs_once_per_cartan_matrix(self, monkeypatch):
+        from quiverlab import quiver
+
+        products = []
+        matmul = quiver._matmul_int
+        monkeypatch.setattr(quiver, "_matmul_int",
+                            lambda a, b: products.append(1) or matmul(a, b))
+        quiver._weyl_elements.cache_clear()
+        q = dynkin_quiver("D4")
+        lam, v = WeightVec((1, 0, 0, 0)), RootVec((1, 1, 1, 2))
+        for mode in ("Hinf", "Gv", "Hinf"):
+            genericity(q, WeightVec((0,) * 4), lam, v, mode, d=WeightVec((1, 0, 0, 0)))
+        assert len(enumerate_weyl(q)) == 192
+        assert len(products) == 192 * 4  # one product per element and generator
+
     def test_finite_type_families(self):
         for name in ["A1", "A2", "A5", "D4", "D6"]:
             assert is_finite_type(dynkin_quiver(name))
