@@ -717,9 +717,11 @@ def complete_to_basis(cols):
 
 
 def random_matrix(field, rows, cols, rng, height=10):
-    return Mat(
-        field, rows, cols, [field.random(rng, height) for _ in range(rows * cols)]
-    )
+    if field.kind == "Fp":  # the residues PrimeField.random draws, unboxed
+        data = [rng.randrange(field.p) for _ in range(rows * cols)]
+    else:
+        data = [field.random(rng, height) for _ in range(rows * cols)]
+    return Mat(field, rows, cols, data)
 
 
 # random draws before giving up on an invertible matrix

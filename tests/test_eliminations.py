@@ -345,3 +345,24 @@ def test_fp_kernels_build_no_fpscalar(monkeypatch):
         assert len(built) == 1
         built.clear()
     assert a * sol.particular == c
+
+
+def test_fp_random_matrix_builds_no_fpscalar(monkeypatch):
+    # over F_p random_matrix draws the residues that PrimeField.random boxes,
+    # by the same RNG calls, so every draw and the RNG state after it agree
+    field = PrimeField(11)
+    boxed_rng = random.Random(3)
+    want = [field.random(boxed_rng).val for _ in range(4 * 5)]
+    built = []
+    init = FpScalar.__init__
+
+    def counted(self, val, p):
+        built.append(val)
+        init(self, val, p)
+
+    monkeypatch.setattr(FpScalar, "__init__", counted)
+    rng = random.Random(3)
+    a = random_matrix(field, 4, 5, rng)
+    assert built == []
+    assert [x for r in range(4) for x in a.row_list(r)] == want
+    assert rng.getstate() == boxed_rng.getstate()
