@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
@@ -442,7 +442,7 @@ def _matmul_int(a, b):
 
 def enumerate_weyl(qc):
     """All Weyl group elements by breadth-first closure over the generators,
-    as a new list; the closure runs once per Cartan matrix.
+    as a new list; the closures of the last few Cartan matrices are kept.
 
     Raises NotFiniteType when the Cartan matrix is not positive definite
     (the closure would not terminate).
@@ -450,7 +450,7 @@ def enumerate_weyl(qc):
     return list(_weyl_elements(_as_cartan(qc)))
 
 
-@cache
+@lru_cache(maxsize=8)
 def _weyl_elements(cd):
     if not is_finite_type(cd):
         raise NotFiniteType("Weyl group is infinite")

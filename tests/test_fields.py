@@ -217,21 +217,16 @@ def test_operator_with_a_plain_number_on_either_side(left, right, expected, op):
 
 
 @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
-@pytest.mark.parametrize("x", [fp7(3), gi(1, 2)], ids=["Fp", "Qi"])
-def test_non_field_operand_is_a_type_error(x, op):
-    for other in (0.5, "1", None):
+@pytest.mark.parametrize("x, foreign", [
+    (fp7(3), (0.5, "1", None, Fraction(1, 2))),
+    (gi(1, 2), (0.5, "1", None)),
+], ids=["Fp", "Qi"])
+def test_operand_outside_the_field_is_a_type_error(x, foreign, op):
+    for other in foreign:
         with pytest.raises(TypeError):
             op(x, other)
         with pytest.raises(TypeError):
             op(other, x)
-
-
-def test_fp_rejects_fraction_operands():
-    for op in BINARY_OPS:
-        with pytest.raises(TypeError):
-            op(fp7(3), Fraction(1, 2))
-        with pytest.raises(TypeError):
-            op(Fraction(1, 2), fp7(3))
 
 
 @pytest.mark.parametrize("x, zero, message", [
@@ -243,8 +238,6 @@ def test_division_by_zero(x, zero, message):
                      (1, zero), (zero, zero)):
         with pytest.raises(ZeroDivisionError, match=re.escape(message)):
             num / den
-    with pytest.raises(ZeroDivisionError, match=re.escape(message)):
-        zero.__rtruediv__(x)
 
 
 @pytest.mark.parametrize("name", ["add", "radd", "sub", "rsub", "mul", "rmul",
@@ -256,14 +249,6 @@ def test_mixed_primes_rejected_in_every_binary_operator(name):
     if not name.startswith("r"):
         with pytest.raises(WrongField, match=re.escape("mixing F_7 and F_5")):
             getattr(operator, name)(b, a)
-
-
-def test_reflected_operators_order_their_operands():
-    x = fp7(3)
-    assert x.__rsub__(2) == 6 and x.__rtruediv__(2) == 3
-    z = gi(1, 2)
-    assert z.__rsub__(3) == gi(2, -2)
-    assert z.__rtruediv__(3) == gi(Fraction(3, 5), Fraction(-6, 5))
 
 
 def test_scalar_results_are_new_normalized_values():
