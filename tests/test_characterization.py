@@ -13,7 +13,6 @@ linear systems or to the elimination that changes a sampled point, a
 particular solution, a kernel basis or a witness shows up here.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -586,11 +585,25 @@ WEYL_QUIVERS = {
 }
 
 
+def plain(x):
+    """x as plain data: a record becomes the dict of its fields, a tuple or
+    list the list of its items."""
+    if hasattr(x, "_asdict"):
+        x = x._asdict()
+    elif hasattr(x, "__dict__"):
+        x = vars(x)
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [plain(v) for v in x]
+    return x
+
+
 def outcome(fn, *args, **kwargs):
     """fn's result as plain data, or the name and message of the
     QuiverLabError it raises."""
     try:
-        return dataclasses.asdict(fn(*args, **kwargs))
+        return plain(fn(*args, **kwargs))
     except QuiverLabError as e:
         return f"{type(e).__name__}: {e}"
 
