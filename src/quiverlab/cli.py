@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .covariants import ChiData, eval_covariant, validate_chi_data
@@ -282,7 +281,7 @@ def _cmd_check_coxeter(args):
     rows = [("kind", "vertices", "trials", "passes", "ok", "skipped")]
     rows += [(c.kind, " ".join(str(v) for v in c.vertices), c.trials, c.passes, c.ok, c.skipped)
              for c in rep.checks]
-    checks = [{**asdict(c), "ok": c.ok} for c in rep.checks]
+    checks = [{**c._asdict(), "ok": c.ok} for c in rep.checks]
     return {"generic": rep.generic, "all_pass": rep.all_pass, "checks": checks}, rows
 
 
@@ -314,7 +313,9 @@ def _cmd_strata(args):
     rows = [("v_prime", "dimension", "codimension")]
     rows += [(" ".join(str(c) for c in st.v_prime), st.dimension, st.codimension)
              for st in rep.strata]
-    return {**asdict(rep), "codim_ge_1": rep.codim_ge_1, "codim_ge_2": rep.codim_ge_2}, rows
+    strata = [st._asdict() for st in rep.strata]
+    return {**rep._asdict(), "strata": strata, "codim_ge_1": rep.codim_ge_1,
+            "codim_ge_2": rep.codim_ge_2}, rows
 
 
 def _cmd_count(args):
@@ -364,7 +365,7 @@ def _cmd_verify(args):
     s2, _, _ = _load_point(args.point2)
     lam = _resolve_lambda(args, plam)
     rep = verify_Z_conditions(s, s2, args.vertex, lam)
-    return {**asdict(rep), "all_pass": rep.all_pass}, None
+    return {**rep._asdict(), "all_pass": rep.all_pass}, None
 
 
 # -- parser --------------------------------------------------------------------

@@ -16,21 +16,19 @@ linear independence numerically but exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 
 from .errors import BalanceViolated, QuiverLabError, RangeViolation, ShapeMismatch
 from .fields import QQ
 from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
-from .quiver import WeightVec, _check_len, _json_entry, _json_path
+from .quiver import WeightVec, _check_len, _json_entry, _json_path, _Record
 from .repspace import FramedPoint
 
 
 # -- covariant data ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiData:
+class ChiData(_Record):
     """Recipe for one determinant covariant.
 
     target_copies / source_copies: per-vertex counts (aligned with
@@ -48,11 +46,10 @@ class ChiData:
       ("ab", l, lp)        C_{a_l} -> C_{b_lp}  ("A", l)    -> ("B", lp)
     """
 
-    target_copies: tuple
-    source_copies: tuple
-    vectors: tuple
-    covectors: tuple
-    entries: dict
+    _fields = ("target_copies", "source_copies", "vectors", "covectors", "entries")
+
+    def __init__(self, target_copies, source_copies, vectors, covectors, entries):
+        super().__init__(target_copies, source_copies, vectors, covectors, entries)
 
     def weight(self):
         """Exponent of det(g_i) in the transformation law, per vertex."""
@@ -291,14 +288,13 @@ def certify_semistable(s: FramedPoint, delta: ChiData, m: WeightVec) -> bool:
 # -- contingency shapes and block determinants --------------------------------
 
 
-@dataclass(frozen=True)
-class ContingencyMatrix:
+class ContingencyMatrix(_Record):
     """Nonnegative integer matrix; rows are target factors, columns source."""
 
-    entries: tuple
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+    def __init__(self, entries):
+        super().__init__(tuple(tuple(r) for r in entries))
 
     def row_sums(self):
         return tuple(sum(r) for r in self.entries)
@@ -344,19 +340,20 @@ def enumerate_S_XY(y_dims, x_dims):
     return out
 
 
-@dataclass(frozen=True)
-class BlockFamily:
+class BlockFamily(_Record):
     """A point of the block-matrix space: matrices A^{ij,q}: X_j -> Y_i, with
-    multiplicity r_ij per slot, plus optional border blocks through X_0/Y_0."""
+    multiplicity r_ij per slot, plus optional border blocks through X_0/Y_0.
 
-    y_dims: tuple
-    x_dims: tuple
-    mats: dict                      # (i, j, q) -> Mat, 1-based i, j, q
-    r: dict = dc_field(default_factory=dict)  # (i, j) -> multiplicity, default 1
-    y0_dim: int = 0
-    x0_dim: int = 0
-    border_in: dict = dc_field(default_factory=dict)   # i -> Mat: X_0 -> Y_i
-    border_out: dict = dc_field(default_factory=dict)  # j -> Mat: X_j -> Y_0
+    mats: (i, j, q) -> Mat, 1-based i, j, q; r: (i, j) -> multiplicity,
+    default 1; border_in: i -> Mat X_0 -> Y_i; border_out: j -> Mat
+    X_j -> Y_0.  An omitted dict is empty."""
+
+    _fields = ("y_dims", "x_dims", "mats", "r", "y0_dim", "x0_dim", "border_in", "border_out")
+
+    def __init__(self, y_dims, x_dims, mats, r=None, y0_dim=0, x0_dim=0, border_in=None,
+                 border_out=None):
+        super().__init__(y_dims, x_dims, mats, r or {}, y0_dim, x0_dim, border_in or {},
+                         border_out or {})
 
     def mult(self, i, j):
         return self.r.get((i, j), 1)

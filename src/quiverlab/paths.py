@@ -13,24 +13,21 @@ that makes every framing invariant collapse.)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidQuiver, NoSolution, RangeViolation, ShapeMismatch, SingularBlock
 from .linalg import BlockSystem, Mat
-from .quiver import Quiver
+from .quiver import Quiver, _Record
 from .repspace import FramedPoint, GroupElement, group_act, identity_group
 
 
-@dataclass(frozen=True)
-class PathExpr:
+class PathExpr(_Record):
     """A composable word of arrows; `arrow_ids` in application order."""
 
-    quiver: Quiver
-    arrow_ids: tuple
-    base_vertex: object = None  # only used when arrow_ids is empty
+    _fields = ("quiver", "arrow_ids", "base_vertex")  # base_vertex only when arrow_ids is empty
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrow_ids", tuple(self.arrow_ids))
+    def __init__(self, quiver, arrow_ids, base_vertex=None):
+        super().__init__(quiver, tuple(arrow_ids), base_vertex)
         q = self.quiver
         if not self.arrow_ids:
             if self.base_vertex is None or self.base_vertex not in q.vertices:
@@ -77,8 +74,7 @@ def empty_path(q, vertex):
     return PathExpr(q, (), vertex)
 
 
-@dataclass(frozen=True)
-class BPathExpr:
+class BPathExpr(_Record):
     """Alternating word (gamma delta)^{r_{m+1}} . path_m . ... . path_1 . (gamma delta)^{r_1}.
 
     `vertices` is the chain i_1 .. i_{m+1}; `paths` has length m and
@@ -86,15 +82,10 @@ class BPathExpr:
     length m+1.
     """
 
-    quiver: Quiver
-    vertices: tuple
-    loop_exponents: tuple
-    paths: tuple
+    _fields = ("quiver", "vertices", "loop_exponents", "paths")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "loop_exponents", tuple(self.loop_exponents))
-        object.__setattr__(self, "paths", tuple(self.paths))
+    def __init__(self, quiver, vertices, loop_exponents, paths):
+        super().__init__(quiver, tuple(vertices), tuple(loop_exponents), tuple(paths))
         if len(self.vertices) != len(self.paths) + 1:
             raise ShapeMismatch("vertex chain length must be #paths + 1")
         if len(self.loop_exponents) != len(self.vertices):
@@ -276,8 +267,7 @@ def lusztig_invariants(s: FramedPoint, max_len: int):
 # -- intertwiners ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(NamedTuple):
     """Vertex-wise maps V_i(s) -> V_i(t) commuting with all the data, with the
     framing identification on D fixed to the identity."""
 
@@ -297,8 +287,7 @@ def is_intertwiner(g: Intertwiner, s: FramedPoint, t: FramedPoint) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HomSolution:
+class HomSolution(NamedTuple):
     """The solution set of the intertwiner equations from s to t.
 
     The gamma/delta conditions have constant right-hand sides, so the set is
@@ -346,8 +335,7 @@ def hom_space(s: FramedPoint, t: FramedPoint) -> HomSolution:
     )
 
 
-@dataclass(frozen=True)
-class OrbitDecision:
+class OrbitDecision(NamedTuple):
     kind: str  # "yes" | "no" | "unknown"
     witness: GroupElement | None = None
     reason: str = ""

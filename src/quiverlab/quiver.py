@@ -15,7 +15,6 @@ silently wrong reflections, hence the wrappers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -23,8 +22,40 @@ from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation
 from .linalg import _det_bareiss_int
 
 
-@dataclass(frozen=True)
-class Arrow:
+class _Record:
+    """Base of the records that check or normalise their input or hold a
+    memo.  A subclass names its value in `_fields` and passes it, in that
+    order, to `_Record.__init__`.  Equality (same class, equal fields),
+    hashing and repr read those fields alone, and every attribute is read
+    only, as on a frozen dataclass."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Arrow(NamedTuple):
     id: str
     h0: int  # source vertex
     h1: int  # target vertex
@@ -43,14 +74,11 @@ class Block(NamedTuple):
     col: tuple
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple
-    arrows: tuple
+class Quiver(_Record):
+    _fields = ("vertices", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+    def __init__(self, vertices, arrows):
+        super().__init__(tuple(vertices), tuple(arrows))
         self._validate()
 
     def _validate(self):
@@ -226,14 +254,13 @@ def dynkin_quiver(name):
 # -- vectors ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Coords:
+class _Coords(_Record):
     """A coordinate tuple; each coordinate system is its own subclass."""
 
-    coords: tuple
+    _fields = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords):
+        super().__init__(tuple(coords))
 
     def __len__(self):
         return len(self.coords)
@@ -242,28 +269,24 @@ class _Coords:
         return self.coords[k]
 
 
-@dataclass(frozen=True)
 class WeightVec(_Coords):
     """Coordinates x_i = <x, alpha_i^vee> (framing dims d, parameters m, lambda)."""
 
 
-@dataclass(frozen=True)
 class _IntCoords(_Coords):
     """Integer coordinates; anything else is a RangeViolation naming it."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, coords):
+        super().__init__(coords)
         for k, c in enumerate(self.coords):
             if type(c) is not int:
                 raise RangeViolation(f"{type(self).__name__}[{k}] is {c!r}; coordinates must be integers")
 
 
-@dataclass(frozen=True)
 class RootVec(_IntCoords):
     """Coordinates in the simple-root basis (dimension vectors v)."""
 
 
-@dataclass(frozen=True)
 class CorootVec(_IntCoords):
     """Coordinates in the simple-coroot basis (wall test directions u)."""
 
@@ -278,8 +301,7 @@ def pair(x: WeightVec, u: CorootVec):
     return acc
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     adjacency: tuple  # a_ij = number of arrows i -> j (symmetric, zero diagonal)
     cartan: tuple     # c_ij = 2 delta_ij - a_ij
 
@@ -369,8 +391,7 @@ def variety_dimension(qc, d: WeightVec, v: RootVec):
     return lin - quad
 
 
-@dataclass(frozen=True)
-class Dominance:
+class Dominance(NamedTuple):
     dominant: bool
     regular: bool
     slacks: tuple  # (d - C v)_i per vertex
@@ -404,8 +425,7 @@ def is_finite_type(qc) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Canonical form: the integer action matrix on root coordinates.
 
     The word is provenance only (a shortest word found by the BFS closure);
@@ -482,8 +502,7 @@ def _apply_word_weight(cd, word, x: WeightVec) -> WeightVec:
     return cur
 
 
-@dataclass(frozen=True)
-class GenericityResult:
+class GenericityResult(NamedTuple):
     ok: bool
     witness_u: CorootVec | None = None
     witness_sigma: tuple | None = None

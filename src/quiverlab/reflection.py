@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     MomentMismatch,
@@ -60,8 +60,7 @@ from .repspace import (
 )
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(NamedTuple):
     point: FramedPoint
     vertex: object
     side: str            # "kernel" or "cokernel"
@@ -147,8 +146,7 @@ def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> Reflec
     return ReflectionResult(s2, vertex, side, lam2, m2, a2, b2, section, ab.layout)
 
 
-@dataclass(frozen=True)
-class ZReport:
+class ZReport(NamedTuple):
     away_arrows: bool      # (1) arrows not touching i unchanged
     away_gamma: bool       # (2)
     away_delta: bool       # (3)
@@ -230,8 +228,7 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     return ZReport(c1, c2, c3, c4, c5, c6, tuple(msgs))
 
 
-@dataclass(frozen=True)
-class WordResult:
+class WordResult(NamedTuple):
     point: FramedPoint
     lam: WeightVec
     m: WeightVec | None
@@ -266,8 +263,7 @@ def reflect_word(s: FramedPoint, word, lam: WeightVec, m: WeightVec | None = Non
     return WordResult(cur, cl, cm, tuple(steps))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     kind: str        # "involution" | "commutation" | "braid" | "sides"
     vertices: tuple
     trials: int
@@ -279,8 +275,7 @@ class RelationCheck:
         return bool(self.skipped) or self.passes == self.trials
 
 
-@dataclass(frozen=True)
-class CoxeterReport:
+class CoxeterReport(NamedTuple):
     checks: tuple
     generic: bool
 
@@ -349,15 +344,13 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
 # -- dominance reduction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     vertex: object
     kind: str  # "reflect" | "drop"
     v_after: tuple
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple
     v: RootVec
     lam: WeightVec

@@ -18,8 +18,8 @@ equations of `sample_fiber` all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     FiberSampleFailed,
@@ -41,11 +41,10 @@ from .linalg import (
     random_matrix,
     vstack,
 )
-from .quiver import Block, Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path
+from .quiver import Block, Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path, _Record
 
 
-@dataclass(frozen=True)
-class DimData:
+class DimData(NamedTuple):
     """Dimension bookkeeping: framing spaces d (weight), fiber spaces v (root)."""
 
     d: WeightVec
@@ -89,18 +88,16 @@ class DimData:
         return sum(size[blk.row] * size[blk.col] for blk in q.layout)
 
 
-@dataclass(frozen=True)
-class FramedPoint:
-    quiver: Quiver
-    dims: DimData
-    field: object
-    B: dict       # arrow id -> Mat (v_{h1} x v_{h0})
-    gamma: dict   # vertex -> Mat (v_i x d_i)
-    delta: dict   # vertex -> Mat (d_i x v_i)
-    # vertex -> mu_i, filled by moment_map; no part of the point's value
-    _mu: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+class FramedPoint(_Record):
+    """quiver: Quiver, dims: DimData, field, and the blocks B (arrow id ->
+    Mat, v_{h1} x v_{h0}), gamma (vertex -> Mat, v_i x d_i) and delta
+    (vertex -> Mat, d_i x v_i)."""
 
-    def __post_init__(self):
+    _fields = ("quiver", "dims", "field", "B", "gamma", "delta")
+
+    def __init__(self, quiver, dims, field, B, gamma, delta):
+        super().__init__(quiver, dims, field, B, gamma, delta)
+        vars(self)["_mu"] = {}  # vertex -> mu_i, filled by moment_map; no part of the point's value
         size = self.dims.sizes(self.quiver)
         name = self.field.name
         for part, key, row, col in self.quiver.layout:
@@ -195,8 +192,7 @@ def _signed(eps, m: Mat) -> Mat:
     return m if eps == 1 else -m
 
 
-@dataclass(frozen=True)
-class VertexAB:
+class VertexAB(NamedTuple):
     vertex: object
     layout: tuple  # per summand of T_i, in Quiver.star order: ("D", i) or ("V", arrow id, source)
     a: Mat         # V_i -> T_i
@@ -293,8 +289,7 @@ def _block_inverse(m, what):
         raise SingularBlock(f"{what} is singular") from None
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """Block-diagonal change of basis: invertible g_i on V_i, and an optional
     invertible block per framing space D_i.  A space without a block is
     acted on by the identity.
@@ -304,13 +299,11 @@ class GroupElement:
     already holds the inverse of blocks[i] passes it in `_inverses[i]`; that
     block is then neither inverted nor checked."""
 
-    blocks: dict  # vertex -> Mat on V_i
-    framing_blocks: dict | None = None
-    _inverses: dict | None = dc_field(default=None, repr=False, compare=False)
-    _act: dict = dc_field(init=False, repr=False, compare=False)  # space -> (block, inverse)
+    _fields = ("blocks", "framing_blocks")  # vertex -> Mat on V_i; the same on D_i, or None
 
-    def __post_init__(self):
-        known = self._inverses or {}
+    def __init__(self, blocks, framing_blocks=None, _inverses=None):
+        super().__init__(blocks, framing_blocks)
+        known = _inverses or {}
         act = {}
         for vert, m in self.blocks.items():
             if vert in known:
@@ -321,7 +314,7 @@ class GroupElement:
             act["V", vert] = (m, _block_inverse(m, f"block at {vert}"))
         for vert, m in (self.framing_blocks or {}).items():
             act["D", vert] = (m, _block_inverse(m, f"framing block at {vert}"))
-        object.__setattr__(self, "_act", act)
+        vars(self).update(_inverses=_inverses, _act=act)  # _act: space -> (block, inverse)
 
 
 def identity_group(q, dims, field=QQ) -> GroupElement:

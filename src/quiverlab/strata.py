@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covariants import reachable_dims
 from .errors import BudgetExceeded, RangeViolation
@@ -59,15 +59,13 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     return dim_s - group - (sum(u[k] * d[k] for k in range(n)) - ucv) - ucu // 2
 
 
-@dataclass(frozen=True)
-class StratumInfo:
+class StratumInfo(NamedTuple):
     v_prime: tuple
     dimension: int
     codimension: int
 
 
-@dataclass(frozen=True)
-class CodimReport:
+class CodimReport(NamedTuple):
     d: tuple
     v: tuple
     delta_v: int         # dim S - sum of dim gl(V_i) = dimension of the full stratum
@@ -106,8 +104,7 @@ def codim_report(q, d: WeightVec, v: RootVec) -> CodimReport:
     )
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     p: int
     space_dimension: int
     total: int

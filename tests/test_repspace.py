@@ -1,7 +1,6 @@
 """Framed points: vertex (a, b) packaging, moment maps, group action, sampling."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from quiverlab import (
     RootVec,
     ShapeMismatch,
     SingularBlock,
+    VertexAB,
     WeightVec,
     WrongField,
     assemble_ab,
@@ -115,7 +115,8 @@ class TestAssembly:
     def test_split_names_unknown_vertex(self):
         q, dims = a2_setup(d=(1, 2), v=(2, 1))
         s = FramedPoint.random(q, dims, QQ, random.Random(3))
-        ab = replace(assemble_ab(s, 1), vertex=9)
+        ab = assemble_ab(s, 1)
+        ab = VertexAB(9, ab.layout, ab.a, ab.b)
         with pytest.raises(InvalidQuiver, match="unknown vertex 9"):
             split_ab(s, ab, ab.a, ab.b)
 

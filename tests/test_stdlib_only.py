@@ -3,6 +3,8 @@ standard-library module.  numpy and sympy may serve the tests as oracles,
 never the package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,14 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_the_stdlib(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -S: no site packages, so no .pth file can import either module first
+    src = str(Path(quiverlab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import quiverlab.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
