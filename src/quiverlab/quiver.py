@@ -435,6 +435,15 @@ class WeylElement(NamedTuple):
     matrix: tuple  # tuple of row tuples, v -> M v on root coordinates
     word: tuple
 
+    def __eq__(self, other):
+        return isinstance(other, WeylElement) and self.matrix == other.matrix
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.matrix)
+
     def apply_coroot(self, u: CorootVec) -> CorootVec:
         return CorootVec(
             tuple(sum(r * c for r, c in zip(row, u.coords)) for row in self.matrix)

@@ -16,6 +16,7 @@ from quiverlab import (
     RootVec,
     ShapeMismatch,
     WeightVec,
+    WeylElement,
     cartan_data,
     dominance,
     dot_action,
@@ -237,6 +238,15 @@ class TestWeylGroup:
         for e in els:
             for i in range(2):
                 assert _matmul_int(_generator_matrix(cd, i), e.matrix) in mats
+
+    def test_element_is_its_matrix(self):
+        # the word is provenance only: equality and hashing read the matrix
+        m = ((-1, 0), (1, 1))
+        a, b = WeylElement(m, (0,)), WeylElement(m, (9,))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != WeylElement(((1, 0), (0, 1)), (0,))
 
     def test_infinite_type_raises(self):
         assert not is_finite_type(kronecker())
