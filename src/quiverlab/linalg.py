@@ -499,8 +499,15 @@ def _kernel_from_rref(R, pivots, ncols):
 
 def kernel_basis(a):
     """Basis of {x : a x = 0} as a list of column vectors."""
+    return _kernel_and_free(a)[0]
+
+
+def _kernel_and_free(a):
+    """kernel_basis(a) and the free columns of rref(a), from one elimination;
+    basis vector k is 1 at free column k and 0 at the other free columns."""
     R, pivots = rref(a)
-    return _kernel_from_rref(R, pivots, a.cols)
+    free = [c for c in range(a.cols) if c not in pivots]
+    return _kernel_from_rref(R, pivots, a.cols), free
 
 
 class SolveResult(NamedTuple):
@@ -708,12 +715,19 @@ def complete_to_basis(cols):
     The pivots of rref([cols | I]) are the first columns, in order, that are
     independent of the ones before them, so one elimination picks them all.
     """
+    return _completion_and_inverse(cols)[0]
+
+
+def _completion_and_inverse(cols):
+    """(P, P^-1) for P = complete_to_basis(cols), from one elimination:
+    rref([cols | I]) is E [cols | I] and the identity on the pivot columns P,
+    so E, its right block, is P^-1."""
     n, k = cols.rows, cols.cols
     full = hstack([cols, Mat.identity(cols.field, n)])
-    _, pivots = rref(full)
+    R, pivots = rref(full)
     if pivots[:k] != tuple(range(k)):
         raise ShapeMismatch("columns to complete are dependent")
-    return full.submatrix(range(n), pivots)
+    return full.submatrix(range(n), pivots), R.submatrix(range(n), range(k, k + n))
 
 
 def random_matrix(field, rows, cols, rng, height=10):

@@ -28,13 +28,14 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    _completion_and_inverse,
+    _kernel_and_free,
     column_space_basis,
     complete_to_basis,
     hstack,
     inverse,
     kernel_basis,
     rank,
-    solve_right,
     vstack,
 )
 from .paths import orbit_equivalent
@@ -109,7 +110,7 @@ def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> Reflec
     field = s.field
 
     # b_i is onto exactly when dim ker b_i = t - v_i
-    ker = kernel_basis(ab.b) if side != "cokernel" else None
+    ker, free = _kernel_and_free(ab.b) if side != "cokernel" else (None, None)
     b_epi = ker is not None and len(ker) == t_dim - vi
     if side == "kernel" and not b_epi:
         raise ReflectionUndefined(f"kernel side needs b_i surjective at {vertex}")
@@ -122,17 +123,18 @@ def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> Reflec
     rhs = ab.a * ab.b - Mat.scalar(field, t_dim, lam_i)
     if side == "kernel":
         a2 = hstack(ker) if ker else Mat.zeros(field, t_dim, 0)
-        # a' b' = a b - lambda_i; the columns of a2 are independent and span
-        # ker b, which contains Im(rhs), so the solve is exact and unique.
-        b2 = solve_right(a2, rhs).particular
+        # a' b' = a b - lambda_i: the columns of a2 span ker b, which contains
+        # Im(rhs) as b rhs = (mu_i - lambda_i) b = 0, and a2 is the identity on
+        # the free rows of rref b, so b' is rhs read at those rows.
+        b2 = rhs.submatrix(free, range(t_dim))
         section = a2
     else:
         try:
-            basis = complete_to_basis(ab.a)  # first vi columns = a
+            basis, inv = _completion_and_inverse(ab.a)  # first vi columns = a
         except ShapeMismatch:  # the columns of a_i are dependent
             raise ReflectionUndefined(not_injective) from None
         compl = basis.submatrix(range(t_dim), range(vi, t_dim))
-        proj = inverse(basis).submatrix(range(vi, t_dim), range(t_dim))
+        proj = inv.submatrix(range(vi, t_dim), range(t_dim))
         a2 = rhs * compl
         b2 = proj
         section = compl
