@@ -50,9 +50,9 @@ class _Record:
         return f"{type(self).__qualname__}({args})"
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
 
-    __delattr__ = __setattr__
+    __delattr__ = __setattr__  # called with the name alone
 
 
 class Arrow(NamedTuple):
