@@ -18,6 +18,7 @@ import pytest
 
 from quiverlab import (
     QQ,
+    QQI,
     BlockSystem,
     DimData,
     FpScalar,
@@ -34,6 +35,7 @@ from quiverlab import (
     group_act,
     det,
     hstack,
+    inverse,
     kernel_basis,
     kron,
     limit_project,
@@ -165,6 +167,14 @@ def test_limit_project(calls):
     assert out.dims.v.coords == (1, 2, 0)
     # image of b_i, kernel of a_i, basis completion, and one inverse
     assert calls["rref"] == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+def test_inverse(calls, field):
+    g = random_invertible(field, 4, random.Random(6), 5)
+    calls["rref"] = 0
+    inverse(g)
+    assert calls["rref"] == 1  # rref [g | I], whose right block is the inverse
 
 
 def test_complete_to_basis(calls):

@@ -1100,3 +1100,57 @@ class TestIsScalar:
         assert not Mat.zeros(QQ, 0, 1).is_scalar(0)
         assert Mat.scalar(QQ, 3, Fraction(3, 2)).is_scalar(Fraction(3, 2))
         assert not Mat.scalar(QQ, 3, Fraction(3, 2)).is_scalar(3)
+
+
+# -- what every field's accessors hand out --------------------------------------
+
+
+GAUSSIAN = type(QQI.one())
+
+
+def qi_outputs():
+    """Q(i) matrices from the producers that write zeros and ones of their
+    own: zeros, identities, a kernel vector, solves and an inverse."""
+    i = QQI.i()
+    singular = mat(QQI, [[1, 2, 0], [2, 4, 0]])
+    g = Mat(QQI, 2, 2, [i, 1, 0, 2])
+    sol = solve_right(singular, Mat.column(QQI, [1, 2]))
+    return [Mat.zeros(QQI, 2, 2), Mat.zeros(QQI, 2, 3), Mat.identity(QQI, 3),
+            *kernel_basis(singular), sol.particular, *sol.homogeneous,
+            solve_right(g, Mat.column(QQI, [1, i])).particular, inverse(g)]
+
+
+class TestQiAccessors:
+    def test_every_accessor_gives_gaussian_rationals(self):
+        for m in qi_outputs():
+            got = [m[r, c] for r in range(m.rows) for c in range(m.cols)]
+            got += [x for r in range(m.rows) for x in m.row_list(r)]
+            got += [x for c in range(m.cols) for x in m.col_list(c)]
+            got += [x for row in m.to_lists() for x in row]
+            if m.rows == m.cols:
+                got += [m.trace(), det(m)]
+            assert got and all(type(x) is GAUSSIAN for x in got), m
+
+    def test_zeros_equal_boxed_zeros(self):
+        z = Mat.zeros(QQI, 2, 2)
+        assert z == Mat(QQI, 2, 2, [QQI.zero()] * 4)
+        assert repr(z) == "Mat(Q(i), 2x2, [[0, 0], [0, 0]])"
+        assert Mat.identity(QQI, 2) == Mat(QQI, 2, 2, [1, 0, 0, 1])
+        assert Mat.identity(QQI, 2) * Mat.zeros(QQI, 2, 2) == z
+
+
+class TestInverseEveryField:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+    def test_singular_and_empty(self, field):
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]], [[1, 1, 0], [0, 1, 1], [1, 2, 1]]):
+            with pytest.raises(SingularMatrix):
+                inverse(mat(field, rows))
+        empty = inverse(Mat.identity(field, 0))
+        assert empty.shape() == (0, 0) and empty == Mat.zeros(field, 0, 0)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+    def test_round_trip(self, field):
+        rng = random.Random(9)
+        for n in (1, 2, 3, 4):
+            g = random_invertible(field, n, rng, 5)
+            assert g * inverse(g) == Mat.identity(field, n) == inverse(g) * g
