@@ -4,12 +4,14 @@ Everything here is plain row-major lists plus field arithmetic.  The design
 constraints, in order: exactness, determinism, and only then speed (the
 matrices in this project are tiny, but there are many of them).
 
+Every matrix stores its entries over one positive int denominator: entry k
+is `_d[k] / _den`.  Over Q the ints are over the least one, gcd(_den, *_d)
+== 1; over F_p they are residues in 0..p-1 over 1; over Q(i) `_d` holds
+field elements, and the ints 0 and 1 that the generic kernels write, over 1.
+Equal matrices store equal lists (0 == GaussianRational(0)).
+
 Kernels are pinned per field:
-  * over Q and F_p a matrix stores its entries as ints over one positive
-    denominator: entry k is `_d[k] / _den`.  Over Q `_den` is the least
-    one, gcd(_den, *_d) == 1; over F_p the ints are residues in 0..p-1 and
-    `_den` is 1.  Either way equal matrices store equal lists.  One int
-    core serves both fields and builds no Fraction or FpScalar: matmul
+  * over Q and F_p one int core builds no Fraction or FpScalar: matmul
     takes one integer dot product per entry over den_a den_b, `rref` is a
     fraction-free Gauss-Jordan on the stored rows (one denominator scales
     them all) that divides each updated row by its content, add and sub
@@ -21,9 +23,9 @@ Kernels are pinned per field:
     reduces each updated row mod p, know about F_p.  The accessors (`m[r, c]`,
     `row_list`, `col_list`, `to_lists`, `trace`) and `det` hand out
     Fractions or FpScalars;
-  * over Q(i), `_d` holds field elements; `rref` and `det` use Gauss-Jordan
-    with exact field division (`_rref_field`, also the tests' reference
-    elimination), and matmul is the same dot product per entry.
+  * over Q(i) `rref` and `det` use Gauss-Jordan with exact field division
+    (`_rref_field`, also the tests' reference elimination); every other
+    kernel is the generic one, over the denominator 1.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` entry by entry: the coefficient of X[p, q] in (L X R)[i, j] is
@@ -77,15 +79,14 @@ class Mat:
             self._den = 1
         else:
             self._d = [field.coerce(x) for x in data]
-            self._den = None
+            self._den = 1
         # _d is flat, row-major and treated as immutable
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z, den = _zero(field)
-        return _wrap(field, rows, cols, [z] * (rows * cols), den)
+        return _wrap(field, rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def identity(cls, field, n):
@@ -106,9 +107,8 @@ class Mat:
     @classmethod
     def scalar(cls, field, n, value):
         """value * identity."""
-        z, _ = _zero(field)
         v, den = _stored(field, value)
-        data = [z] * (n * n)
+        data = [0] * (n * n)
         data[:: n + 1] = [v] * n
         return _mat(field, n, n, data, den)
 
@@ -120,8 +120,7 @@ class Mat:
 
     def _out(self, xs):
         """Stored entries xs as field elements."""
-        den = self._den
-        return xs if den is None else [_elem(self.field, x, den) for x in xs]
+        return [_elem(self.field, x, self._den) for x in xs]
 
     def _col(self, c):
         return self._d[c :: self.cols] if self.cols else []
@@ -133,8 +132,7 @@ class Mat:
 
     def __getitem__(self, rc):
         r, c = rc
-        x = self._d[r * self.cols + c]
-        return x if self._den is None else _elem(self.field, x, self._den)
+        return _elem(self.field, self._d[r * self.cols + c], self._den)
 
     def row_list(self, r):
         return self._out(self._d[r * self.cols : (r + 1) * self.cols])
@@ -225,15 +223,13 @@ class Mat:
 
     def _matmul(self, other):
         m, b = other.cols, other._d
-        z, den = _zero(self.field)
         cols = [b[j::m] for j in range(m)]
-        out = [sum(map(mul, ar, bc), z) for ar in self._rows() for bc in cols]
-        return _mat(self.field, self.rows, m, out, den and self._den * other._den)
+        out = [sum(map(mul, ar, bc)) for ar in self._rows() for bc in cols]
+        return _mat(self.field, self.rows, m, out, self._den * other._den)
 
     def scale(self, c):
         c, den = _stored(self.field, c)
-        return _mat(self.field, self.rows, self.cols, [c * a for a in self._d],
-                    den and den * self._den)
+        return _mat(self.field, self.rows, self.cols, [c * a for a in self._d], den * self._den)
 
     def transpose(self):
         data = [self._d[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
@@ -252,50 +248,43 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare(f"trace of {self.shape()}")
-        return self._out([sum(self._d[:: self.cols + 1], _zero(self.field)[0])])[0]
+        return _elem(self.field, sum(self._d[:: self.cols + 1]), self._den)
 
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols}, {self.to_lists()!r})"
 
 
-def _zero(field):
-    """(zero, den): the stored zero of field and its denominator, the int 0
-    over 1 over Q and F_p, over Q(i) the field's zero and None."""
-    return (field.zero(), None) if field.kind == "Qi" else (0, 1)
-
-
 def _stored(field, value):
     """(value, den): value coerced into field, in stored form; over Q its
     numerator over its denominator, over F_p its residue over 1, over Q(i)
-    the field element and None.  Over Q an int or a Fraction is used as it
+    the field element over 1.  Over Q an int or a Fraction is used as it
     is, so no Fraction is built."""
     if field.kind == "Q":
         v = value if isinstance(value, (int, Fraction)) else field.coerce(value)
         return v.numerator, v.denominator
     if field.kind == "Fp":
         return (value % field.p if type(value) is int else field.coerce(value).val), 1
-    return field.coerce(value), None
+    return field.coerce(value), 1
 
 
 def _elem(field, x, den):
-    """The field element x / den of a stored int x (den is 1 over F_p)."""
-    return field.from_int(x) if field.kind == "Fp" else Fraction(x, den)
+    """The field element x / den of a stored entry x; den is 1 off Q."""
+    return field.coerce(x) if den == 1 else Fraction(x, den)
 
 
 def _mat(field, rows, cols, data, den):
     """The Mat with stored entries data: over Q ints over den > 0, brought to
     lowest terms here; over F_p ints over den prime to p, brought to residues
-    over 1 here; over Q(i) field elements, with den None."""
-    if den is not None:
-        if field.kind == "Fp":
-            p = field.p
-            s = 1 if den == 1 else pow(den, -1, p)
-            data, den = [x * s % p for x in data], 1
-        else:
-            g = gcd(den, *data)
-            if g > 1:
-                data = [x // g for x in data]
-                den //= g
+    over 1 here; over Q(i) field elements over 1."""
+    if field.kind == "Fp":
+        p = field.p
+        s = 1 if den == 1 else pow(den, -1, p)
+        data, den = [x * s % p for x in data], 1
+    elif den > 1:
+        g = gcd(den, *data)
+        if g > 1:
+            data = [x // g for x in data]
+            den //= g
     return _wrap(field, rows, cols, data, den)
 
 
@@ -313,15 +302,12 @@ def _wrap(field, rows, cols, data, den):
 
 def _common(mats):
     """The stored entries of mats (one field) over one denominator: (list of
-    entry lists, den); over Q den is the lcm of theirs, elsewhere None."""
+    entry lists, den); den is the lcm of theirs, which is 1 over F_p and
+    Q(i)."""
     name = mats[0].field.name
-    ds = []
     for m in mats:
         if m.field.name != name:
             raise WrongField(f"{name} vs {m.field.name}")
-        ds.append(m._d)
-    if mats[0]._den is None:
-        return ds, None
     den = lcm(*[m._den for m in mats])
     return [m._d if m._den == den else [x * (den // m._den) for x in m._d]
             for m in mats], den
@@ -451,22 +437,22 @@ def rref(a):
     """Reduced row echelon form.  Returns (R, pivot column tuple)."""
     m = a._rows()
     n = a.cols
-    if a._den is not None:
-        # the stored rows are the rows of a times _den, with the same rref;
-        # row r of it is m[r] / m[r][pivots[r]], put over the lcm of the
-        # pivots (over F_p each pivot is below p, so the lcm is a unit)
-        pivots = _rref_int(m, n, a.field.p if a.field.kind == "Fp" else 0)
-        den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
-        data = []
-        for r, row in enumerate(m):
-            if r < len(pivots):
-                s = den // row[pivots[r]]
-                data.extend([x * s for x in row])
-            else:
-                data.extend([0] * n)
-        return _mat(a.field, a.rows, n, data, den), tuple(pivots)
-    pivots, _ = _rref_field(m, a.field)
-    return Mat(a.field, a.rows, n, [x for row in m for x in row]), tuple(pivots)
+    if a.field.kind == "Qi":
+        pivots, _ = _rref_field(m, a.field)
+        return Mat(a.field, a.rows, n, [x for row in m for x in row]), tuple(pivots)
+    # the stored rows are the rows of a times _den, with the same rref; row r
+    # of it is m[r] / m[r][pivots[r]], put over the lcm of the pivots (over
+    # F_p each pivot is below p, so the lcm is a unit)
+    pivots = _rref_int(m, n, a.field.p if a.field.kind == "Fp" else 0)
+    den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
+    data = []
+    for r, row in enumerate(m):
+        if r < len(pivots):
+            s = den // row[pivots[r]]
+            data.extend([x * s for x in row])
+        else:
+            data.extend([0] * n)
+    return _mat(a.field, a.rows, n, data, den), tuple(pivots)
 
 
 def rank(a):
@@ -477,20 +463,18 @@ def _kernel_from_rref(R, pivots, ncols):
     """Kernel basis of the first ncols columns of a reduced echelon form.
 
     Deterministic: one vector per free column, free coordinate set to 1,
-    pivot coordinates read off R.  Over Q and F_p the vectors are stored
-    over R's denominator, where 1 is R._den.
+    pivot coordinates read off R.  The vectors are stored over R's
+    denominator, where 1 is R._den.
     """
-    z, _ = _zero(R.field)
     den = R._den
-    one = R.field.one() if den is None else den
     d, n = R._d, R.cols
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        vec = [z] * ncols
-        vec[f] = one
+        vec = [0] * ncols
+        vec[f] = den
         for r, p in enumerate(pivots):
             vec[p] = -d[r * n + f]
         basis.append(_mat(R.field, ncols, 1, vec, den))
@@ -532,7 +516,7 @@ def solve_right(a, c):
         if p >= a.cols:
             raise NoSolution("inconsistent linear system")
     n, k, w = a.cols, c.cols, R.cols
-    x = [_zero(a.field)[0]] * (n * k)
+    x = [0] * (n * k)
     for r, p in enumerate(pivots):
         x[p * k : (p + 1) * k] = R._d[r * w + n : (r + 1) * w]
     part = _mat(a.field, n, k, x, R._den)
@@ -552,7 +536,7 @@ def kron(a, b):
             brow = b._d[k * b.cols : (k + 1) * b.cols]
             for x in arow:
                 data.extend(x * y for y in brow)
-    return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, a._den and a._den * b._den)
+    return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, a._den * b._den)
 
 
 class BlockSystem:
@@ -563,9 +547,9 @@ class BlockSystem:
     the entries of its C.  A term (L, key, R) contributes kron(L, R^T) in the
     equation's rows and the unknown's columns; L or R None is the identity.
     `matrix` adds L[i, p] R[q, j] for each pair of nonzero entries, in one
-    flat loop, and builds no identity, transpose or kron.  Over Q and F_p it
-    works on stored ints: the system is put over the lcm of every term's
-    den(L) den(R) and every C's denominator.
+    flat loop, and builds no identity, transpose or kron.  It works on the
+    stored entries: the system is put over the lcm of every term's den(L)
+    den(R) and every C's denominator.
     """
 
     def __init__(self, field):
@@ -598,36 +582,32 @@ class BlockSystem:
     def matrix(self):
         """The assembled coefficient matrix A and right-hand side column c."""
         field = self.field
-        z, den = _zero(field)
-        one, _ = _stored(field, 1)
-        if den is not None:
-            den = lcm(*[c._den for _, c in self._eqs],
-                      *[(1 if L is None else L._den) * (1 if R is None else R._den)
-                        for terms, _ in self._eqs for L, _, R in terms])
+        den = lcm(*[c._den for _, c in self._eqs],
+                  *[(1 if L is None else L._den) * (1 if R is None else R._den)
+                    for terms, _ in self._eqs for L, _, R in terms])
         width = self.cols
         data, rhs = [], []
         for terms, c in self._eqs:
             n = c.cols
-            eq = [z] * (c.rows * n * width)
+            eq = [0] * (c.rows * n * width)
             for L, key, R in terms:
                 off, xr, xc = self.blocks[key]
-                # over Q, t brings this term's products of stored ints to den
-                t = one if den is None else den // ((1 if L is None else L._den)
-                                                    * (1 if R is None else R._den))
+                # t brings this term's products of stored entries to den
+                t = den // ((1 if L is None else L._den) * (1 if R is None else R._den))
                 # entry (i, j) of L X R is the sum of L[i, p] R[q, j] X[p, q]
                 # over the nonzero (i, p, x) of L and (q, j, y) of R; a None
                 # factor is the identity
                 ls = ([(i, i, t) for i in range(xr)] if L is None else
-                      [(k // xr, k % xr, x * t) for k, x in enumerate(L._d) if x != z])
-                rs = ([(j, j, one) for j in range(xc)] if R is None else
-                      [(k // n, k % n, y) for k, y in enumerate(R._d) if y != z])
+                      [(k // xr, k % xr, x * t) for k, x in enumerate(L._d) if x])
+                rs = ([(j, j, 1) for j in range(xc)] if R is None else
+                      [(k // n, k % n, y) for k, y in enumerate(R._d) if y])
                 for i, p, x in ls:
                     base = i * n * width + off + p * xc
                     for q, j, y in rs:
                         k = base + j * width + q
                         eq[k] += x * y
             data.extend(eq)
-            rhs.extend(c._d if den is None else [y * (den // c._den) for y in c._d])
+            rhs.extend([y * (den // c._den) for y in c._d])
         return (
             _mat(field, len(rhs), width, data, den),
             _mat(field, len(rhs), 1, rhs, den),
@@ -680,22 +660,20 @@ def det(a):
     if n == 0:
         return a.field.one()
     m = a._rows()
-    if a._den is not None:
-        return _elem(a.field, _det_bareiss_int(m), a._den ** n)
-    pivots, d = _rref_field(m, a.field)
-    return d if len(pivots) == n else a.field.zero()
+    if a.field.kind == "Qi":
+        pivots, d = _rref_field(m, a.field)
+        return d if len(pivots) == n else a.field.zero()
+    return _elem(a.field, _det_bareiss_int(m), a._den ** n)
 
 
 def inverse(a):
+    """The right block of rref([a | I]), from one elimination."""
     if a.rows != a.cols:
         raise NotSquare(f"inverse of {a.shape()}")
     try:
-        sol = solve_right(a, Mat.identity(a.field, a.rows))
-    except NoSolution:
-        raise SingularMatrix("matrix is singular")
-    if sol.homogeneous:
-        raise SingularMatrix("matrix is singular")
-    return sol.particular
+        return _completion_and_inverse(a)[1]
+    except ShapeMismatch:
+        raise SingularMatrix("matrix is singular") from None
 
 
 def is_invertible(a):

@@ -31,9 +31,7 @@ from .linalg import (
     _completion_and_inverse,
     _kernel_and_free,
     column_space_basis,
-    complete_to_basis,
     hstack,
-    inverse,
     kernel_basis,
     rank,
     vstack,
@@ -52,9 +50,7 @@ from .quiver import (
 from .repspace import (
     DimData,
     FramedPoint,
-    GroupElement,
     assemble_ab,
-    group_act,
     moment_matches,
     sample_fiber,
     split_ab,
@@ -436,35 +432,27 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
     if not (ab.b * ab.a).is_zero():
         raise MomentMismatch(f"mu != 0 at {vertex}")
 
+    # change basis at the vertex by P, whose last column is split off:
+    # a_i -> a_i P and b_i -> P^-1 b_i
     image = column_space_basis(ab.b)
     if image.cols < vi:
-        basis = complete_to_basis(image)
-        drop_incoming_rows = True  # conjugated image sits in the first vi-1 coords
+        basis, inv = _completion_and_inverse(image)
+        drop_incoming_rows = True  # P^-1 b_i is zero in its last row
     else:
         ker = kernel_basis(ab.a)
         if not ker:
             raise RankTooLarge(f"b_i surjective and a_i injective at {vertex}")
-        full = complete_to_basis(ker[0])   # first column = kernel vector
-        cols = list(range(1, vi)) + [0]  # rotate it to the end
-        basis = full.submatrix(range(vi), cols)
+        basis, inv = _completion_and_inverse(ker[0])  # first column = kernel vector
+        turn = list(range(1, vi)) + [0]  # rotate it to the end
+        basis = basis.submatrix(range(vi), turn)
+        inv = inv.submatrix(turn, range(vi))
         drop_incoming_rows = False
 
-    # change basis at the vertex only: the block is basis^{-1}, its inverse basis
-    s2 = group_act(GroupElement({vertex: inverse(basis)}, _inverses={vertex: basis}), s)
-
-    at = ("V", vertex)
-    keep = list(range(vi - 1))
-
-    def cut(blk, rows, cols):
-        m = s2.block(blk)
-        if blk.row == at:
-            if drop_incoming_rows and not m.submatrix([vi - 1], range(m.cols)).is_zero():
-                raise AssertionError("nonzero coordinates outside the chosen hyperplane")
-            m = m.submatrix(keep, range(m.cols))
-        if blk.col == at:
-            if not drop_incoming_rows and not m.submatrix(range(m.rows), [vi - 1]).is_zero():
-                raise AssertionError("kernel line is not in the kernel")
-            m = m.submatrix(range(m.rows), keep)
-        return m
-
-    return FramedPoint.build(q, s.dims.with_v(q, vertex, vi - 1), s.field, cut)
+    a = ab.a * basis
+    b = inv * ab.b
+    keep = range(vi - 1)
+    if drop_incoming_rows and not b.submatrix([vi - 1], range(b.cols)).is_zero():
+        raise AssertionError("nonzero coordinates outside the chosen hyperplane")
+    if not drop_incoming_rows and not a.submatrix(range(a.rows), [vi - 1]).is_zero():
+        raise AssertionError("kernel line is not in the kernel")
+    return split_ab(s, ab, a.submatrix(range(a.rows), keep), b.submatrix(keep, range(b.cols)))
