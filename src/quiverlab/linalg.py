@@ -122,8 +122,16 @@ class Mat:
         """Stored entries xs as field elements."""
         return [_elem(self.field, x, self._den) for x in xs]
 
+    def _check(self, what, ids, n):
+        """IndexError naming the first of ids outside range(n), the rows or
+        the columns; once per index, not per entry."""
+        for i in ids:
+            if not 0 <= i < n:
+                raise IndexError(f"{what} {i} out of range for a {self.rows}x{self.cols} matrix")
+
     def _col(self, c):
-        return self._d[c :: self.cols] if self.cols else []
+        self._check("column", (c,), self.cols)
+        return self._d[c :: self.cols]
 
     def _rows(self):
         """The stored rows, as new lists."""
@@ -132,9 +140,12 @@ class Mat:
 
     def __getitem__(self, rc):
         r, c = rc
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"index {rc} out of range for a {self.rows}x{self.cols} matrix")
         return _elem(self.field, self._d[r * self.cols + c], self._den)
 
     def row_list(self, r):
+        self._check("row", (r,), self.rows)
         return self._out(self._d[r * self.cols : (r + 1) * self.cols])
 
     def col_list(self, c):
@@ -147,6 +158,8 @@ class Mat:
         return _mat(self.field, self.rows, 1, self._col(c), self._den)
 
     def submatrix(self, row_ids, col_ids):
+        self._check("row", row_ids, self.rows)
+        self._check("column", col_ids, self.cols)
         data = [self._d[r * self.cols + c] for r in row_ids for c in col_ids]
         return _mat(self.field, len(row_ids), len(col_ids), data, self._den)
 

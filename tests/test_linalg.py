@@ -96,6 +96,20 @@ class TestMatBasics:
         assert a.row_list(0) == [Fraction(1), Fraction(2), Fraction(3)]
         assert a.col_list(2) == [Fraction(3), Fraction(6)]
 
+    def test_accessors_check_indices(self):
+        # these used to read a neighbouring entry, or build a short matrix
+        a = mat(QQ, [[1, 2], [3, 4]])
+        bad = [(lambda: a[0, 2], r"index \(0, 2\)"), (lambda: a[0, -1], r"index \(0, -1\)"),
+               (lambda: a[2, 0], r"index \(2, 0\)"),
+               (lambda: a.submatrix([0], [2]), "column 2"), (lambda: a.submatrix([0, -1], [0]), "row -1"),
+               (lambda: a.row_list(2), "row 2"), (lambda: a.col_list(-1), "column -1"),
+               (lambda: a.column_vec(2), "column 2"),
+               (lambda: Mat.zeros(QQ, 2, 0).column_vec(0), "column 0")]
+        for call, message in bad:
+            with pytest.raises(IndexError, match=message + " out of range for a 2x"):
+                call()
+        assert a.submatrix([], [1]).shape() == (0, 1) and a.submatrix([1], []).shape() == (1, 0)
+
 
 class TestKernel:
     def test_projection_kernel(self):
