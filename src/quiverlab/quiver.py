@@ -338,6 +338,7 @@ def _check_len(qc, vec, nm):
 def reflect_weight(qc, i, x: WeightVec) -> WeightVec:
     """Simple reflection s_i on weight coordinates: x_j -> x_j - c_ij x_i."""
     cd = _as_cartan(qc)
+    _check_vertex(cd, i)
     _check_len(cd, x, "weight")
     ci = cd.cartan[i]
     xi = x.coords[i]
@@ -347,11 +348,17 @@ def reflect_weight(qc, i, x: WeightVec) -> WeightVec:
 def reflect_coroot(qc, i, u: CorootVec) -> CorootVec:
     """s_i on coroot coordinates: u -> u - (C u)_i alpha_i^vee."""
     cd = _as_cartan(qc)
+    _check_vertex(cd, i)
     _check_len(cd, u, "coroot")
     t = sum(cij * uj for cij, uj in zip(cd.cartan[i], u.coords))
     new = list(u.coords)
     new[i] -= t
     return CorootVec(tuple(new))
+
+
+def _check_vertex(cd, i):
+    if not 0 <= i < cd.n:
+        raise RangeViolation(f"vertex index {i} out of range")
 
 
 def _dot_once(cd, d, v, i):
@@ -373,8 +380,7 @@ def dot_action(qc, word, d: WeightVec, v: RootVec) -> RootVec:
     _check_len(cd, v, "v")
     cur = list(v.coords)
     for i in reversed(list(word)):
-        if not 0 <= i < cd.n:
-            raise RangeViolation(f"vertex index {i} out of range")
+        _check_vertex(cd, i)
         cur = _dot_once(cd, d.coords, cur, i)
     return RootVec(tuple(cur))
 

@@ -171,6 +171,16 @@ class TestWeylActions:
         with pytest.raises(RangeViolation):
             dot_action(q, [2], WeightVec((1, 1)), RootVec((0, 0)))
 
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_reflections_bad_index(self, i):
+        # reflect_weight(cd, -1, x) used to return s_2 x, and 2 a bare IndexError
+        cd = cartan_data(dynkin_quiver("A2"))
+        for call in (lambda: reflect_weight(cd, i, WeightVec((1, 2))),
+                     lambda: reflect_coroot(cd, i, CorootVec((1, 2))),
+                     lambda: dot_action(cd, [i], WeightVec((1, 1)), RootVec((0, 0)))):
+            with pytest.raises(RangeViolation, match=f"^vertex index {i} out of range$"):
+                call()
+
     @pytest.mark.parametrize("cls, coords, message", [
         (RootVec, (1.7, 2), "RootVec[0] is 1.7; coordinates must be integers"),
         (RootVec, ("3", 2), "RootVec[0] is '3'; coordinates must be integers"),
