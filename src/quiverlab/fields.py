@@ -188,7 +188,7 @@ class RationalField(_Field):
         raise WrongField(f"cannot coerce {x!r} into Q")
 
     def parse(self, obj):
-        if isinstance(obj, (str, int)):
+        if type(obj) in (str, int):  # a JSON boolean is no entry
             return Fraction(obj)
         raise WrongField(f"bad rational literal {obj!r}")
 
@@ -219,9 +219,9 @@ class GaussianRationalField(_Field):
 
     def parse(self, obj):
         if (isinstance(obj, (list, tuple)) and len(obj) == 2
-                and all(isinstance(x, (str, int)) for x in obj)):
+                and all(type(x) in (str, int) for x in obj)):
             return GaussianRational(Fraction(obj[0]), Fraction(obj[1]))
-        if isinstance(obj, (str, int)):
+        if type(obj) in (str, int):
             return GaussianRational(Fraction(obj))
         raise WrongField(f"bad Gaussian rational literal {obj!r}")
 
@@ -271,9 +271,9 @@ class PrimeField(_Field):
         raise WrongField(f"cannot coerce {x!r} into F_{self.p}")
 
     def parse(self, obj):
-        if isinstance(obj, int):
+        if type(obj) is int:
             return FpScalar(obj, self.p)
-        if isinstance(obj, str):
+        if type(obj) is str:
             return FpScalar(int(obj), self.p)
         raise WrongField(f"bad F_{self.p} literal {obj!r}")
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import quiverlab
 from quiverlab import (
-    QQ, QQI, FramedPoint, WeightVec, moment_matches, reflect_point, sample_fiber,
+    QQ, QQI, FramedPoint, PrimeField, WeightVec, moment_matches, reflect_point, sample_fiber,
 )
 from quiverlab.cli import _build_parser, main, run
 from util import a1_point, a2_setup, cli_env, renamed_arrows
@@ -394,7 +394,19 @@ class TestErrorsAndExitCodes:
         (QQ, ("gamma", "1"), [["x", "1/0"]], "point JSON entry ['gamma']['1'] has an entry"),
         (QQI, ("gamma", "1"), [[[None, 0], "1"]], "point JSON entry ['gamma']['1'] has an entry"),
         (QQI, ("delta", "2"), [[[[1], 0]]], "point JSON entry ['delta']['2'] has an entry"),
-    ], ids=["B", "field", "v", "gamma", "Qi-null", "Qi-list"])
+        # a JSON boolean used to be read as the entry 0 or 1
+        (QQ, ("gamma", "1"), [[True, False]],
+         "point JSON entry ['gamma']['1'] has an entry that is not in Q: bad rational literal True"),
+        (QQI, ("gamma", "1"), [[False, "1"]],
+         "point JSON entry ['gamma']['1'] has an entry that is not in Q(i): "
+         "bad Gaussian rational literal False"),
+        (QQI, ("gamma", "1"), [[["1", True], "1"]],
+         "point JSON entry ['gamma']['1'] has an entry that is not in Q(i): "
+         "bad Gaussian rational literal ['1', True]"),
+        (PrimeField(7), ("gamma", "1"), [[True, False]],
+         "point JSON entry ['gamma']['1'] has an entry that is not in Fp:7: bad F_7 literal True"),
+    ], ids=["B", "field", "v", "gamma", "Qi-null", "Qi-list", "Q-bool", "Qi-bool", "Qi-bool-pair",
+            "Fp-bool"])
     def test_point_file_malformed_entry(self, tmp_path, field, keys, value, message):
         q, dims = a2_setup(d=(2, 1), v=(1, 1))
         obj = sample_fiber(q, dims, WeightVec((1, 1)), seed=0, field=field).to_json()
