@@ -39,7 +39,7 @@ from quiverlab import (
 )
 from quiverlab import DimData, RootVec, WeightVec, dynkin_quiver, group_act, hom_space, linalg
 from quiverlab import random_group, sample_fiber
-from util import entries, mat
+from util import check_stored, entries, mat
 
 
 class TestMatBasics:
@@ -1168,3 +1168,39 @@ class TestInverseEveryField:
         for n in (1, 2, 3, 4):
             g = random_invertible(field, n, rng, 5)
             assert g * inverse(g) == Mat.identity(field, n) == inverse(g) * g
+
+
+# -- one stored form on every field ---------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+def test_every_producer_gives_the_stored_form(field):
+    rng = random.Random(47)
+    singular = mat(field, [[1, 2, 0], [2, 4, 0], [0, 0, 0]])
+    system = BlockSystem(field)
+    system.unknown("x", 2, 2)
+    system.unknown("y", 1, 2)
+    system.equation([(random_matrix(field, 2, 2, rng, 5), "x", None),
+                     (None, "x", random_matrix(field, 2, 2, rng, 5))], random_matrix(field, 2, 2, rng, 5))
+    system.equation([(random_matrix(field, 1, 2, rng, 5), "x", Mat.scalar(field, 2, 3)),
+                     (None, "y", None)], Mat.zeros(field, 1, 2))
+    out = [Mat(field, 1, 3, [0, 1, 2]), Mat.from_rows(field, [[1, 0], [0, 0]]), Mat.column(field, [0, 1]),
+           Mat.zeros(field, 2, 3), Mat.zeros(field, 0, 2), Mat.identity(field, 3), Mat.identity(field, 0),
+           Mat.scalar(field, 2, 0), Mat.scalar(field, 2, 5), *system.matrix(),
+           singular, *kernel_basis(singular), rref(singular)[0],
+           complete_to_basis(singular.submatrix(range(3), [0])), complete_to_basis(Mat.zeros(field, 2, 0))]
+    for k in range(12):
+        a = random_matrix(field, rng.randint(1, 4), rng.randint(1, 4), rng, 6)
+        b = random_matrix(field, a.rows, a.cols, rng, 6)
+        c = random_matrix(field, a.cols, rng.randint(0, 3), rng, 6)
+        g = random_invertible(field, rng.randint(1, 4), rng, 6)
+        sol = solve_right(a, a * c)
+        out += [a, a + b, a - b, a - a, -a, a * c, 3 * a, a * 0, a.scale(2), a.transpose(),
+                hstack([a, b]), vstack([a, b]), block([[a, b], [b, a]]), kron(a, c),
+                a.submatrix([0], range(a.cols)), a.submatrix([], []), a.column_vec(a.cols - 1),
+                rref(a)[0], *kernel_basis(a), sol.particular, *sol.homogeneous,
+                g, inverse(g), complete_to_basis(g.submatrix(range(g.rows), range(k % g.rows)))]
+        if field.has_conjugation:
+            out.append(a.conj_transpose())
+    for m in out:
+        check_stored(m)

@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import quiverlab as ql
 
@@ -15,6 +16,22 @@ def mat(field, rows):
     nc = len(rows[0]) if nr else 0
     data = [field.coerce(x) for row in rows for x in row]
     return ql.Mat(field, nr, nc, data)
+
+
+def check_stored(m):
+    """Assert that m is in the one stored form: rows * cols entries over an
+    int denominator >= 1; over Q ints in lowest terms, over F_p residues
+    over 1, over Q(i) field elements, or the ints 0 and 1, over 1."""
+    assert len(m._d) == m.rows * m.cols
+    assert type(m._den) is int and m._den >= 1
+    kind = m.field.kind
+    if kind == "Q":
+        assert all(type(x) is int for x in m._d) and gcd(m._den, *m._d) == 1
+    elif kind == "Fp":
+        assert m._den == 1 and all(type(x) is int and 0 <= x < m.field.p for x in m._d)
+    else:
+        assert m._den == 1
+        assert all(type(x) is ql.GaussianRational or (type(x) is int and x in (0, 1)) for x in m._d)
 
 
 def entries(m):
