@@ -7,8 +7,8 @@ matrices in this project are tiny, but there are many of them).
 Every matrix stores its entries over one positive int denominator: entry k
 is `_d[k] / _den`.  Over Q the ints are over the least one, gcd(_den, *_d)
 == 1; over F_p they are residues in 0..p-1 over 1; over Q(i) `_d` holds
-field elements, and the ints 0 and 1 that the generic kernels write, over 1.
-Equal matrices store equal lists (0 == GaussianRational(0)).
+field elements or ints (the generic kernels write and combine ints), over 1.
+Equal matrices store equal lists (2 == GaussianRational(2)).
 
 Kernels are pinned per field:
   * over Q and F_p one int core builds no Fraction or FpScalar: matmul
@@ -140,8 +140,8 @@ class Mat:
 
     def __getitem__(self, rc):
         r, c = rc
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"index {rc} out of range for a {self.rows}x{self.cols} matrix")
+        self._check("row", (r,), self.rows)
+        self._check("column", (c,), self.cols)
         return _elem(self.field, self._d[r * self.cols + c], self._den)
 
     def row_list(self, r):
@@ -288,7 +288,7 @@ def _elem(field, x, den):
 def _mat(field, rows, cols, data, den):
     """The Mat with stored entries data: over Q ints over den > 0, brought to
     lowest terms here; over F_p ints over den prime to p, brought to residues
-    over 1 here; over Q(i) field elements over 1."""
+    over 1 here; over Q(i) field elements or ints over 1."""
     if field.kind == "Fp":
         p = field.p
         s = 1 if den == 1 else pow(den, -1, p)
@@ -434,7 +434,7 @@ def _rref_field(m, field):
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
             d = -d
-        pv = m[r][c]
+        pv = field.coerce(m[r][c])  # over Q(i) a stored int, too
         d = d * pv
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):

@@ -7,6 +7,7 @@ import pytest
 
 from quiverlab import (
     QQ,
+    QQI,
     DimData,
     FramedPoint,
     Mat,
@@ -431,6 +432,18 @@ class TestLimitProject:
         out = limit_project(s, 1)
         assert out.dims.v == RootVec((0,))
         assert lusztig_invariants(out, 3) == lusztig_invariants(s, 3)
+
+    def test_kernel_line_case_over_qi(self):
+        # the kernel vector of a_1 is e_1, stored as the ints 1 and 0; its
+        # completion with an int pivot used to fail over Q(i)
+        q, dims = a1_setup(d=3, v=2)
+        i = QQI.i()
+        gamma = {1: mat(QQI, [[1, 0, 0], [0, 1, 0]])}
+        delta = {1: Mat.from_rows(QQI, [[0, 0], [0, 0], [0, i]])}
+        out = limit_project(FramedPoint(q, dims, QQI, {}, gamma, delta), 1)
+        assert out.dims.v == RootVec((1,))
+        assert out.gamma[1] == mat(QQI, [[0, 1, 0]])
+        assert out.delta[1] == Mat.from_rows(QQI, [[0], [0], [i]])
 
     def test_rank_too_large(self):
         s = a1_point(gamma=(1, 0), delta=(0, 1))  # mu = 0, b epi, a mono

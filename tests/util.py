@@ -21,7 +21,7 @@ def mat(field, rows):
 def check_stored(m):
     """Assert that m is in the one stored form: rows * cols entries over an
     int denominator >= 1; over Q ints in lowest terms, over F_p residues
-    over 1, over Q(i) field elements, or the ints 0 and 1, over 1."""
+    over 1, over Q(i) field elements or ints over 1."""
     assert len(m._d) == m.rows * m.cols
     assert type(m._den) is int and m._den >= 1
     kind = m.field.kind
@@ -31,7 +31,7 @@ def check_stored(m):
         assert m._den == 1 and all(type(x) is int and 0 <= x < m.field.p for x in m._d)
     else:
         assert m._den == 1
-        assert all(type(x) is ql.GaussianRational or (type(x) is int and x in (0, 1)) for x in m._d)
+        assert all(type(x) in (ql.GaussianRational, int) for x in m._d)
 
 
 def entries(m):
