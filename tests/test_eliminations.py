@@ -50,6 +50,7 @@ from quiverlab import (
     reflect_point,
     reflect_word,
     reflection,
+    repspace,
     rref,
     sample_fiber,
     solve_right,
@@ -248,6 +249,26 @@ def test_reflect_word_checks_each_point_once(calls, word):
     assert calls["moment_matches"] == (len(word) + 1 if word else 0)
     if not word:
         assert out.point is s
+
+
+def test_reflect_word_stacks(monkeypatch):
+    # every hstack and vstack a word of kernel-side letters makes: a_i and
+    # b_i at the reflected vertex, a' from ker b_i, and a_j and b_j at the
+    # vertices whose mu the post-check recomputes
+    stacks = []
+    for mod in (linalg, repspace, reflection):
+        for name in ("hstack", "vstack"):
+            def counted(mats, fn=getattr(mod, name)):
+                stacks.append(1)
+                return fn(mats)
+
+            monkeypatch.setattr(mod, name, counted)
+    lam = WeightVec((1, 1, 1))
+    s = fiber("A3", (1, 1, 1), (1, 2, 1), lam.coords, 4)
+    stacks.clear()
+    out = reflect_word(s, [2, 1, 2], lam)
+    assert [side for _, side in out.steps] == ["kernel", "kernel", "kernel"]
+    assert len(stacks) == 25  # 9 + 7 + 9
 
 
 def test_count_visits_b_and_gamma_only(monkeypatch):

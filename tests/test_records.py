@@ -147,6 +147,25 @@ def test_point_value_ignores_its_moment_memo():
     assert s != a1_point(delta=(0, 1))
 
 
+def test_memos_stay_outside_the_value():
+    # a point may memoize its (a_i, b_i) and a quiver its Cartan data; both
+    # stay frozen, and neither memo enters ==, hash or repr
+    s, t = a1_point(), a1_point()
+    before = repr(s)
+    ab = assemble_ab(s, 1)
+    moment_map(s)
+    assert s == t and repr(s) == before
+    assert assemble_ab(s, 1) == ab == assemble_ab(t, 1)
+    with pytest.raises(AttributeError):
+        s.gamma = t.gamma
+    q, fresh = dynkin_quiver("A2"), dynkin_quiver("A2")
+    before = (repr(q), hash(q))
+    assert cartan_data(q) == cartan_data(fresh)
+    assert q == fresh and (repr(q), hash(q)) == before == (repr(fresh), hash(fresh))
+    with pytest.raises(AttributeError):
+        q.vertices = ()
+
+
 def test_group_element_equality_ignores_inverses():
     rng = random.Random(4)
     blocks = {1: random_invertible(QQ, 2, rng), 2: random_invertible(QQ, 1, rng)}

@@ -28,6 +28,7 @@ from quiverlab import (
     group_act,
     identity_group,
     inverse,
+    limit_project,
     moment_map,
     moment_map_real,
     moment_matches,
@@ -634,3 +635,41 @@ class TestMomentMemo:
         fresh = rebuilt(s)
         assert s._mu and not fresh._mu
         assert s == fresh and repr(s) == repr(fresh) and s.to_json() == fresh.to_json()
+
+
+def moved_points(field):
+    """(name, point) for every function that moves a point, each run on a
+    point whose moment is already memoized: reflect_point on both sides,
+    reflect_word, limit_project on its image and its kernel branch, and
+    split_ab called directly."""
+    q = dynkin_quiver("A2")
+    lam = WeightVec((1, 2))
+    s = sample_fiber(q, DimData(WeightVec((2, 1)), RootVec((1, 1))), lam, seed=3, field=field)
+    # the zero fiber of A3 at v = (1, 2, 1): b_2 is not onto, b_3 is and a_3 is not one to one
+    z = sample_fiber(dynkin_quiver("A3"), DimData(WeightVec((0, 0, 0)), RootVec((1, 2, 1))),
+                     WeightVec((0, 0, 0)), seed=0, field=field)
+    assert rank(assemble_ab(z, 2).b) < 2
+    assert rank(assemble_ab(z, 3).b) == 1 and rank(assemble_ab(z, 3).a) == 0
+    ab = assemble_ab(s, 2)
+    g = random_invertible(field, 1, random.Random(5), 5)
+    return [
+        ("kernel", reflect_point(s, 1, lam, side="kernel").point),
+        ("cokernel", reflect_point(s, 2, lam, side="cokernel").point),
+        ("word", reflect_word(s, [1, 2, 1], lam).point),
+        ("image-branch", limit_project(z, 2)),
+        ("kernel-branch", limit_project(z, 3)),
+        ("split", split_ab(s, ab, ab.a * g, inverse(g) * ab.b)),
+    ]
+
+
+class TestVertexABMemo:
+    """What `assemble_ab` hands out for a moved point is what assembling the
+    same blocks on a fresh point gives, at every vertex."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+    def test_moved_points_assemble_as_fresh_ones(self, field):
+        for name, t in moved_points(field):
+            fresh = rebuilt(t)
+            for vert in t.quiver.vertices:
+                assert assemble_ab(t, vert) == assemble_ab(fresh, vert), (name, vert)
+            assert moment_map(t) == moment_map(fresh), name
