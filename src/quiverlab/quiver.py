@@ -141,6 +141,21 @@ class Quiver(_Record):
             for i in self.vertices
         }
 
+    @cached_property
+    def _cartan(self):
+        """This quiver's `CartanData`, built once per quiver; read it
+        through `cartan_data`."""
+        n = self.n
+        a = [[0] * n for _ in range(n)]
+        for arr in self.arrows:
+            a[self.vertex_index(arr.h0)][self.vertex_index(arr.h1)] += 1
+        for i in range(n):
+            for j in range(n):
+                if a[i][j] != a[j][i]:
+                    raise InvalidQuiver("adjacency is not symmetric")  # unreachable for valid doubles
+        c = [[(2 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+        return CartanData(tuple(map(tuple, a)), tuple(map(tuple, c)))
+
     @property
     def n(self):
         return len(self.vertices)
@@ -311,16 +326,8 @@ class CartanData(NamedTuple):
 
 
 def cartan_data(q: Quiver) -> CartanData:
-    n = q.n
-    a = [[0] * n for _ in range(n)]
-    for arr in q.arrows:
-        a[q.vertex_index(arr.h0)][q.vertex_index(arr.h1)] += 1
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise InvalidQuiver("adjacency is not symmetric")  # unreachable for valid doubles
-    c = [[(2 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-    return CartanData(tuple(map(tuple, a)), tuple(map(tuple, c)))
+    """q's adjacency and Cartan matrices, built once per quiver."""
+    return q._cartan
 
 
 def _as_cartan(qc) -> CartanData:

@@ -39,6 +39,7 @@ from .linalg import (
     hstack,
     inverse,
     random_matrix,
+    solve_right,
     vstack,
 )
 from .quiver import Block, Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path, _Record
@@ -97,7 +98,9 @@ class FramedPoint(_Record):
 
     def __init__(self, quiver, dims, field, B, gamma, delta):
         super().__init__(quiver, dims, field, B, gamma, delta)
-        vars(self)["_mu"] = {}  # vertex -> mu_i, filled by moment_map; no part of the point's value
+        # vertex -> mu_i (moment_map) and vertex -> VertexAB (assemble_ab);
+        # memos, no part of the point's value
+        vars(self).update(_mu={}, _ab={})
         size = self.dims.sizes(self.quiver)
         name = self.field.name
         for part, key, row, col in self.quiver.layout:
@@ -202,7 +205,11 @@ class VertexAB(NamedTuple):
 def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
     """a_i stacks the `out` blocks of q.star[vertex]; b_i lays their
     eps-scaled `into` blocks side by side.  InvalidQuiver for a vertex not
-    in the quiver."""
+    in the quiver.  Assembled at most once per point and vertex, and
+    memoized on the point (`FramedPoint._ab`)."""
+    ab = s._ab.get(vertex)
+    if ab is not None:
+        return ab
     q = s.quiver
     q.vertex_index(vertex)  # names an unknown vertex
     star = q.star[vertex]
@@ -210,13 +217,18 @@ def assemble_ab(s: FramedPoint, vertex) -> VertexAB:
                    for _, into, _ in star)
     a = vstack([s.block(out) for _, _, out in star])
     b = hstack([_signed(eps, s.block(into)) for eps, into, _ in star])
-    return VertexAB(vertex, layout, a, b)
+    ab = s._ab[vertex] = VertexAB(vertex, layout, a, b)
+    return ab
 
 
 def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
     """Inverse of `assemble_ab`: the point s with the blocks at ab.vertex
     read off a2 : V'_i -> T_i and b2 : T_i -> V'_i along q.star, and
-    v_i = a2.cols.  Every other block is s's."""
+    v_i = a2.cols.  Every other block is s's.
+
+    The new point's (a_i, b_i) at ab.vertex is seeded with (a2, b2), which
+    is what assembling it gives, as T_i does not change; its other memos
+    are carried over from s by `_carry_memos`."""
     q = s.quiver
     q.vertex_index(ab.vertex)  # names an unknown vertex
     size = s.dims.sizes(q)
@@ -228,18 +240,21 @@ def split_ab(s: FramedPoint, ab: VertexAB, a2: Mat, b2: Mat) -> FramedPoint:
         parts[into.part][into.key] = _signed(eps, b2.submatrix(range(b2.rows), range(start, stop)))
         start = stop
     t = FramedPoint(q, s.dims.with_v(q, ab.vertex, a2.cols), s.field, **parts)
-    _carry_mu(s, t)
+    _carry_memos(s, t)
+    t._ab[ab.vertex] = VertexAB(ab.vertex, ab.layout, a2, b2)
     return t
 
 
-def _carry_mu(s: FramedPoint, t: FramedPoint):
-    """Copy into t each mu_j memoized on s whose q.star[j] blocks are the
-    same objects in s and t; so a move at vertex i leaves mu_i and mu_j for
-    the neighbours j of i to be recomputed."""
-    for vert, mu in s._mu.items():
+def _carry_memos(s: FramedPoint, t: FramedPoint):
+    """Copy into t each mu_j and VertexAB memoized on s whose q.star[j]
+    blocks are the same objects in s and t; so a move at vertex i leaves
+    both to be recomputed at i and at the neighbours j of i."""
+    for vert in s._mu.keys() | s._ab.keys():
         if all(s.block(into) is t.block(into) and s.block(out) is t.block(out)
                for _, into, out in s.quiver.star[vert]):
-            t._mu[vert] = mu
+            for src, dst in ((s._mu, t._mu), (s._ab, t._ab)):
+                if vert in src:
+                    dst[vert] = src[vert]
 
 
 def moment_map(s: FramedPoint) -> dict:
@@ -247,10 +262,11 @@ def moment_map(s: FramedPoint) -> dict:
     as a new dict.
 
     Each mu_i is computed at most once per point and memoized on it
-    (`FramedPoint._mu`).  That is sound because a point is frozen and no Mat
-    is mutated after construction; `split_ab` carries a memoized mu_j over
-    to the new point only where every block of q.star[j] is the same object
-    in both."""
+    (`FramedPoint._mu`), from the (a_i, b_i) that `assemble_ab` memoizes
+    (`FramedPoint._ab`).  That is sound because a point is frozen and no Mat
+    is mutated after construction; `split_ab` seeds (a_i, b_i) at the moved
+    vertex and carries a memoized mu_j and (a_j, b_j) over to the new point
+    only where every block of q.star[j] is the same object in both."""
     memo = s._mu
     for vert in s.quiver.vertices:
         if vert not in memo:
@@ -409,15 +425,17 @@ def sample_fiber(
             vi = dims.v_of(q, vert)
             system.equation(terms, Mat.scalar(field, vi, lam[q.vertex_index(vert)]))
         try:
-            x, homogeneous = system.solve()
+            sol = solve_right(*system.matrix())
         except NoSolution as e:
             last_err = e
             continue
-        for h in homogeneous:
-            c = field.random(rng, height)
-            x = {key: m + h[key].scale(c) for key, m in x.items()}
+        # particular + sum of c_k h_k on the whole solution column, one
+        # draw per direction, then split into the unknown blocks once
+        x = sol.particular
+        for h in sol.homogeneous:
+            x = x + h.scale(field.random(rng, height))
 
-        known.update(x)
+        known.update(system._split(x))
         point = FramedPoint.build(q, dims, field, lambda blk, r, c: known[blk.part, blk.key])
         if not moment_matches(point, lam):
             raise AssertionError("sampler produced a point off the fiber")

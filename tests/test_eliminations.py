@@ -252,9 +252,10 @@ def test_reflect_word_checks_each_point_once(calls, word):
 
 
 def test_reflect_word_stacks(monkeypatch):
-    # every hstack and vstack a word of kernel-side letters makes: a_i and
-    # b_i at the reflected vertex, a' from ker b_i, and a_j and b_j at the
-    # vertices whose mu the post-check recomputes
+    # every hstack and vstack a word of kernel-side letters makes: a' from
+    # ker b_i, and a_j and b_j at the neighbours j of the reflected vertex
+    # for the post-check.  The sampler's check assembled every vertex of
+    # the start point, and split_ab seeds (a_i, b_i) at the reflected one
     stacks = []
     for mod in (linalg, repspace, reflection):
         for name in ("hstack", "vstack"):
@@ -268,7 +269,7 @@ def test_reflect_word_stacks(monkeypatch):
     stacks.clear()
     out = reflect_word(s, [2, 1, 2], lam)
     assert [side for _, side in out.steps] == ["kernel", "kernel", "kernel"]
-    assert len(stacks) == 25  # 9 + 7 + 9
+    assert len(stacks) == 13  # 5 + 3 + 5
 
 
 def test_count_visits_b_and_gamma_only(monkeypatch):

@@ -160,7 +160,7 @@ def test_memos_stay_outside_the_value():
         s.gamma = t.gamma
     q, fresh = dynkin_quiver("A2"), dynkin_quiver("A2")
     before = (repr(q), hash(q))
-    assert cartan_data(q) == cartan_data(fresh)
+    assert cartan_data(q) is cartan_data(q) == cartan_data(fresh)
     assert q == fresh and (repr(q), hash(q)) == before == (repr(fresh), hash(fresh))
     with pytest.raises(AttributeError):
         q.vertices = ()

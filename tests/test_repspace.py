@@ -613,8 +613,8 @@ class TestMomentMemo:
             t = real(s, ab, a2, b2)
             gamma = {**t.gamma, 3: t.gamma[3].scale(2)}
             u = FramedPoint(t.quiver, t.dims, t.field, t.B, gamma, t.delta)
-            repspace._carry_mu(s, u)
-            assert 3 not in u._mu
+            repspace._carry_memos(s, u)
+            assert 3 not in u._mu and 3 not in u._ab
             return u
 
         monkeypatch.setattr(reflection, "split_ab", swapping)
