@@ -30,10 +30,10 @@ from .quiver import (
     WeightVec,
     _check_len,
     _json_path,
+    _weyl_order,
     cartan_data,
     dominance,
     dynkin_quiver,
-    enumerate_weyl,
     is_finite_type,
     variety_dimension,
 )
@@ -169,7 +169,7 @@ def _cmd_info(args):
         "finite_type": finite,
     }
     if args.weyl:
-        payload["weyl_order"] = len(enumerate_weyl(q)) if finite else None
+        payload["weyl_order"] = _weyl_order(cd) if finite else None
     if args.d is not None or args.v is not None:
         if args.d is None or args.v is None:
             raise RangeViolation("--d and --v must be given together")
@@ -404,7 +404,7 @@ def _build_parser():
     p.add_argument("--quiver", required=True)
     p.add_argument("--d", type=_int_vec)
     p.add_argument("--v", type=_int_vec)
-    p.add_argument("--weyl", action="store_true", help="also enumerate the Weyl group")
+    p.add_argument("--weyl", action="store_true", help="also report the order of the Weyl group")
 
     p = cmd("sample", _cmd_sample, "sample a point on the lambda moment fiber", space, params)
     p.add_argument("--seed", type=int, default=0)

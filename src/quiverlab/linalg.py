@@ -710,15 +710,25 @@ def complete_to_basis(cols):
 
 
 def _completion_and_inverse(cols):
-    """(P, P^-1) for P = complete_to_basis(cols), from one elimination:
-    rref([cols | I]) is E [cols | I] and the identity on the pivot columns P,
-    so E, its right block, is P^-1."""
+    """(P, P^-1) for P = complete_to_basis(cols), from one elimination;
+    ShapeMismatch when the columns are dependent."""
+    basis, inv, r = _span_completion(cols)
+    if r < cols.cols:
+        raise ShapeMismatch("columns to complete are dependent")
+    return basis, inv
+
+
+def _span_completion(cols):
+    """(P, P^-1, r) from one elimination of [cols | I].  Its pivots are the
+    r pivot columns of cols, a basis of their span, then the unit vectors
+    that complete them, greedily in index order; P is those columns.
+    rref([cols | I]) is E [cols | I] and the identity on P, so E, its right
+    block, is P^-1."""
     n, k = cols.rows, cols.cols
     full = hstack([cols, Mat.identity(cols.field, n)])
     R, pivots = rref(full)
-    if pivots[:k] != tuple(range(k)):
-        raise ShapeMismatch("columns to complete are dependent")
-    return full.submatrix(range(n), pivots), R.submatrix(range(n), range(k, k + n))
+    r = sum(p < k for p in pivots)
+    return full.submatrix(range(n), pivots), R.submatrix(range(n), range(k, k + n)), r
 
 
 def random_matrix(field, rows, cols, rng, height=10):

@@ -15,6 +15,7 @@ silently wrong reflections, hence the wrappers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -514,6 +515,39 @@ def _weyl_elements(cd):
                     order.append(prod)
         frontier = new_frontier
     return tuple(WeylElement(m, seen[m]) for m in order)
+
+
+def _positive_roots(cd):
+    """The positive roots of a Cartan matrix of finite type, by height: the
+    simple roots, closed under beta -> beta + alpha_i whenever
+    (beta, alpha_i) < 0.  For a symmetric Cartan matrix that adds a root
+    exactly when beta + alpha_i is one, and every positive root of height
+    k + 1 is such a sum of one of height k."""
+    n = cd.n
+    level = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots = []
+    while level:
+        roots += level
+        up = {}
+        for beta in level:
+            for i, row in enumerate(cd.cartan):
+                if sum(c * b for c, b in zip(row, beta)) < 0:
+                    up[beta[:i] + (beta[i] + 1,) + beta[i + 1:]] = None
+        level = list(up)
+    return roots
+
+
+def _weyl_order(cd):
+    """|W| for a Cartan matrix of finite type, without listing W: the
+    product of m_j + 1 over the exponents m_j, which are the parts of the
+    partition dual to (r_1, r_2, ...), r_k the number of positive roots of
+    height k (Kostant).  A disjoint union needs no split, as the dual of a
+    sum of partitions is the union of their duals."""
+    r = Counter(sum(beta) for beta in _positive_roots(cd))  # height k -> r_k
+    order = 1
+    for j in range(1, cd.n + 1):  # r_1 = n, so there are n exponents
+        order *= 1 + sum(rk >= j for rk in r.values())
+    return order
 
 
 def _apply_word_weight(cd, word, x: WeightVec) -> WeightVec:

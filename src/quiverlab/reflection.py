@@ -30,7 +30,7 @@ from .linalg import (
     Mat,
     _completion_and_inverse,
     _kernel_and_free,
-    column_space_basis,
+    _span_completion,
     hstack,
     kernel_basis,
     rank,
@@ -433,10 +433,10 @@ def limit_project(s: FramedPoint, vertex) -> FramedPoint:
         raise MomentMismatch(f"mu != 0 at {vertex}")
 
     # change basis at the vertex by P, whose last column is split off:
-    # a_i -> a_i P and b_i -> P^-1 b_i
-    image = column_space_basis(ab.b)
-    if image.cols < vi:
-        basis, inv = _completion_and_inverse(image)
+    # a_i -> a_i P and b_i -> P^-1 b_i.  One elimination of [b_i | I] gives
+    # rank b_i and, when b_i is not onto, P (a basis of Im b_i, completed)
+    basis, inv, rank_b = _span_completion(ab.b)
+    if rank_b < vi:
         drop_incoming_rows = True  # P^-1 b_i is zero in its last row
     else:
         ker = kernel_basis(ab.a)

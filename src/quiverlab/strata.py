@@ -138,6 +138,8 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     size = dims.sizes(q)
     free_dim = sum(size[blk.row] * size[blk.col] for blk in q.layout if blk.part != "delta")
     cap = DEFAULT_BUDGET if budget is None else budget
+    if cap < 0:
+        raise RangeViolation(f"budget is {cap}; it must be >= 0")
     if p ** free_dim > cap:
         raise BudgetExceeded(
             f"p^(dim B + dim gamma) = {p}^{free_dim} exceeds the enumeration budget {cap}"

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,21 @@ class TestInfo:
         assert payload["variety_dimension"] == 2
         assert payload["space_dimension"] == 6
         assert payload["dominant"] is True
+
+    @pytest.mark.parametrize("name, order", [
+        ("A30", math.factorial(31)),
+        ("D12", 2 ** 11 * math.factorial(12)),
+    ])
+    def test_weyl_order_of_a_large_group(self, capsys, name, order):
+        # (n + 1)! for A_n and 2^(n - 1) n! for D_n, from the roots: the
+        # group is not listed
+        assert invoke_json(capsys, "info", "--quiver", name, "--weyl")["weyl_order"] == order
+
+    def test_weyl_order_of_infinite_type_is_null(self, capsys, tmp_path):
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps(quiverlab.doubled_quiver([1, 2], [(1, 2), (1, 2)]).to_json()))
+        payload = invoke_json(capsys, "info", "--quiver", str(path), "--weyl")
+        assert payload["finite_type"] is False and payload["weyl_order"] is None
 
     def test_d_without_v_rejected(self, capsys):
         code, _, err = invoke(capsys, "info", "--quiver", "A2", "--d", "1,1")
@@ -357,7 +373,9 @@ class TestErrorsAndExitCodes:
           "--field", "Q(i)", "--height", "-3"], "height is -3; it must be >= 1"),
         (["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1",
           "--retries", "0"], "retries is 0; it must be >= 1"),
-    ], ids=["trials", "height", "height-Qi", "retries"])
+        (["count", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0", "--p", "2",
+          "--budget", "-5"], "budget is -5; it must be >= 0"),
+    ], ids=["trials", "height", "height-Qi", "retries", "budget"])
     def test_out_of_range_counts(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""

@@ -166,8 +166,19 @@ def test_limit_project(calls):
     calls["rref"] = 0
     out = limit_project(s, 3)
     assert out.dims.v.coords == (1, 2, 0)
-    # image of b_i, kernel of a_i, and the basis completion with its inverse
+    # rank of b_i, kernel of a_i, and the basis completion with its inverse
     assert calls["rref"] == 3
+
+
+def test_limit_project_image_branch(calls):
+    # b_i = 0 is not onto: one rref [b_i | I] gives its rank, the completed
+    # basis of its image and that basis's inverse
+    dims = DimData(WeightVec((1, 1)), RootVec((2, 1)))
+    s = FramedPoint.zero(dynkin_quiver("A2"), dims)
+    for vertex, v in ((1, (1, 1)), (2, (2, 0))):
+        calls["rref"] = 0
+        assert limit_project(s, vertex).dims.v.coords == v
+        assert calls["rref"] == 1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])

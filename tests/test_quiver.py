@@ -292,6 +292,19 @@ class TestWeylGroup:
         assert len(enumerate_weyl(q)) == 192
         assert len(products) == 192 * 4  # one product per element and generator
 
+    @pytest.mark.parametrize("q", [
+        *(dynkin_quiver(f"A{n}") for n in range(1, 6)),
+        *(dynkin_quiver(f"D{n}") for n in range(4, 7)),
+        Quiver.from_json({"vertices": [1, 2, 3], "arrows": [
+            {"id": "a", "from": 1, "to": 2, "eps": 1, "bar": "ab"},
+            {"id": "ab", "from": 2, "to": 1, "eps": -1, "bar": "a"}]}),
+    ], ids=["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "A2+A1"])
+    def test_order_from_the_roots_is_the_closure_size(self, q):
+        from quiverlab import quiver
+
+        cd = cartan_data(q)
+        assert quiver._weyl_order(cd) == len(enumerate_weyl(cd))
+
     def test_finite_type_families(self):
         for name in ["A1", "A2", "A5", "D4", "D6"]:
             assert is_finite_type(dynkin_quiver(name))

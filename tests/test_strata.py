@@ -189,6 +189,11 @@ class TestCounting:
         with pytest.raises(BudgetExceeded):
             count_points_Fq(q, dims, WeightVec((0,)), 2, budget=3)
 
+    def test_negative_budget_rejected(self):
+        q, dims = a1_setup(d=2, v=1)
+        with pytest.raises(RangeViolation, match="budget is -5; it must be >= 0"):
+            count_points_Fq(q, dims, WeightVec((0,)), 2, budget=-5)
+
     def test_budget_bounds_the_points_visited(self):
         # gamma spans the 7^2 points visited, the whole space 7^4
         q, dims = a1_setup(d=2, v=1)
