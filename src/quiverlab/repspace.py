@@ -13,7 +13,10 @@ The two derived maps at a vertex, a_i : V_i -> T_i (the `out` blocks of
 signs, side by side), are packaged as a `VertexAB` whose `layout` names the
 summands of T_i.  `Quiver.star` alone fixes their order and the signs of the
 moment map mu_i = b_i a_i; `assemble_ab`, `split_ab`, `moment_map` and the
-equations of `sample_fiber` all read it.
+equations of `sample_fiber` all read it.  Each `VertexAB` is assembled at
+most once per point and memoized on it, as mu_i is; a move through
+`split_ab` seeds it at the moved vertex and carries it where the blocks of
+T_j are the same objects.
 """
 
 from __future__ import annotations
