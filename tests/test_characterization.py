@@ -573,6 +573,38 @@ def test_block_determinants_pinned(case):
     assert digest(got) == BLOCK_DET_DIGESTS[case]
 
 
+def compositions(n):
+    """The compositions of n, ordered parts first."""
+    return [()] if n == 0 else [(k, *rest) for k in range(1, n + 1) for rest in compositions(n - k)]
+
+
+# (field, largest n, seed): f_S for every contingency shape of every pair of
+# compositions of n at one random family per pair; the F_p case is every pair
+# of criterion 06's loop
+FS_TABLES = {
+    "n<=5-F1000003": (PrimeField(1000003), 5, 41),
+    "n<=3-Q": (QQ, 3, 42),
+}
+
+FS_TABLE_DIGESTS = {
+    "n<=3-Q": "24ce0fff55a2e49c3aa8a77a44b85793e6bf999cd6254f3f9ffa62944d61b02b",
+    "n<=5-F1000003": "5e9e3b125484afa3581b80045db73188309c432dd5e3f29ba800a2919b2b4c56",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FS_TABLES))
+def test_fS_tables_pinned(case):
+    field, top, seed = FS_TABLES[case]
+    rng = random.Random(seed)
+    got = []
+    for n in range(1, top + 1):
+        for y, x in itertools.product(compositions(n), repeat=2):
+            fam = random_block_family(y, x, rng, field)
+            got.append([field.dump(eval_fS(sh, fam)) for sh in enumerate_S_XY(y, x)])
+    assert len(got) == (341 if top == 5 else 21)
+    assert digest(got) == FS_TABLE_DIGESTS[case]
+
+
 # -- the Weyl-group layer -----------------------------------------------------
 
 WEYL_QUIVERS = {

@@ -283,6 +283,34 @@ def test_reflect_word_stacks(monkeypatch):
     assert len(stacks) == 13  # 5 + 3 + 5
 
 
+def test_hom_system_elimination_work(monkeypatch):
+    # D4 points reflected along both sides of a braid relation reach
+    # v = (3, 3, 1, 1), where the hom system is the largest elimination of a
+    # fiber-orbit op.  The int core takes one gcd per pivot (the pivot row's
+    # content) and two per row update (the multiplier's and the updated row's
+    # content), so the gcd calls count its work
+    lam = WeightVec((1, 1, 1, 1))
+    s = fiber("D4", (1, 1, 1, 1), (1, 1, 1, 1), lam.coords, 7)
+    t1, t2 = (reflect_word(s, word, lam).point for word in ([1, 2, 1], [2, 1, 2]))
+    assert t1.dims.v.coords == t2.dims.v.coords == (3, 3, 1, 1)
+    systems = []
+    real = linalg.solve_right
+    monkeypatch.setattr(linalg, "solve_right", lambda a, c: systems.append((a, c)) or real(a, c))
+    paths.hom_space(t1, t2)
+    [(a, c)] = systems
+    assert a.shape() == (46, 20)
+    rows = hstack([a, c])._rows()
+    gcds = []
+
+    def counted(*args, fn=linalg.gcd):
+        gcds.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counted)
+    linalg._rref_int(rows, a.cols + 1)
+    assert len(gcds) == 350
+
+
 def test_count_visits_b_and_gamma_only(monkeypatch):
     # A1 with d = 2, v = 1 has no B, 2 gamma entries and 2 delta entries:
     # the enumeration visits the p^2 gammas, not all p^4 points

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -1216,6 +1217,129 @@ class TestInverseEveryField:
         for n in (1, 2, 3, 4):
             g = random_invertible(field, n, rng, 5)
             assert g * inverse(g) == Mat.identity(field, n) == inverse(g) * g
+
+
+# -- the order of the rows fed to the elimination --------------------------------
+#
+# A row space has one reduced echelon form, so the order in which the int
+# core meets the rows can change its work but never its results.
+
+
+def row_order_cases(field, seed):
+    """Sparse matrices over field, tall, wide and square, with zero rows,
+    duplicate rows and rank deficiency, and the empty shapes."""
+    rng = random.Random(seed)
+    out = [Mat.zeros(field, 0, 3), Mat.zeros(field, 3, 0), Mat.zeros(field, 0, 0)]
+    for k in range(36):
+        small, large = rng.randint(1, 4), rng.randint(4, 8)
+        rows, cols = ((large, small), (small, large), (small, small))[k % 3]
+        m = [[field.random(rng, 9) if rng.random() < 0.35 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if k % 4 == 0:
+            m[rng.randrange(rows)] = [0] * cols
+        if k % 4 == 1 and rows > 1:
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        if k % 4 == 2 and rows > 2:  # one row the sum of two others
+            m[0] = [field.coerce(x) + y for x, y in zip(m[1], m[2])]
+        out.append(Mat.from_rows(field, m))
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args), or the name of the QuiverLabError it raises."""
+    try:
+        return fn(*args)
+    except QuiverLabError as e:
+        return type(e).__name__
+
+
+def eliminated_in_order(monkeypatch, order, a, rhs):
+    """rref, rank, kernel, solves against each of rhs, inverse and span
+    completion of a, with the int core meeting its rows in the given order,
+    reversed or shuffled."""
+    real = linalg._rref_int
+
+    def reordered(m, ncols, p=0):
+        if order == "reversed":
+            m.reverse()
+        elif order == "shuffled":
+            random.Random(len(m)).shuffle(m)
+        return real(m, ncols, p)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_rref_int", reordered)
+        return (rref(a), rank(a), kernel_basis(a), [outcome(solve_right, a, c) for c in rhs],
+                outcome(inverse, a), linalg._span_completion(a))
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    def test_same_results_in_every_row_order(self, monkeypatch, field):
+        rng = random.Random(53)
+        seen = Counter()
+        for a in row_order_cases(field, 52):
+            rhs = [a * random_matrix(field, a.cols, 2, rng, 5), random_matrix(field, a.rows, 1, rng, 5)]
+            given = eliminated_in_order(monkeypatch, "given", a, rhs)
+            for order in ("reversed", "shuffled"):
+                assert eliminated_in_order(monkeypatch, order, a, rhs) == given, (order, a)
+            solves = given[3]
+            assert not isinstance(solves[0], str)  # a x = a y is consistent
+            seen["inconsistent" if solves[1] == "NoSolution" else "consistent"] += 1
+            seen["singular" if given[4] == "SingularMatrix" else type(given[4]).__name__] += 1
+        # both kinds of right-hand side, and invertible and singular squares
+        assert seen["inconsistent"] and seen["consistent"] and seen["singular"] and seen["Mat"]
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    def test_permuted_rows_give_the_same_row_space(self, field):
+        rng = random.Random(54)
+        for a in row_order_cases(field, 55):
+            perm = list(range(a.rows))
+            rng.shuffle(perm)
+            pa = a.submatrix(perm, range(a.cols))
+            c = a * random_matrix(field, a.cols, 1, rng, 5)
+            assert rref(pa) == rref(a) and rank(pa) == rank(a)
+            assert kernel_basis(pa) == kernel_basis(a)
+            assert solve_right(pa, c.submatrix(perm, [0])) == solve_right(a, c)
+
+    def test_block_system_equations_in_reverse_order(self, monkeypatch):
+        # the hom systems of equivalent and of independent D4 points, and a
+        # random F_7 system: added in reverse order, the equations solve to
+        # the same blocks, or to no solution both ways
+        systems = []
+        real = BlockSystem.matrix
+
+        def recording(self):
+            systems.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BlockSystem, "matrix", recording)
+        q = dynkin_quiver("D4")
+        dims = DimData(WeightVec((1, 1, 1, 1)), RootVec((1, 1, 1, 1)))
+        s, u = (sample_fiber(q, dims, WeightVec((1, 2, -1, 3)), seed=k) for k in (5, 6))
+        t = group_act(random_group(q, dims, QQ, random.Random(4)), s)
+        for pair in ((s, t), (t, s), (s, u)):
+            hom_space(*pair)
+        f7 = PrimeField(7)
+        rng = random.Random(56)
+        system = BlockSystem(f7)
+        system.unknown("x", 2, 3)
+        system.unknown("y", 3, 1)
+        for _ in range(3):
+            system.equation([(random_matrix(f7, 3, 2, rng), "x", None),
+                             (None, "y", random_matrix(f7, 1, 3, rng))], random_matrix(f7, 3, 3, rng))
+        systems.append(system)
+        monkeypatch.undo()
+        kinds = set()
+        for system in systems:
+            reverse = BlockSystem(system.field)
+            for key, (_, rows, cols) in system.blocks.items():
+                reverse.unknown(key, rows, cols)
+            for terms, c in reversed(system._eqs):
+                reverse.equation(terms, c)
+            want = outcome(system.solve)
+            assert outcome(reverse.solve) == want
+            kinds.add(isinstance(want, str))
+        assert kinds == {False, True}
 
 
 # -- one stored form on every field ---------------------------------------------
