@@ -365,13 +365,20 @@ def block(grid):
 def _rref_int(m, ncols, p=0):
     """Fraction-free Gauss-Jordan on int rows (mutates m); returns the pivots.
 
-    Each elimination scales the target row so that the pivot row's multiple
+    The rows are first stable-sorted by their number of nonzero entries,
+    fewest first (Markowitz's heuristic): a column then pivots on the first
+    of the sparsest rows that reach it, and its updates fill in fewer
+    entries.  `_rref_field` keeps the rows in their given order, so the tests
+    compare this core against an elimination that does not reorder.  Each
+    elimination scales the target row so that the pivot row's multiple
     is integral, subtracts that multiple on the pivot row's nonzero columns,
     reduces the row mod p when p is a prime (the rows are residues over
     F_p), then divides the row by its content.
-    Scaling rows leaves the reduced echelon form unchanged, so on return row
-    r divided by its entry at pivots[r] is row r of it; later rows are zero.
+    Permuting and scaling rows leaves the reduced echelon form unchanged, so
+    on return row r divided by its entry at pivots[r] is row r of it; later
+    rows are zero.
     """
+    m.sort(key=lambda row: len(row) - row.count(0))
     nrows = len(m)
     pivots = []
     r = 0
