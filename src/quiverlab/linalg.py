@@ -59,6 +59,7 @@ class Mat:
     def __init__(self, field, rows, cols, data):
         """data: the rows*cols entries, row-major: over Q ints or Fractions,
         elsewhere what `field.coerce` takes (WrongField otherwise)."""
+        _check_dims("a matrix", rows, cols)
         if len(data) != rows * cols:
             raise ShapeMismatch(
                 f"need {rows * cols} entries for {rows}x{cols}, got {len(data)}"
@@ -86,6 +87,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field, rows, cols):
+        _check_dims("a matrix", rows, cols)
         return _wrap(field, rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
@@ -107,6 +109,7 @@ class Mat:
     @classmethod
     def scalar(cls, field, n, value):
         """value * identity."""
+        _check_dims("a matrix", n, n)
         v, den = _stored(field, value)
         data = [0] * (n * n)
         data[:: n + 1] = [v] * n
@@ -265,6 +268,14 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field.name}, {self.rows}x{self.cols}, {self.to_lists()!r})"
+
+
+def _check_dims(what, rows, cols):
+    """ShapeMismatch naming a negative row or column count of what; checked
+    once per construction, not per entry."""
+    for n, name in ((rows, "rows"), (cols, "columns")):
+        if n < 0:
+            raise ShapeMismatch(f"{what} cannot have {n} {name}")
 
 
 def _stored(field, value):
@@ -579,6 +590,10 @@ class BlockSystem:
         self._eqs = []    # (terms, C)
 
     def unknown(self, key, rows, cols):
+        """Declare the rows x cols unknown key; a key is declared once."""
+        if key in self.blocks:
+            raise ShapeMismatch(f"unknown {key!r} is already declared")
+        _check_dims(f"unknown {key!r}", rows, cols)
         self.blocks[key] = (self.cols, rows, cols)
         self.cols += rows * cols
 

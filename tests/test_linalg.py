@@ -65,6 +65,18 @@ class TestMatBasics:
         with pytest.raises(ShapeMismatch):
             a + a.transpose()
 
+    def test_negative_dimensions_rejected(self):
+        # Mat.zeros(QQ, -1, -2) once built a "-1x-2" matrix and identity(QQ, -1)
+        # raised a bare ValueError
+        for build, name in ((lambda: Mat.zeros(QQ, -1, -2), "-1 rows"),
+                            (lambda: Mat.zeros(QQ, 2, -3), "-3 columns"),
+                            (lambda: Mat(QQ, -1, 0, []), "-1 rows"),
+                            (lambda: Mat(PrimeField(7), 0, -2, []), "-2 columns"),
+                            (lambda: Mat.identity(QQ, -1), "-1 rows"),
+                            (lambda: Mat.scalar(QQI, -2, 3), "-2 rows")):
+            with pytest.raises(ShapeMismatch, match=f"a matrix cannot have {name}"):
+                build()
+
     def test_equality_requires_same_field(self):
         assert mat(QQ, [[1]]) != mat(QQI, [[1]])
 
@@ -434,6 +446,24 @@ class TestBlockSystem:
             system.unknown("y", 1, 1)
             system.equation([(Mat.identity(PrimeField(5), 1), "y", None)], Mat.identity(f3, 1))
         assert sys_._eqs == []
+
+    def test_unknown_declared_once(self):
+        # a second "x" once moved the first one's columns out of reach: x = 3
+        # solved with a spurious homogeneous direction, a zero block over an
+        # orphan column
+        sys_ = BlockSystem(QQ)
+        sys_.unknown("x", 1, 1)
+        with pytest.raises(ShapeMismatch, match="unknown 'x' is already declared"):
+            sys_.unknown("x", 1, 1)
+        sys_.equation([(None, "x", None)], mat(QQ, [[3]]))
+        assert sys_.cols == 1 and sys_.solve() == ({"x": mat(QQ, [[3]])}, [])
+
+    @pytest.mark.parametrize("rows, cols, name", [(-1, 2, "-1 rows"), (2, -1, "-1 columns")])
+    def test_unknown_negative_size(self, rows, cols, name):
+        sys_ = BlockSystem(QQ)
+        with pytest.raises(ShapeMismatch, match=f"unknown 'y' cannot have {name}"):
+            sys_.unknown("y", rows, cols)
+        assert sys_.cols == 0 and sys_.blocks == {}
 
     def test_unknown_key(self):
         sys_ = BlockSystem(QQ)
