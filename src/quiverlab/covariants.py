@@ -19,7 +19,7 @@ from collections import Counter
 
 from .errors import BalanceViolated, QuiverLabError, RangeViolation, ShapeMismatch
 from .fields import QQ
-from .linalg import Mat, block, column_space_basis, det, hstack, random_matrix, rank
+from .linalg import Mat, _mat, block, column_space_basis, det, hstack, random_matrix, rank
 from .paths import BPathExpr, PathExpr, evaluate, format_bpath, format_path, parse_expr
 from .quiver import WeightVec, _check_len, _json_entry, _json_path, _Record
 from .repspace import FramedPoint
@@ -372,8 +372,24 @@ def eval_fS(shape: ContingencyMatrix, fam: BlockFamily):
     """det of the block matrix whose (i, j) block is s_ij A^{ij}."""
     if shape.row_sums() != tuple(fam.y_dims) or shape.col_sums() != tuple(fam.x_dims):
         raise ShapeMismatch("contingency margins do not match the block dims")
-    return eval_phi_ab(fam, {(i, j): (s_ij,) for i, row in enumerate(shape.entries, 1)
-                             for j, s_ij in enumerate(row, 1)})
+    return _fS_values([shape], fam)[0]
+
+
+def _fS_values(shapes, fam: BlockFamily):
+    """f_S at fam for each shape S, from one assembly: the block matrix of
+    the slots' first matrices (zero where a slot has none) is stored once,
+    and the matrix of f_S is it with block (i, j) scaled by s_ij."""
+    field = next((m.field for m in fam.mats.values()), QQ)
+    if not fam.y_dims:
+        return [field.one() for _ in shapes]
+    whole = block([[fam.mats.get((i, j, 1)) or Mat.zeros(field, y, x)
+                    for j, x in enumerate(fam.x_dims, 1)] for i, y in enumerate(fam.y_dims, 1)])
+    # the (row block, column block) of each stored entry, row-major
+    cell = [(i, j) for i, y in enumerate(fam.y_dims) for _ in range(y)
+            for j, x in enumerate(fam.x_dims) for _ in range(x)]
+    n = whole.rows
+    return [det(_mat(field, n, n, [x * s[i][j] for x, (i, j) in zip(whole._d, cell)], whole._den))
+            for s in (shape.entries for shape in shapes)]
 
 
 def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat | None = None):
@@ -434,8 +450,6 @@ def basis_rank_check(y_dims, x_dims, samples, seed=0, field=QQ, height=10) -> in
     if not shapes:
         return 0
     rng = _random.Random(seed)
-    rows = []
-    for _ in range(samples):
-        fam = random_block_family(y_dims, x_dims, rng, field, height)
-        rows.append([eval_fS(sh, fam) for sh in shapes])
+    rows = [_fS_values(shapes, random_block_family(y_dims, x_dims, rng, field, height))
+            for _ in range(samples)]
     return rank(Mat.from_rows(field, rows))

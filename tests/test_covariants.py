@@ -16,6 +16,7 @@ from quiverlab import (
     FramedPoint,
     Mat,
     PrimeField,
+    QQI,
     QuiverLabError,
     RootVec,
     ShapeMismatch,
@@ -346,6 +347,20 @@ class TestBlockDeterminants:
         phi = {(i, j): (QQ.coerce(shape.entries[i - 1][j - 1]),)
                for i in range(1, 3) for j in range(1, 3)}
         assert eval_phi_ab(fam, phi) == eval_fS(shape, fam)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+    def test_fS_matches_phi_on_every_field(self, field):
+        # every shape, at families with a missing slot and with a second
+        # matrix in a slot, which f_S does not read
+        rng = random.Random(5)
+        for y, x in (((2, 1), (1, 2)), ((1, 1, 1), (2, 1)), ((3,), (1, 1, 1))):
+            fam = random_block_family(y, x, rng, field)
+            del fam.mats[len(y), 1, 1]
+            fam.mats[1, 1, 2] = random_matrix(field, y[0], x[0], rng)
+            for shape in enumerate_S_XY(y, x):
+                phi = {(i, j): (field.coerce(shape.entries[i - 1][j - 1]),)
+                       for i in range(1, len(y) + 1) for j in range(1, len(x) + 1)}
+                assert eval_phi_ab(fam, phi) == eval_fS(shape, fam)
 
     def test_phi_bordered(self):
         # 1x1 interior plus one border row and column
