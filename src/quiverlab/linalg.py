@@ -14,7 +14,8 @@ Kernels are pinned per field:
   * over Q and F_p one int core builds no Fraction or FpScalar: matmul
     takes one integer dot product per entry over den_a den_b, `rref` is a
     fraction-free Gauss-Jordan on the stored rows (one denominator scales
-    them all) that divides each updated row by its content, add and sub
+    them all) that takes the rows fewest nonzeros first, to limit fill-in,
+    and divides each updated row by its content, add and sub
     work over the lcm of the two denominators, `solve_right` reads its
     solution off the stored rref, and `det` is Bareiss over _den^n (over
     F_p on the residues: det is an integer polynomial in the entries, so it
@@ -24,8 +25,11 @@ Kernels are pinned per field:
     `row_list`, `col_list`, `to_lists`, `trace`) and `det` hand out
     Fractions or FpScalars;
   * over Q(i) `rref` and `det` use Gauss-Jordan with exact field division
-    (`_rref_field`, also the tests' reference elimination); every other
-    kernel is the generic one, over the denominator 1.
+    (`_rref_field`); every other kernel is the generic one, over the
+    denominator 1.  `_rref_field` is also the tests' reference elimination
+    and takes the rows in their given order, so it checks that the int
+    core's reordering changes no result: a row space has one reduced
+    echelon form.
 
 Linear systems in matrix unknowns, sum L X R = C, are assembled by
 `BlockSystem` entry by entry: the coefficient of X[p, q] in (L X R)[i, j] is
