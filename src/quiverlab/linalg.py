@@ -275,9 +275,12 @@ class Mat:
 
 
 def _check_dims(what, rows, cols):
-    """ShapeMismatch naming a negative row or column count of what; checked
-    once per construction, not per entry."""
+    """ShapeMismatch naming a row or column count of what that is not an int
+    (a bool or a float is not) or is negative; checked once per
+    construction, not per entry."""
     for n, name in ((rows, "rows"), (cols, "columns")):
+        if type(n) is not int:
+            raise ShapeMismatch(f"{what} cannot have {n!r} {name}; a dimension is an int")
         if n < 0:
             raise ShapeMismatch(f"{what} cannot have {n} {name}")
 

@@ -80,17 +80,24 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
     if side not in ("auto", "kernel", "cokernel"):
         raise RangeViolation(f"unknown side {side!r}")
     s.quiver.vertex_index(vertex)  # names an unknown vertex
-    _check_weights(s.quiver, lam, m)
+    lam, m = _check_weights(s.quiver, lam, m)
     if not moment_matches(s, lam):
         raise MomentMismatch("point is not on the lambda fiber")
     return _reflect_on_fiber(s, vertex, lam, m, side)
 
 
 def _check_weights(qc, lam, m):
-    """Name lambda or m when its length is not the quiver's vertex count."""
-    _check_len(qc, lam, "lambda")
-    if m is not None:
-        _check_len(qc, m, "m")
+    """(lambda, m) as WeightVecs, m None when not given; names lambda or m
+    when its length is not the quiver's vertex count."""
+    lam = _weights(qc, lam, "lambda")
+    return lam, None if m is None else _weights(qc, m, "m")
+
+
+def _weights(qc, x, nm):
+    """x, a WeightVec or a sequence of its coordinates, as a WeightVec of the
+    quiver's length; ShapeMismatch naming nm otherwise."""
+    _check_len(qc, x, nm)
+    return x if type(x) is WeightVec else WeightVec(x)
 
 
 def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> ReflectionResult:
@@ -174,7 +181,7 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     if s.quiver != s2.quiver:
         raise ShapeMismatch("points live on different quivers")
     q = s.quiver
-    _check_len(q, lam, "lambda")
+    lam = _weights(q, lam, "lambda")
     idx = q.vertex_index(vertex)
     msgs = []
 
@@ -241,8 +248,7 @@ def reflect_word(s: FramedPoint, word, lam: WeightVec, m: WeightVec | None = Non
     once: the post-check of letter k, which puts it on the reflected fiber,
     stands in for letter k+1's pre-check."""
     q = s.quiver
-    _check_weights(q, lam, m)
-    cur, cl, cm = s, lam, m
+    cur, (cl, cm) = s, _check_weights(q, lam, m)
     steps = []
     for k, vertex in enumerate(word):
         idx = q.vertex_index(vertex)
@@ -295,13 +301,15 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
     rng = _random.Random(seed)
     cd = cartan_data(q)
     dims = DimData(d, v)
+    lam, m = _check_weights(q, lam, m)
     m_eff = m if m is not None else WeightVec((0,) * cd.n)
     gen = genericity(cd, m_eff, lam, v, mode="Uv").ok
     checks = []
 
     def trial(kind, vertices, pair):
         """Sample, map the sample to two points by `pair`, compare them up to
-        orbit; a sample where a reflection is undefined is not attempted."""
+        orbit; a sample where a reflection is undefined is not attempted, and
+        a check that attempted none of its trials says so."""
         attempted = passes = 0
         for _ in range(trials):
             s = sample_fiber(q, dims, lam, rng=rng)
@@ -311,7 +319,8 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
                 continue
             attempted += 1
             passes += orbit_equivalent(x, y, seed=rng.randrange(2**30)).kind == "yes"
-        checks.append(RelationCheck(kind, vertices, attempted, passes))
+        skipped = "reflection undefined on every sample" if trials and not attempted else ""
+        checks.append(RelationCheck(kind, vertices, attempted, passes, skipped))
 
     def words(w1, w2):
         return lambda s: tuple(reflect_word(s, w, lam, m_eff).point for w in (w1, w2))
@@ -369,8 +378,7 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
     case and stops.
     """
     cd = cartan_data(q)
-    _check_weights(cd, lam, m)
-    cur_v, cur_l, cur_m = v, lam, m
+    cur_v, (cur_l, cur_m) = v, _check_weights(cd, lam, m)
     steps, word = [], []
     for _ in range(100000):
         dom = dominance(cd, d, cur_v)

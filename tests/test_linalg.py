@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -76,6 +77,20 @@ class TestMatBasics:
                             (lambda: Mat.scalar(QQI, -2, 3), "-2 rows")):
             with pytest.raises(ShapeMismatch, match=f"a matrix cannot have {name}"):
                 build()
+
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: Mat(QQ, 1.5, 2, [1, 2, 3]), "1.5 rows"),
+        (lambda: Mat.zeros(QQ, 2.0, 1), "2.0 rows"),
+        (lambda: Mat.zeros(QQ, True, 1), "True rows"),
+        (lambda: Mat.zeros(PrimeField(7), 1, Fraction(2)), "Fraction(2, 1) columns"),
+        (lambda: Mat.identity(QQ, 2.0), "2.0 rows"),
+    ], ids=["init-float", "zeros-float", "zeros-bool", "zeros-fraction", "identity-float"])
+    def test_non_integer_dimensions_rejected(self, build, shown):
+        # Mat(QQ, 1.5, 2, [1, 2, 3]) once built a matrix whose repr raised
+        # TypeError, zeros(QQ, 2.0, 1) raised a bare TypeError and
+        # zeros(QQ, True, 1) built a "Truex1" matrix
+        with pytest.raises(ShapeMismatch, match=re.escape(f"a matrix cannot have {shown}")):
+            build()
 
     def test_equality_requires_same_field(self):
         assert mat(QQ, [[1]]) != mat(QQI, [[1]])
@@ -463,6 +478,13 @@ class TestBlockSystem:
         sys_ = BlockSystem(QQ)
         with pytest.raises(ShapeMismatch, match=f"unknown 'y' cannot have {name}"):
             sys_.unknown("y", rows, cols)
+        assert sys_.cols == 0 and sys_.blocks == {}
+
+    def test_unknown_non_integer_size(self):
+        # unknown("x", 1.5, 2) once left cols == 3.0
+        sys_ = BlockSystem(QQ)
+        with pytest.raises(ShapeMismatch, match="unknown 'x' cannot have 1.5 rows"):
+            sys_.unknown("x", 1.5, 2)
         assert sys_.cols == 0 and sys_.blocks == {}
 
     def test_unknown_key(self):

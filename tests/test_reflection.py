@@ -317,6 +317,63 @@ class TestCoxeterChecks:
         rep = check_coxeter(q, WeightVec((2,)), RootVec((1,)), WeightVec((1,)), trials=0)
         assert all(c.trials == 0 and c.passes == 0 for c in rep.checks)
 
+    def test_untestable_relation_says_why(self):
+        # lambda_3 = -1 sends the braid (2, 3) through a vertex where neither
+        # side is defined on any sample: 0 of 0 once passed with no reason
+        q = dynkin_quiver("A3")
+        rep = check_coxeter(q, WeightVec((1, 0, 1)), RootVec((1, 1, 1)), WeightVec((1, 1, -1)),
+                            trials=5, seed=1)
+        untested = [c for c in rep.checks if c.trials == 0]
+        assert [(c.kind, c.vertices, c.passes) for c in untested] == [("braid", (2, 3), 0)]
+        assert untested[0].skipped == "reflection undefined on every sample"
+        assert all(c.skipped == "" and c.trials == 5 for c in rep.checks if c.trials)
+        assert not rep.generic
+
+
+class TestWeightSequences:
+    """lambda and m may be given as tuples or lists as well as WeightVecs;
+    each entry point reads them as WeightVecs."""
+
+    LAM, M = (1, 2), (1, 1)
+    FORMS = [tuple, list, WeightVec]
+    FORM_IDS = ["tuple", "list", "WeightVec"]
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        q, dims = a2_setup(d=(1, 1), v=(1, 1))
+        return sample_fiber(q, dims, WeightVec(self.LAM), seed=0)
+
+    @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+    def test_each_entry_point(self, point, form):
+        lam, m = form(self.LAM), form(self.M)
+        want_lam, want_m = WeightVec(self.LAM), WeightVec(self.M)
+        res = reflect_point(point, 1, lam, m)
+        assert res == reflect_point(point, 1, want_lam, want_m)
+        assert res.lam == WeightVec((-1, 3)) and res.m == WeightVec((-1, 2))
+        out = reflect_word(point, [1, 2], lam, m)
+        assert out == reflect_word(point, [1, 2], want_lam, want_m)
+        assert verify_Z_conditions(point, res, 1, lam) == verify_Z_conditions(point, res, 1, want_lam)
+        q = point.quiver
+        d, v = WeightVec((1, 1)), RootVec((1, 1))
+        rep = check_coxeter(q, d, v, lam, m, trials=1, seed=2)
+        assert rep == check_coxeter(q, d, v, want_lam, want_m, trials=1, seed=2)
+        assert rep.all_pass
+        trace = reduce_to_dominant(q, WeightVec((0, 0)), RootVec((1, 0)), lam, m)
+        assert trace == reduce_to_dominant(q, WeightVec((0, 0)), RootVec((1, 0)), want_lam, want_m)
+
+    @pytest.mark.parametrize("form", [tuple, list], ids=["tuple", "list"])
+    def test_wrong_length_still_named(self, point, form):
+        s2 = reflect_point(point, 1, WeightVec(self.LAM)).point
+        for call in (lambda: reflect_point(point, 1, form((1, 2, 3))),
+                     lambda: reflect_word(point, [1], form((1,))),
+                     lambda: verify_Z_conditions(point, s2, 1, form((1,))),
+                     lambda: check_coxeter(point.quiver, WeightVec((1, 1)), RootVec((1, 1)),
+                                           form((1, 2, 3)), trials=1)):
+            with pytest.raises(ShapeMismatch, match="lambda has length"):
+                call()
+        with pytest.raises(ShapeMismatch, match="m has length 1"):
+            reflect_point(point, 1, form(self.LAM), form((1,)))
+
 
 class TestReduction:
     def test_a2_double_drop(self):
