@@ -58,7 +58,7 @@ from .errors import (
 
 
 class Mat:
-    __slots__ = ("field", "rows", "cols", "_d", "_den")
+    __slots__ = ("field", "rows", "cols", "_d", "_den", "_rref")
 
     def __init__(self, field, rows, cols, data):
         """data: the rows*cols entries, row-major: over Q ints or Fractions,
@@ -85,6 +85,7 @@ class Mat:
         else:
             self._d = [field.coerce(x) for x in data]
             self._den = 1
+        self._rref = None
         # _d is flat, row-major and treated as immutable
 
     # -- construction -------------------------------------------------
@@ -328,6 +329,7 @@ def _wrap(field, rows, cols, data, den):
     m.cols = cols
     m._d = data
     m._den = den
+    m._rref = None
     return m
 
 
@@ -472,7 +474,18 @@ def _rref_field(m, field):
 
 
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot column tuple)."""
+    """Reduced row echelon form.  Returns (R, pivot column tuple).
+
+    The pair is memoized on a (`Mat._rref`): a Mat is never mutated, and
+    no caller changes R, so the rank, kernel and free columns of one matrix
+    come from one elimination."""
+    if a._rref is None:
+        a._rref = _eliminate(a)
+    return a._rref
+
+
+def _eliminate(a):
+    """(R, pivots) of a, from one elimination: the body of `rref`."""
     m = a._rows()
     n = a.cols
     if a.field.kind == "Qi":

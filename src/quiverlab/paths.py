@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import InvalidQuiver, NoSolution, RangeViolation, ShapeMismatch, SingularBlock
 from .linalg import BlockSystem, Mat
 from .quiver import Quiver, _Record
-from .repspace import FramedPoint, GroupElement, group_act, identity_group
+from .repspace import FramedPoint, GroupElement, _moved_block, identity_group
 
 
 class PathExpr(_Record):
@@ -382,11 +382,14 @@ def orbit_equivalent(s: FramedPoint, t: FramedPoint, seed=0) -> OrbitDecision:
             "yes", identity_group(q, s.dims, s.field), "all fibers are zero")
 
     def try_candidate(g: Intertwiner):
+        """g as a GroupElement when it is invertible and moves s to t; the
+        moved blocks are compared with t's one at a time, up to the first
+        that differs, and no moved point is built."""
         try:
             ge = GroupElement(dict(g.blocks))
         except SingularBlock:
             return None
-        if group_act(ge, s) == t:
+        if all(_moved_block(ge, s, blk) == t.block(blk) for blk in q.layout):
             return ge
         return None  # cannot happen for true intertwiners; guards the solver
 

@@ -143,6 +143,12 @@ class Quiver(_Record):
         }
 
     @cached_property
+    def _sizes(self):
+        """DimData -> its `sizes` on this quiver, each built and checked
+        once; read it through `DimData.sizes`."""
+        return {}
+
+    @cached_property
     def _cartan(self):
         """This quiver's `CartanData`, built once per quiver; read it
         through `cartan_data`."""

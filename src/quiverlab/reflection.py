@@ -103,7 +103,16 @@ def _weights(qc, x, nm):
 def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> ReflectionResult:
     """The body of `reflect_point` for a point already known to satisfy
     mu(s) = lambda Id; it still checks that the result lies on the reflected
-    fiber."""
+    fiber.  lambda and m are WeightVecs (m may be None).
+
+    Each result is memoized on s (`FramedPoint._refl`) under (vertex,
+    lambda, m, side), once it has passed that check: s is frozen, so the
+    key fixes the result.  A word whose first letter is the vertex just
+    reflected at reads it from there."""
+    key = (vertex, lam, m, side)
+    res = s._refl.get(key)
+    if res is not None:
+        return res
     q = s.quiver
     idx = q.vertex_index(vertex)
     ab = assemble_ab(s, vertex)
@@ -148,7 +157,8 @@ def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> Reflec
     m2 = reflect_weight(q, idx, m) if m is not None else None
     if not moment_matches(s2, lam2):
         raise AssertionError("reflected point is off the reflected fiber")
-    return ReflectionResult(s2, vertex, side, lam2, m2, a2, b2, section, ab.layout)
+    res = s._refl[key] = ReflectionResult(s2, vertex, side, lam2, m2, a2, b2, section, ab.layout)
+    return res
 
 
 class ZReport(NamedTuple):

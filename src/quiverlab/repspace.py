@@ -62,11 +62,18 @@ class DimData(NamedTuple):
 
     def sizes(self, q):
         """space -> dim for the spaces ("V", i) and ("D", i) of q, after
-        self.check(q)."""
-        self.check(q)
-        size = {}
-        for i, v, d in zip(q.vertices, self.v.coords, self.d.coords):
-            size["V", i], size["D", i] = v, d
+        self.check(q).  Built once per quiver and dims, and memoized on the
+        quiver (`Quiver._sizes`): the dict is shared, and no caller changes
+        it.  Only dims whose entries are all ints are looked up, so that 1.0
+        or True, equal to 1, is still checked and refused."""
+        memo = q._sizes
+        exact = all(type(x) is int for x in self.d.coords + self.v.coords)
+        size = memo.get(self) if exact else None
+        if size is None:
+            self.check(q)
+            size = memo[self] = {}
+            for i, v, d in zip(q.vertices, self.v.coords, self.d.coords):
+                size["V", i], size["D", i] = v, d
         return size
 
     def with_v(self, q, vertex, n):
@@ -101,9 +108,10 @@ class FramedPoint(_Record):
 
     def __init__(self, quiver, dims, field, B, gamma, delta):
         super().__init__(quiver, dims, field, B, gamma, delta)
-        # vertex -> mu_i (moment_map) and vertex -> VertexAB (assemble_ab);
-        # memos, no part of the point's value
-        vars(self).update(_mu={}, _ab={})
+        # vertex -> mu_i (moment_map), vertex -> VertexAB (assemble_ab) and
+        # (vertex, lambda, m, side) -> ReflectionResult (reflection
+        # functors); memos, no part of the point's value
+        vars(self).update(_mu={}, _ab={}, _refl={})
         size = self.dims.sizes(self.quiver)
         name = self.field.name
         for part, key, row, col in self.quiver.layout:
@@ -355,17 +363,17 @@ def group_act(g: GroupElement, s: FramedPoint) -> FramedPoint:
     """Each block M : col -> row goes to g_row M g_col^{-1}, where g acts on
     V_i by g_i and on D_i by its framing block f_i, if any:
     (B, gamma, delta) -> (g_{h1} B g_{h0}^{-1}, g gamma f^{-1}, f delta g^{-1})."""
-    act = g._act
+    return FramedPoint.build(s.quiver, s.dims, s.field, lambda blk, r, c: _moved_block(g, s, blk))
 
-    def move(blk, rows, cols):
-        m = s.block(blk)
-        if blk.row in act:
-            m = act[blk.row][0] * m
-        if blk.col in act:
-            m = m * act[blk.col][1]
-        return m
 
-    return FramedPoint.build(s.quiver, s.dims, s.field, move)
+def _moved_block(g: GroupElement, s: FramedPoint, blk: Block) -> Mat:
+    """The block blk of group_act(g, s), alone."""
+    act, m = g._act, s.block(blk)
+    if blk.row in act:
+        m = act[blk.row][0] * m
+    if blk.col in act:
+        m = m * act[blk.col][1]
+    return m
 
 
 # -- fiber sampling ----------------------------------------------------------

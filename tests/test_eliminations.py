@@ -55,6 +55,7 @@ from quiverlab import (
     sample_fiber,
     solve_right,
     strata,
+    verify_Z_conditions,
 )
 from util import a1_point, a1_setup, mat
 
@@ -439,3 +440,32 @@ def test_fp_random_matrix_builds_no_fpscalar(monkeypatch):
     assert built == []
     assert [x for r in range(4) for x in a.row_list(r)] == want
     assert rng.getstate() == boxed_rng.getstate()
+
+
+def test_fiber_orbit_op_work(monkeypatch):
+    # one op of the fiber-orbit benchmark: sample, reflect at v, check the
+    # six Z conditions, apply a braid's two words (the first starts at v)
+    # and decide the orbit.  The int eliminations and the reflections
+    # (split_ab) it makes are pinned: 15 and 7 when nothing was memoized.
+    # rank b_i in the Z check is read off the elimination the reflection
+    # made of the same b_i, and the word's first letter is the reflection
+    # already made
+    work = {"eliminations": 0, "reflections": 0}
+    for owner, name, key in ((linalg, "_rref_int", "eliminations"),
+                             (reflection, "split_ab", "reflections")):
+        def counted(*args, fn=getattr(owner, name), key=key):
+            work[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    lam = WeightVec((1, 1, 1, 1))
+    s = fiber("D4", (1, 1, 1, 1), (1, 1, 1, 1), lam.coords, 7)
+    res = reflect_point(s, 1, lam)
+    before = work["eliminations"]
+    assert verify_Z_conditions(s, res, 1, lam).all_pass
+    assert work["eliminations"] == before + 1  # rank a'
+    o1, o2 = (reflect_word(s, word, lam) for word in ([1, 2, 1], [2, 1, 2]))
+    dec = orbit_equivalent(o1.point, o2.point)
+    assert dec.reason == "particular solution is invertible"
+    assert group_act(dec.witness, o1.point) == o2.point
+    assert work == {"eliminations": 13, "reflections": 6}
