@@ -8,7 +8,11 @@ Every matrix stores its entries over one positive int denominator: entry k
 is `_d[k] / _den`.  Over Q the ints are over the least one, gcd(_den, *_d)
 == 1; over F_p they are residues in 0..p-1 over 1; over Q(i) `_d` holds
 field elements or ints (the generic kernels write and combine ints), over 1.
-Equal matrices store equal lists (2 == GaussianRational(2)).
+Equal matrices store equal lists (2 == GaussianRational(2)).  A Mat is never
+mutated, so it keeps its own elimination: `rref` memoizes (R, pivots) on the
+matrix it reduced, and the rank, kernel and free columns of one Mat share
+it.  The memo is no part of its value: ==, repr and the accessors ignore it.
+A dimension is an int >= 0; anything else is a ShapeMismatch naming it.
 
 Kernels are pinned per field:
   * over Q and F_p one int core builds no Fraction or FpScalar: matmul

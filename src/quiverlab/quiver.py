@@ -10,6 +10,11 @@ weights (framing dimensions d, stability/deformation parameters m, lambda),
 roots (dimension vectors v), and coroots (the test directions u of the
 genericity walls).  Mixing them up compiles fine in untyped code and produces
 silently wrong reflections, hence the wrappers.
+
+A quiver is frozen, so what it fixes is built once and kept on it: its
+block layout, the summands of each T_i, its Cartan data, and the space
+dimensions `DimData.sizes` gives for each dims it meets (`_sizes`), each
+checked once.  None of these enters its value.
 """
 
 from __future__ import annotations

@@ -16,7 +16,10 @@ moment map mu_i = b_i a_i; `assemble_ab`, `split_ab`, `moment_map` and the
 equations of `sample_fiber` all read it.  Each `VertexAB` is assembled at
 most once per point and memoized on it, as mu_i is; a move through
 `split_ab` seeds it at the moved vertex and carries it where the blocks of
-T_j are the same objects.
+T_j are the same objects.  A point also keeps each reflection of it
+(`reflection`) under (vertex, lambda, m, side), once that result has passed
+its moment check; a reflected point starts with none.  `DimData.sizes` is
+memoized on the quiver.  No memo enters a point's value.
 """
 
 from __future__ import annotations
