@@ -149,8 +149,9 @@ class Quiver(_Record):
 
     @cached_property
     def _sizes(self):
-        """DimData -> its `sizes` on this quiver, each built and checked
-        once; read it through `DimData.sizes`."""
+        """(d, v) coordinates -> the `DimData.sizes` of those dims on this
+        quiver, each built and checked once; read it through
+        `DimData.sizes`."""
         return {}
 
     @cached_property

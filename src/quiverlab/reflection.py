@@ -106,10 +106,10 @@ def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> Reflec
     fiber.  lambda and m are WeightVecs (m may be None).
 
     Each result is memoized on s (`FramedPoint._refl`) under (vertex,
-    lambda, m, side), once it has passed that check: s is frozen, so the
-    key fixes the result.  A word whose first letter is the vertex just
-    reflected at reads it from there."""
-    key = (vertex, lam, m, side)
+    lambda, m, side), the weights by their coordinates, once it has passed
+    that check: s is frozen, so the key fixes the result.  A word whose
+    first letter is the vertex just reflected at reads it from there."""
+    key = (vertex, lam.coords, None if m is None else m.coords, side)
     res = s._refl.get(key)
     if res is not None:
         return res

@@ -66,15 +66,16 @@ class DimData(NamedTuple):
     def sizes(self, q):
         """space -> dim for the spaces ("V", i) and ("D", i) of q, after
         self.check(q).  Built once per quiver and dims, and memoized on the
-        quiver (`Quiver._sizes`): the dict is shared, and no caller changes
-        it.  Only dims whose entries are all ints are looked up, so that 1.0
-        or True, equal to 1, is still checked and refused."""
-        memo = q._sizes
-        exact = all(type(x) is int for x in self.d.coords + self.v.coords)
-        size = memo.get(self) if exact else None
+        quiver (`Quiver._sizes`) under the coordinates of d and v: the dict
+        is shared, and no caller changes it.  Only dims whose entries are
+        all ints are looked up, so that 1.0 or True, equal to 1, is still
+        checked and refused."""
+        memo, key = q._sizes, (self.d.coords, self.v.coords)
+        exact = all(type(x) is int for x in key[0] + key[1])
+        size = memo.get(key) if exact else None
         if size is None:
             self.check(q)
-            size = memo[self] = {}
+            size = memo[key] = {}
             for i, v, d in zip(q.vertices, self.v.coords, self.d.coords):
                 size["V", i], size["D", i] = v, d
         return size
@@ -112,8 +113,9 @@ class FramedPoint(_Record):
     def __init__(self, quiver, dims, field, B, gamma, delta):
         super().__init__(quiver, dims, field, B, gamma, delta)
         # vertex -> mu_i (moment_map), vertex -> VertexAB (assemble_ab) and
-        # (vertex, lambda, m, side) -> ReflectionResult (reflection
-        # functors); memos, no part of the point's value
+        # (vertex, lambda, m, side), the weights by their coordinates ->
+        # ReflectionResult (reflection functors); memos, no part of the
+        # point's value
         vars(self).update(_mu={}, _ab={}, _refl={})
         size = self.dims.sizes(self.quiver)
         name = self.field.name
