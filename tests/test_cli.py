@@ -700,6 +700,72 @@ class TestQuiverJsonSweep:
         assert (code, out, err) == (1, "", "error: points live on different quivers\n")
 
 
+def json_leaves(obj, keys=()):
+    """The key path of every leaf of a JSON object (an entry that is no
+    list or dict), in document order."""
+    if not isinstance(obj, (dict, list)):
+        yield keys
+        return
+    for key, x in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield from json_leaves(x, keys + (key,))
+
+
+def sweep_point():
+    """An A2 point on the lambda = (1, 2) fiber with lambda and m embedded,
+    as a point file holds it."""
+    q, dims = a2_setup(d=(1, 1), v=(1, 1))
+    s = sample_fiber(q, dims, WeightVec((1, 2)), seed=0)
+    return {**s.to_json(), "lambda": ["1", "2"], "m": ["1", "1"]}
+
+
+# the valid files the sweeps below break one leaf at a time, the command
+# that reads each, and the values put in place of a leaf
+SWEEP_FILES = {
+    "point": (sweep_point(), ["reflect", "{point}", "--vertex", "1"]),
+    "chi": ({"target_copies": [1, 0], "source_copies": [0, 0], "vectors": [[1, 0]],
+             "covectors": [], "entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}]},
+            ["covariant", "{point}", "--chi", "{chi}", "--m", "1,1"]),
+}
+SWEEP_VALUES = [5, "x", [], {}, None, True]
+
+
+class TestJsonLeafSweep:
+    """Each leaf of a valid point or chi-data file, replaced in turn by each
+    of SWEEP_VALUES, ends as exit 0 or as exit 1 with one error line; never
+    as an uncaught exception.  Run in process as in TestWeightLengthSweep."""
+
+    @pytest.mark.parametrize("name, keys, value", [
+        (name, keys, value) for name, (obj, _) in SWEEP_FILES.items()
+        for keys in json_leaves(obj) for value in SWEEP_VALUES],
+        ids=lambda x: x if isinstance(x, str) else repr(x))
+    def test_broken_leaf_ends_in_an_exit_code(self, capsys, tmp_path, name, keys, value):
+        files = {}
+        for fname, (obj, _) in SWEEP_FILES.items():
+            obj = json.loads(json.dumps(obj))
+            if fname == name:
+                parent = obj
+                for key in keys[:-1]:
+                    parent = parent[key]
+                parent[keys[-1]] = value
+            files[fname] = tmp_path / f"{fname}.json"
+            files[fname].write_text(json.dumps(obj))
+        argv = [arg.format(**files) for arg in SWEEP_FILES[name][1]]
+        code, out, err = invoke(capsys, *argv)
+        assert code in (0, 1), err
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FILES))
+    def test_valid_file_runs(self, capsys, tmp_path, name):
+        files = {}
+        for fname, (obj, _) in SWEEP_FILES.items():
+            files[fname] = tmp_path / f"{fname}.json"
+            files[fname].write_text(json.dumps(obj))
+        code, _, err = invoke(capsys, *[arg.format(**files) for arg in SWEEP_FILES[name][1]])
+        assert code == 0, err
+
+
 class TestDeterminism:
     CASES = [
         ["sample", "--quiver", "A2", "--d", "2,1", "--v", "1,1",
