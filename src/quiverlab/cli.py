@@ -29,6 +29,7 @@ from .quiver import (
     RootVec,
     WeightVec,
     _check_len,
+    _json_entry,
     _json_path,
     _weyl_order,
     cartan_data,
@@ -85,10 +86,18 @@ def _load_quiver(name):
     raise RangeViolation(f"quiver {name!r}: no such file and not a Dynkin name")
 
 
-def _load_point(path):
-    with open(path) as fh:
+def _load_point(args, path=None):
+    """(point, lambda, m) from the point file `path`, args.point by default;
+    a --lambda or --m flag wins over the weight the file embeds.  A command
+    that takes --lambda needs one of the two for its first point."""
+    with open(args.point if path is None else path) as fh:
         obj = json.load(fh)
-    return FramedPoint.from_json(obj), _point_weight(obj, "lambda"), _point_weight(obj, "m")
+    s, lam, m = FramedPoint.from_json(obj), _point_weight(obj, "lambda"), _point_weight(obj, "m")
+    flags = vars(args)
+    lam, m = flags.get("lam") or lam, flags.get("m") or m
+    if lam is None and path is None and "lam" in flags:
+        raise RangeViolation("no --lambda given and none embedded in the point file")
+    return s, lam, m
 
 
 def _point_weight(obj, key):
@@ -96,22 +105,12 @@ def _point_weight(obj, key):
     fraction strings; a malformed one is a QuiverLabError that names it."""
     if key not in obj:
         return None
-    xs = obj[key]
-    if isinstance(xs, list) and all(type(x) in (int, str) for x in xs):
-        try:
-            return WeightVec(tuple(_weight_token(x) for x in xs))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ShapeMismatch(f"point JSON entry {_json_path((key,))} must be a list of "
-                        f"integers or fractions, not {xs!r}")
-
-
-def _resolve_lambda(args, embedded):
-    if args.lam is not None:
-        return args.lam
-    if embedded is not None:
-        return embedded
-    raise RangeViolation("no --lambda given and none embedded in the point file")
+    xs = _json_entry(obj, "point", key, kind="weight", error=ShapeMismatch)
+    try:
+        return WeightVec(tuple(_weight_token(x) for x in xs))
+    except (ValueError, ZeroDivisionError):
+        raise ShapeMismatch(f"point JSON entry {_json_path((key,))} must be a list of "
+                            f"integers or fractions, not {xs!r}") from None
 
 
 def _point_payload(s, lam=None, m=None, extra=None):
@@ -205,17 +204,13 @@ def _cmd_sample(args):
 
 
 def _cmd_reflect(args):
-    s, plam, pm = _load_point(args.point)
-    lam = _resolve_lambda(args, plam)
-    m = args.m if args.m is not None else pm
+    s, lam, m = _load_point(args)
     res = reflect_point(s, args.vertex, lam, m, side=args.side)
     return _point_payload(res.point, res.lam, res.m, extra={"side": res.side}), None
 
 
 def _cmd_reflect_word(args):
-    s, plam, pm = _load_point(args.point)
-    lam = _resolve_lambda(args, plam)
-    m = args.m if args.m is not None else pm
+    s, lam, m = _load_point(args)
     word = [_vertex_token(tok) for tok in args.word.split(",")]
     out = reflect_word(s, word, lam, m)
     steps = [[vert, side] for vert, side in out.steps]
@@ -223,7 +218,7 @@ def _cmd_reflect_word(args):
 
 
 def _cmd_invariants(args):
-    s, _, _ = _load_point(args.point)
+    s, _, _ = _load_point(args)
     inv = lusztig_invariants(s, args.max_len)
     entries = [
         {"key": list(key), "value": s.field.dump(val)} for key, val in sorted(inv)
@@ -240,7 +235,7 @@ def _cmd_invariants(args):
 
 def _cmd_covariant(args):
     if args.point is not None:
-        s, _, _ = _load_point(args.point)
+        s, _, _ = _load_point(args)
         q = s.quiver
         dims = s.dims
     else:
@@ -361,9 +356,8 @@ def _cmd_count(args):
 
 
 def _cmd_verify(args):
-    s, plam, _ = _load_point(args.point)
-    s2, _, _ = _load_point(args.point2)
-    lam = _resolve_lambda(args, plam)
+    s, lam, _ = _load_point(args)
+    s2, _, _ = _load_point(args, args.point2)
     rep = verify_Z_conditions(s, s2, args.vertex, lam)
     return {**rep._asdict(), "all_pass": rep.all_pass}, None
 

@@ -107,30 +107,18 @@ class ChiData(_Record):
     def from_json(cls, q, obj):
         """The ChiData of a chi JSON object, checked as summands(q) checks
         it; a malformed or repeated entry is a QuiverLabError naming it."""
-        def entry(*keys, ok=None, want=""):
-            x = _json_entry(obj, "chi", *keys)
-            if ok is not None and not (isinstance(x, list) and all(map(ok, x))):
-                raise QuiverLabError(f"chi JSON entry {_json_path(keys)} must be {want}, not {x!r}")
-            return x
-
-        def integers(name):
-            return tuple(entry(name, ok=lambda c: type(c) is int, want="a list of integers"))
-
-        def framing(name):
-            pairs = entry(name, ok=lambda x: isinstance(x, list) and len(x) == 2,
-                          want="a list of [vertex, basis index] pairs")
-            return tuple(map(tuple, pairs))
-
         entries = {}
-        for k in range(len(entry("entries"))):
-            key = tuple(entry("entries", k, "key", ok=lambda x: type(x) in (int, str),
-                              want="a list of a kind and indices"))
+        for k in range(len(_json_entry(obj, "chi", "entries"))):
+            key = tuple(_json_entry(obj, "chi", "entries", k, "key", kind="key"))
             if key in entries:
                 raise QuiverLabError(f"chi JSON entry {_json_path(('entries', k, 'key'))} "
                                      f"repeats the key {list(key)}")
-            entries[key] = parse_expr(q, entry("entries", k, "expr"))
-        chi = cls(integers("target_copies"), integers("source_copies"),
-                  framing("vectors"), framing("covectors"), entries)
+            entries[key] = parse_expr(q, _json_entry(obj, "chi", "entries", k, "expr"))
+        copies = (tuple(_json_entry(obj, "chi", name, kind="ints"))
+                  for name in ("target_copies", "source_copies"))
+        framing = (tuple(map(tuple, _json_entry(obj, "chi", name, kind="pairs")))
+                   for name in ("vectors", "covectors"))
+        chi = cls(*copies, *framing, entries)
         chi.summands(q)
         return chi
 

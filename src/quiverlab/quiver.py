@@ -209,27 +209,31 @@ class Quiver(_Record):
     def from_json(cls, obj):
         """Inverse of `to_json`; a missing or malformed entry is a
         QuiverLabError that names it."""
-        def entry(kind, *keys):
-            what, ok = _JSON_KINDS[kind]
-            x = _json_entry(obj, "quiver", *keys)
-            if not ok(x):
-                raise InvalidQuiver(f"quiver JSON entry {_json_path(keys)} must be {what}, not {x!r}")
-            return x
-
-        vertices = tuple(entry("ints", "vertices"))
+        vertices = tuple(_json_entry(obj, "quiver", "vertices", kind="ints", error=InvalidQuiver))
         arrows = tuple(
-            Arrow(*(entry(kind, "arrows", k, f) for f, kind in _ARROW_KINDS))
-            for k in range(len(entry("list", "arrows")))
+            Arrow(*(_json_entry(obj, "quiver", "arrows", k, f, kind=kind, error=InvalidQuiver)
+                    for f, kind in _ARROW_KINDS))
+            for k in range(len(_json_entry(obj, "quiver", "arrows", kind="list", error=InvalidQuiver)))
         )
         return cls(vertices, arrows)
 
 
-# what each quiver JSON entry must be: kind -> (description, test)
+def _ints_or_strs(x):
+    return type(x) is list and all(type(c) in (int, str) for c in x)
+
+
+# what a JSON entry of a quiver, point or chi-data file must be:
+# kind -> (description, test)
 _JSON_KINDS = {
     "int": ("an integer", lambda x: type(x) is int),
     "str": ("a string", lambda x: type(x) is str),
     "list": ("a list", lambda x: type(x) is list),
     "ints": ("a list of integers", lambda x: type(x) is list and all(type(v) is int for v in x)),
+    "rows": ("a list of rows", lambda x: type(x) is list and all(type(r) is list for r in x)),
+    "pairs": ("a list of [vertex, basis index] pairs",
+              lambda x: type(x) is list and all(type(p) is list and len(p) == 2 for p in x)),
+    "key": ("a list of a kind and indices", _ints_or_strs),
+    "weight": ("a list of integers or fractions", _ints_or_strs),
 }
 _ARROW_KINDS = (("id", "str"), ("from", "int"), ("to", "int"), ("eps", "int"), ("bar", "str"))
 
@@ -238,14 +242,20 @@ def _json_path(keys):
     return "".join(f"[{k!r}]" for k in keys)
 
 
-def _json_entry(obj, what, *keys):
-    """obj[k1][k2]...; a missing entry is a QuiverLabError that names it,
-    as read from `what` JSON (point, quiver, chi)."""
+def _json_entry(obj, what, *keys, kind=None, error=QuiverLabError):
+    """obj[k1][k2]..., read from `what` JSON (point, quiver, chi); a missing
+    entry is a QuiverLabError that names it.  With a `kind` of _JSON_KINDS
+    ("int", "str", "list", "ints", "rows", "pairs", "key" or "weight"), an
+    entry of another shape is an `error` that names it."""
     for n, key in enumerate(keys, 1):
         try:
             obj = obj[key]
         except (KeyError, IndexError, TypeError):
             raise QuiverLabError(f"{what} JSON has no entry {_json_path(keys[:n])}") from None
+    if kind is not None:
+        want, ok = _JSON_KINDS[kind]
+        if not ok(obj):
+            raise error(f"{what} JSON entry {_json_path(keys)} must be {want}, not {obj!r}")
     return obj
 
 

@@ -169,37 +169,26 @@ class FramedPoint(_Record):
     def from_json(cls, obj, quiver=None):
         """Inverse of `to_json`; a missing or malformed entry is a
         QuiverLabError that names it."""
-        def entry(*keys):
-            return _json_entry(obj, "point", *keys)
-
-        def bad(error, keys, problem):
-            return error(f"point JSON entry {_json_path(keys)} {problem}")
-
-        q = quiver if quiver is not None else Quiver.from_json(entry("quiver"))
+        q = quiver if quiver is not None else Quiver.from_json(_json_entry(obj, "point", "quiver"))
         try:
-            f = field_from_name(entry("field"))
+            f = field_from_name(_json_entry(obj, "point", "field"))
         except WrongField as e:
-            raise bad(WrongField, ("field",), f"is not a field: {e}") from None
-
-        def vector(key):
-            xs = entry(key)
-            if not (isinstance(xs, list) and all(type(x) is int for x in xs)):
-                raise bad(ShapeMismatch, (key,), f"must be a list of integers, not {xs!r}")
-            return tuple(xs)
-
-        dims = DimData(WeightVec(vector("d")), RootVec(vector("v")))
+            raise WrongField(f"point JSON entry ['field'] is not a field: {e}") from None
+        d, v = (tuple(_json_entry(obj, "point", key, kind="ints", error=ShapeMismatch))
+                for key in ("d", "v"))
+        dims = DimData(WeightVec(d), RootVec(v))
 
         def load_mat(blk, r, c):
             keys = (blk.part, str(blk.key))
-            rows = entry(*keys)
-            if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-                raise bad(ShapeMismatch, keys, f"must be a list of rows, not {rows!r}")
+            rows = _json_entry(obj, "point", *keys, kind="rows", error=ShapeMismatch)
             try:
                 data = [f.parse(x) for row in rows for x in row]
             except (WrongField, ValueError, ZeroDivisionError) as e:
-                raise bad(WrongField, keys, f"has an entry that is not in {f.name}: {e}") from None
+                raise WrongField(f"point JSON entry {_json_path(keys)} has an entry that is "
+                                 f"not in {f.name}: {e}") from None
             if len(data) != r * c:
-                raise bad(ShapeMismatch, keys, f"has {len(data)} entries, a {r}x{c} block needs {r * c}")
+                raise ShapeMismatch(f"point JSON entry {_json_path(keys)} has {len(data)} "
+                                    f"entries, a {r}x{c} block needs {r * c}")
             return Mat(f, r, c, data)
 
         return cls.build(q, dims, f, load_mat)
