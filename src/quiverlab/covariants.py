@@ -108,12 +108,12 @@ class ChiData(_Record):
         """The ChiData of a chi JSON object, checked as summands(q) checks
         it; a malformed or repeated entry is a QuiverLabError naming it."""
         entries = {}
-        for k in range(len(_json_entry(obj, "chi", "entries"))):
+        for k in range(len(_json_entry(obj, "chi", "entries", kind="list"))):
             key = tuple(_json_entry(obj, "chi", "entries", k, "key", kind="key"))
             if key in entries:
                 raise QuiverLabError(f"chi JSON entry {_json_path(('entries', k, 'key'))} "
                                      f"repeats the key {list(key)}")
-            entries[key] = parse_expr(q, _json_entry(obj, "chi", "entries", k, "expr"))
+            entries[key] = parse_expr(q, _json_entry(obj, "chi", "entries", k, "expr", kind="str"))
         copies = (tuple(_json_entry(obj, "chi", name, kind="ints"))
                   for name in ("target_copies", "source_copies"))
         framing = (tuple(map(tuple, _json_entry(obj, "chi", name, kind="pairs")))

@@ -469,8 +469,17 @@ class TestErrorsAndExitCodes:
         ({"vectors": [[3, 0]]}, "chi vectors[0] = (3, 0) is not a pair (vertex of the quiver, basis index)"),
         ({"covectors": [[1, 5]], "vectors": [[1, 0], [1, 1]]},
          "chi covectors[0] = (1, 5) needs a basis index 0 <= index < d_1 = 2"),
+        # these three ended in a traceback or named a missing entry
+        ({"entries": 5}, "chi JSON entry ['entries'] must be a list, not 5"),
+        ({"entries": {"a": 1}}, "chi JSON entry ['entries'] must be a list, not {'a': 1}"),
+        ({"entries": [{"key": ["av", 1, 1, 1], "expr": 5}]},
+         "chi JSON entry ['entries'][0]['expr'] must be a string, not 5"),
+        ({"vectors": 5}, "chi JSON entry ['vectors'] must be a list of [vertex, basis index] pairs, not 5"),
+        ({"entries": [{"key": "av", "expr": "e1"}]},
+         "chi JSON entry ['entries'][0]['key'] must be a list of a kind and indices, not 'av'"),
     ], ids=["copies-not-list", "unknown-kind", "copies-too-long", "repeated-key", "no-summand",
-            "vector-index-negative", "vector-index-d", "vector-vertex", "covector-index"])
+            "vector-index-negative", "vector-index-d", "vector-vertex", "covector-index",
+            "entries-not-list", "entries-dict", "expr-not-string", "vectors-not-list", "key-not-list"])
     def test_chi_file_malformed_entry(self, tmp_path, worked_point, a1_chi_file, change, message):
         obj = json.loads(a1_chi_file.read_text())
         obj.update(change)
