@@ -359,17 +359,20 @@ def _as_cartan(qc) -> CartanData:
     return cartan_data(qc)
 
 
-def _check_len(qc, vec, nm):
-    """qc is a Quiver or its CartanData; both know their vertex count n."""
+def _check_len(qc, vec, nm, cls=WeightVec):
+    """vec, a `cls` or a sequence of its coordinates, as a `cls`;
+    ShapeMismatch naming nm unless it has one entry per vertex of qc, a
+    Quiver or its CartanData."""
     if len(vec) != qc.n:
         raise ShapeMismatch(f"{nm} has length {len(vec)}, quiver has {qc.n} vertices")
+    return vec if type(vec) is cls else cls(vec)
 
 
 def reflect_weight(qc, i, x: WeightVec) -> WeightVec:
     """Simple reflection s_i on weight coordinates: x_j -> x_j - c_ij x_i."""
     cd = _as_cartan(qc)
     _check_vertex(cd, i)
-    _check_len(cd, x, "weight")
+    x = _check_len(cd, x, "weight")
     ci = cd.cartan[i]
     xi = x.coords[i]
     return WeightVec(tuple(xj - cij * xi for xj, cij in zip(x.coords, ci)))
@@ -379,7 +382,7 @@ def reflect_coroot(qc, i, u: CorootVec) -> CorootVec:
     """s_i on coroot coordinates: u -> u - (C u)_i alpha_i^vee."""
     cd = _as_cartan(qc)
     _check_vertex(cd, i)
-    _check_len(cd, u, "coroot")
+    u = _check_len(cd, u, "coroot", CorootVec)
     t = sum(cij * uj for cij, uj in zip(cd.cartan[i], u.coords))
     new = list(u.coords)
     new[i] -= t
@@ -406,8 +409,7 @@ def dot_action(qc, word, d: WeightVec, v: RootVec) -> RootVec:
     matching the convention that a word spells a product of reflections.
     """
     cd = _as_cartan(qc)
-    _check_len(cd, d, "d")
-    _check_len(cd, v, "v")
+    d, v = _check_len(cd, d, "d"), _check_len(cd, v, "v", RootVec)
     cur = list(v.coords)
     for i in reversed(list(word)):
         _check_vertex(cd, i)
@@ -418,8 +420,7 @@ def dot_action(qc, word, d: WeightVec, v: RootVec) -> RootVec:
 def variety_dimension(qc, d: WeightVec, v: RootVec):
     """Expected dimension 2 <d, v> - (v, v) = sum_i 2 d_i v_i - v^T C v."""
     cd = _as_cartan(qc)
-    _check_len(cd, d, "d")
-    _check_len(cd, v, "v")
+    d, v = _check_len(cd, d, "d"), _check_len(cd, v, "v", RootVec)
     lin = sum(2 * di * vi for di, vi in zip(d.coords, v.coords))
     quad = sum(
         v[i] * cd.cartan[i][j] * v[j] for i in range(cd.n) for j in range(cd.n)
@@ -435,8 +436,7 @@ class Dominance(NamedTuple):
 
 def dominance(qc, d: WeightVec, v: RootVec) -> Dominance:
     cd = _as_cartan(qc)
-    _check_len(cd, d, "d")
-    _check_len(cd, v, "v")
+    d, v = _check_len(cd, d, "d"), _check_len(cd, v, "v", RootVec)
     slacks = tuple(
         d[i] - sum(cij * vj for cij, vj in zip(cd.cartan[i], v.coords))
         for i in range(cd.n)
@@ -631,9 +631,8 @@ def genericity(qc, m: WeightVec, lam: WeightVec, v: RootVec, mode="Uv", d: Weigh
     for mode Gv) is reported.
     """
     cd = _as_cartan(qc)
-    _check_len(cd, m, "m")
-    _check_len(cd, lam, "lambda")
-    _check_len(cd, v, "v")
+    m, lam = _check_len(cd, m, "m"), _check_len(cd, lam, "lambda")
+    v = _check_len(cd, v, "v", RootVec)
     if mode == "Gv" and d is None:
         raise RangeViolation("mode Gv needs the framing vector d")
     if mode not in ("Uv", "UvTilde", "Gv", "Hinf"):

@@ -89,15 +89,7 @@ def reflect_point(s: FramedPoint, vertex, lam: WeightVec, m: WeightVec | None = 
 def _check_weights(qc, lam, m):
     """(lambda, m) as WeightVecs, m None when not given; names lambda or m
     when its length is not the quiver's vertex count."""
-    lam = _weights(qc, lam, "lambda")
-    return lam, None if m is None else _weights(qc, m, "m")
-
-
-def _weights(qc, x, nm):
-    """x, a WeightVec or a sequence of its coordinates, as a WeightVec of the
-    quiver's length; ShapeMismatch naming nm otherwise."""
-    _check_len(qc, x, nm)
-    return x if type(x) is WeightVec else WeightVec(x)
+    return _check_len(qc, lam, "lambda"), None if m is None else _check_len(qc, m, "m")
 
 
 def _reflect_on_fiber(s: FramedPoint, vertex, lam: WeightVec, m, side) -> ReflectionResult:
@@ -191,7 +183,7 @@ def verify_Z_conditions(s: FramedPoint, s2, vertex, lam: WeightVec) -> ZReport:
     if s.quiver != s2.quiver:
         raise ShapeMismatch("points live on different quivers")
     q = s.quiver
-    lam = _weights(q, lam, "lambda")
+    lam = _check_len(q, lam, "lambda")
     idx = q.vertex_index(vertex)
     msgs = []
 
@@ -388,7 +380,8 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
     case and stops.
     """
     cd = cartan_data(q)
-    cur_v, (cur_l, cur_m) = v, _check_weights(cd, lam, m)
+    cur_l, cur_m = _check_weights(cd, lam, m)
+    d, cur_v = _check_len(cd, d, "d"), _check_len(cd, v, "v", RootVec)
     steps, word = [], []
     for _ in range(100000):
         dom = dominance(cd, d, cur_v)

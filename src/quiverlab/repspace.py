@@ -51,11 +51,18 @@ from .linalg import (
 from .quiver import Block, Quiver, RootVec, WeightVec, _check_len, _json_entry, _json_path, _Record
 
 
-class DimData(NamedTuple):
-    """Dimension bookkeeping: framing spaces d (weight), fiber spaces v (root)."""
+class DimData(NamedTuple("DimData", [("d", WeightVec), ("v", RootVec)])):
+    """Dimension bookkeeping: framing spaces d (weight), fiber spaces v
+    (root), each kept as that type when given as a sequence of coordinates."""
 
-    d: WeightVec
-    v: RootVec
+    __slots__ = ()
+
+    def __new__(cls, d, v):
+        if type(d) is not WeightVec:
+            d = WeightVec(d)
+        if type(v) is not RootVec:
+            v = RootVec(v)
+        return tuple.__new__(cls, (d, v))
 
     def d_of(self, q, vertex):
         return self.d[q.vertex_index(vertex)]

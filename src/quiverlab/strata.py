@@ -89,6 +89,7 @@ def codim_report(q, d: WeightVec, v: RootVec) -> CodimReport:
     """Dimensions and codimensions (against delta_V) of every stratum v' <= v."""
     n = cartan_data(q).n
     delta_v = stratum_dimension(q, d, v, v)
+    d, v = _check_len(q, d, "d"), _check_len(q, v, "v", RootVec)
     dom = dominance(q, d, v)
     infos = []
     min_proper = None

@@ -19,9 +19,13 @@ from quiverlab import (
     ShapeMismatch,
     WeightVec,
     check_coxeter,
+    codim_report,
+    count_points_Fq,
     dominance,
+    dot_action,
     doubled_quiver,
     dynkin_quiver,
+    genericity,
     group_act,
     j_embed,
     limit_project,
@@ -34,6 +38,8 @@ from quiverlab import (
     reflect_weight,
     reflect_word,
     sample_fiber,
+    stratum_dimension,
+    variety_dimension,
     verify_Z_conditions,
 )
 from util import a1_point, a1_setup, a2_setup, mat, renamed_arrows
@@ -373,6 +379,48 @@ class TestWeightSequences:
                 call()
         with pytest.raises(ShapeMismatch, match="m has length 1"):
             reflect_point(point, 1, form(self.LAM), form((1,)))
+
+
+# each library entry point that takes a dimension vector d or v, called on A2
+# with d and v as given; reflect_weight takes d as a weight
+A2 = dynkin_quiver("A2")
+DIMENSION_CALLS = {
+    "check_coxeter": lambda d, v: check_coxeter(A2, d, v, (1, 2), trials=1, seed=2),
+    "sample_fiber": lambda d, v: sample_fiber(A2, DimData(d, v), (1, 2), seed=0),
+    "count_points_Fq": lambda d, v: count_points_Fq(A2, DimData(d, v), (0, 0), 2),
+    "dominance": lambda d, v: dominance(A2, d, v),
+    "variety_dimension": lambda d, v: variety_dimension(A2, d, v),
+    "genericity": lambda d, v: genericity(A2, (1, 1), (1, 2), v, mode="Gv", d=d),
+    "reflect_weight": lambda d, v: reflect_weight(A2, 0, d),
+    "dot_action": lambda d, v: dot_action(A2, [0, 1], d, v),
+    "reduce_to_dominant": lambda d, v: reduce_to_dominant(A2, d, v, (1, 2)),
+    "codim_report": lambda d, v: codim_report(A2, d, v),
+    "stratum_dimension": lambda d, v: stratum_dimension(A2, d, v, v),
+}
+
+
+class TestDimensionSequences:
+    """d and v may be given as tuples or lists as well as a WeightVec and a
+    RootVec, at every entry point; d - C v = (-1, 1) is not dominant, so
+    reduce_to_dominant reflects."""
+
+    D, V = (2, 1), (2, 1)
+
+    @pytest.mark.parametrize("form", [tuple, list], ids=["tuple", "list"])
+    @pytest.mark.parametrize("name", sorted(DIMENSION_CALLS))
+    def test_each_entry_point(self, name, form):
+        call = DIMENSION_CALLS[name]
+        assert call(form(self.D), form(self.V)) == call(WeightVec(self.D), RootVec(self.V))
+
+    @pytest.mark.parametrize("name", sorted(set(DIMENSION_CALLS) - {"reflect_weight"}))
+    def test_wrong_length_still_named(self, name):
+        # stratum_dimension, and codim_report through it, name it as a RangeViolation
+        error = RangeViolation if name in ("codim_report", "stratum_dimension") else ShapeMismatch
+        with pytest.raises(error, match=r"^d has length 3, quiver has 2 vertices$"):
+            DIMENSION_CALLS[name]((2, 1, 0), self.V)
+
+    def test_reduction_reflects(self):
+        assert reduce_to_dominant(A2, self.D, self.V, (1, 2)).word == (1,)
 
 
 class TestReduction:
