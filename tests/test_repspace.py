@@ -1,5 +1,6 @@
 """Framed points: vertex (a, b) packaging, moment maps, group action, sampling."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from quiverlab import (
     QQ,
     QQI,
     BlockSystem,
+    ChiData,
     DimData,
     FiberSampleFailed,
     FramedPoint,
@@ -16,6 +18,8 @@ from quiverlab import (
     InvalidQuiver,
     Mat,
     PrimeField,
+    Quiver,
+    QuiverLabError,
     RangeViolation,
     RootVec,
     ShapeMismatch,
@@ -467,6 +471,54 @@ class TestSerialization:
             n_entries += sum(m.rows * m.cols for m in s.gamma.values())
             n_entries += sum(m.rows * m.cols for m in s.delta.values())
             assert dims.space_dimension(q) == n_entries
+
+
+# each JSON reader: a valid object to break, and the call that reads it
+A1_CHI = {"target_copies": [1], "source_copies": [0], "vectors": [[1, 0]], "covectors": [],
+          "entries": [{"key": ["av", 1, 1, 1], "expr": "e1"}]}
+JSON_READERS = {
+    "quiver": (lambda: dynkin_quiver("A2").to_json(), Quiver.from_json),
+    "point": (lambda: a1_point().to_json(), FramedPoint.from_json),
+    "chi": (lambda: json.loads(json.dumps(A1_CHI)),
+            lambda obj: ChiData.from_json(dynkin_quiver("A1"), obj)),
+}
+MISSING = object()  # in place of a value: the entry is deleted
+
+
+@pytest.mark.parametrize("reader, keys, value, error", [
+    ("quiver", ("vertices",), 5, InvalidQuiver),
+    ("quiver", ("arrows", 0, "eps"), "1", InvalidQuiver),
+    ("point", ("quiver", "arrows"), 5, InvalidQuiver),
+    ("point", ("d",), "x", ShapeMismatch),
+    ("point", ("v",), [1.5], ShapeMismatch),
+    ("point", ("gamma", "1"), 5, ShapeMismatch),
+    ("point", ("gamma", "1"), [["1", "0", "1"]], ShapeMismatch),
+    ("point", ("field",), "R", WrongField),
+    ("point", ("gamma", "1"), [["x", "1"]], WrongField),
+    ("chi", ("target_copies",), 1, QuiverLabError),
+    ("chi", ("vectors",), 5, QuiverLabError),
+    ("chi", ("entries",), 5, QuiverLabError),
+    ("chi", ("entries", 0, "key"), "av", QuiverLabError),
+    ("chi", ("entries", 0, "expr"), 5, QuiverLabError),
+    ("quiver", ("arrows",), MISSING, QuiverLabError),
+    ("point", ("delta", "1"), MISSING, QuiverLabError),
+    ("chi", ("entries", 0, "expr"), MISSING, QuiverLabError),
+], ids=lambda x: ("missing" if x is MISSING else x.__name__ if isinstance(x, type)
+                  else "".join(f"[{k!r}]" for k in x) if isinstance(x, tuple) else repr(x)))
+def test_json_reader_error_class(reader, keys, value, error):
+    """Each reader raises its own class for a malformed entry, and the base
+    QuiverLabError for a missing one; the CLI tests read only the message."""
+    make, read = JSON_READERS[reader]
+    obj = parent = make()
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    with pytest.raises(QuiverLabError) as info:
+        read(obj)
+    assert type(info.value) is error, info.value
 
 
 class TestLayout:
