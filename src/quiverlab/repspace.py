@@ -181,9 +181,8 @@ class FramedPoint(_Record):
             f = field_from_name(_json_entry(obj, "point", "field"))
         except WrongField as e:
             raise WrongField(f"point JSON entry ['field'] is not a field: {e}") from None
-        d, v = (tuple(_json_entry(obj, "point", key, kind="ints", error=ShapeMismatch))
-                for key in ("d", "v"))
-        dims = DimData(WeightVec(d), RootVec(v))
+        dims = DimData(*(_json_entry(obj, "point", key, kind="ints", error=ShapeMismatch)
+                         for key in ("d", "v")))
 
         def load_mat(blk, r, c):
             keys = (blk.part, str(blk.key))
