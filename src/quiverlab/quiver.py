@@ -210,10 +210,11 @@ class Quiver(_Record):
         """Inverse of `to_json`; a missing or malformed entry is a
         QuiverLabError that names it."""
         vertices = tuple(_json_entry(obj, "quiver", "vertices", kind="ints", error=InvalidQuiver))
+        n_arrows = len(_json_entry(obj, "quiver", "arrows", kind="list", error=InvalidQuiver))
         arrows = tuple(
             Arrow(*(_json_entry(obj, "quiver", "arrows", k, f, kind=kind, error=InvalidQuiver)
                     for f, kind in _ARROW_KINDS))
-            for k in range(len(_json_entry(obj, "quiver", "arrows", kind="list", error=InvalidQuiver)))
+            for k in range(n_arrows)
         )
         return cls(vertices, arrows)
 
