@@ -743,23 +743,28 @@ class TestJsonLeafSweep:
     of SWEEP_VALUES, ends as exit 0 or as exit 1 with one error line; never
     as an uncaught exception.  Run in process as in TestWeightLengthSweep."""
 
-    @pytest.mark.parametrize("name, keys, value", [
-        (name, keys, value) for name, (obj, _) in SWEEP_FILES.items()
-        for keys in json_leaves(obj) for value in SWEEP_VALUES],
-        ids=lambda x: x if isinstance(x, str) else repr(x))
-    def test_broken_leaf_ends_in_an_exit_code(self, capsys, tmp_path, name, keys, value):
+    @staticmethod
+    def run(capsys, tmp_path, name, keys=(), value=None):
+        """(code, stdout, stderr) of the command that reads SWEEP_FILES[name],
+        with the leaf at keys of that file, if any, replaced by value."""
         files = {}
         for fname, (obj, _) in SWEEP_FILES.items():
             obj = json.loads(json.dumps(obj))
-            if fname == name:
+            if fname == name and keys:
                 parent = obj
                 for key in keys[:-1]:
                     parent = parent[key]
                 parent[keys[-1]] = value
             files[fname] = tmp_path / f"{fname}.json"
             files[fname].write_text(json.dumps(obj))
-        argv = [arg.format(**files) for arg in SWEEP_FILES[name][1]]
-        code, out, err = invoke(capsys, *argv)
+        return invoke(capsys, *[arg.format(**files) for arg in SWEEP_FILES[name][1]])
+
+    @pytest.mark.parametrize("name, keys, value", [
+        (name, keys, value) for name, (obj, _) in SWEEP_FILES.items()
+        for keys in json_leaves(obj) for value in SWEEP_VALUES],
+        ids=lambda x: x if isinstance(x, str) else repr(x))
+    def test_broken_leaf_ends_in_an_exit_code(self, capsys, tmp_path, name, keys, value):
+        code, out, err = self.run(capsys, tmp_path, name, keys, value)
         assert code in (0, 1), err
         if code == 1:
             assert out == ""
@@ -767,11 +772,7 @@ class TestJsonLeafSweep:
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FILES))
     def test_valid_file_runs(self, capsys, tmp_path, name):
-        files = {}
-        for fname, (obj, _) in SWEEP_FILES.items():
-            files[fname] = tmp_path / f"{fname}.json"
-            files[fname].write_text(json.dumps(obj))
-        code, _, err = invoke(capsys, *[arg.format(**files) for arg in SWEEP_FILES[name][1]])
+        code, _, err = self.run(capsys, tmp_path, name)
         assert code == 0, err
 
 
