@@ -55,6 +55,21 @@ class TestLiterals:
         assert p.source == 1 and p.target == 3
         assert len(p) == 2
 
+    def test_product_runs_right_factor_first(self):
+        q = dynkin_quiver("A3")
+        p = parse_path(q, "h2") * parse_path(q, "h1")
+        assert p == parse_path(q, "h2.h1")
+        assert p.source == 1 and p.target == 3
+
+    def test_product_of_paths_that_do_not_compose(self):
+        q = dynkin_quiver("A3")
+        with pytest.raises(InvalidQuiver, match="^paths do not compose$"):
+            parse_path(q, "h1") * parse_path(q, "h2")
+
+    def test_product_of_empty_paths(self):
+        q = dynkin_quiver("A3")
+        assert empty_path(q, 2) * empty_path(q, 2) == empty_path(q, 2)
+
     def test_broken_path_rejected(self):
         q = dynkin_quiver("A3")
         with pytest.raises(InvalidQuiver):

@@ -1,6 +1,7 @@
 """Strata of the zero fiber: labels, dimension formulas, F_p point counts,
 checked against the brute-force enumerator of `util.brute_force_count`."""
 
+import itertools
 import math
 import random
 
@@ -25,7 +26,7 @@ from quiverlab import (
     stratum_dimension,
     v_plus,
 )
-from util import a1_point, a1_setup, a2_setup, brute_force_count, quiver
+from util import a1_point, a1_setup, a2_setup, brute_force_count, quiver, stratum_dimension_oracle
 
 
 class TestLabels:
@@ -133,6 +134,36 @@ class TestCodimReport:
                             assert rep.codim_ge_1
                         if rep.regular:
                             assert rep.codim_ge_2
+
+
+def oracle_battery():
+    """(quiver, d, v): A1 with d, v <= 3; A2 and A3 with d, v in {0,1,2}^n;
+    D4 with d in {0,1}^4 and v in {0,1,2}^4."""
+    grids = [("A1", range(4), range(4)), ("A2", range(3), range(3)),
+             ("A3", range(3), range(3)), ("D4", range(2), range(3))]
+    for name, d_range, v_range in grids:
+        q = dynkin_quiver(name)
+        n = len(q.vertices)
+        for d in itertools.product(d_range, repeat=n):
+            for v in itertools.product(v_range, repeat=n):
+                yield q, d, v
+
+
+class TestAgainstOracle:
+    """Both strata functions read every codimension off one formula; the
+    oracle of util.py computes each stratum's dimension from the arrows."""
+
+    def test_every_stratum(self):
+        for q, d, v in oracle_battery():
+            rep = codim_report(q, d, v)
+            want = [stratum_dimension_oracle(q, d, v, st.v_prime) for st in rep.strata]
+            assert rep.delta_v == stratum_dimension_oracle(q, d, v, v)
+            assert [(st.dimension, st.codimension) for st in rep.strata] == [
+                (dim, rep.delta_v - dim) for dim in want], (q, d, v)
+            assert [stratum_dimension(q, d, v, st.v_prime) for st in rep.strata] == want, (q, d, v)
+            # finite type: d - Cv regular => every proper stratum has codim >= 2
+            if rep.regular:
+                assert rep.min_proper_codim is None or rep.min_proper_codim >= 2, (q, d, v)
 
 
 class TestCounting:

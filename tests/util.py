@@ -137,6 +137,27 @@ def brute_force_count(q, dims, lam, p):
     return ql.CountResult(p, space_dim, sum(counts.values()), tuple(sorted(counts.items())))
 
 
+def stratum_dimension_oracle(q, d, v, v_prime):
+    """dim S - sum v_i^2 - (u.d - u^T C v) - u^T C u / 2 with u = v - v',
+    read off q's arrows alone: dim S = sum over arrows of v_h0 v_h1 plus
+    2 sum d_i v_i, and c_ij = 2 [i = j] minus the arrows i -> j.  The
+    oracle that `stratum_dimension` and `codim_report` are checked
+    against."""
+    n, at = len(q.vertices), q.vertex_index
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a in q.arrows:
+        cartan[at(a.h0)][at(a.h1)] -= 1
+
+    def form(x, y):  # x^T C y
+        return sum(x[i] * cartan[i][j] * y[j] for i in range(n) for j in range(n))
+
+    u = [a - b for a, b in zip(v, v_prime)]
+    dim_s = sum(v[at(a.h0)] * v[at(a.h1)] for a in q.arrows)
+    dim_s += 2 * sum(a * b for a, b in zip(d, v))
+    ud = sum(a * b for a, b in zip(u, d))
+    return dim_s - sum(x * x for x in v) - (ud - form(u, v)) - form(u, u) // 2
+
+
 def cli_env():
     """Environment for `python -m quiverlab.cli` children.
 
