@@ -26,7 +26,6 @@ from .fields import field_from_name
 from .paths import lusztig_invariants
 from .quiver import (
     Quiver,
-    RootVec,
     WeightVec,
     _check_len,
     _json_entry,
@@ -124,10 +123,6 @@ def _point_payload(s, lam=None, m=None, extra=None):
     return obj
 
 
-def _dims(args):
-    return DimData(WeightVec(args.d), RootVec(args.v))
-
-
 # -- output --------------------------------------------------------------------
 
 
@@ -172,12 +167,11 @@ def _cmd_info(args):
     if args.d is not None or args.v is not None:
         if args.d is None or args.v is None:
             raise RangeViolation("--d and --v must be given together")
-        d, v = WeightVec(args.d), RootVec(args.v)
-        dom = dominance(cd, d, v)
+        dom = dominance(cd, args.d, args.v)
         payload.update(
             {
-                "variety_dimension": variety_dimension(cd, d, v),
-                "space_dimension": DimData(d, v).space_dimension(q),
+                "variety_dimension": variety_dimension(cd, args.d, args.v),
+                "space_dimension": DimData(args.d, args.v).space_dimension(q),
                 "dominant": dom.dominant,
                 "regular": dom.regular,
                 "slacks": list(dom.slacks),
@@ -193,7 +187,7 @@ def _cmd_sample(args):
     field = field_from_name(args.field)
     s = sample_fiber(
         q,
-        _dims(args),
+        DimData(args.d, args.v),
         args.lam,
         seed=args.seed,
         field=field,
@@ -245,7 +239,7 @@ def _cmd_covariant(args):
         s = None
         dims = None
         if args.d is not None and args.v is not None:
-            dims = _dims(args)
+            dims = DimData(args.d, args.v)
     with open(args.chi) as fh:
         chi = ChiData.from_json(q, json.load(fh))
     payload = {"weight": list(chi.weight())}
@@ -264,15 +258,7 @@ def _cmd_covariant(args):
 
 def _cmd_check_coxeter(args):
     q = _load_quiver(args.quiver)
-    rep = check_coxeter(
-        q,
-        WeightVec(args.d),
-        RootVec(args.v),
-        args.lam,
-        args.m,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    rep = check_coxeter(q, args.d, args.v, args.lam, args.m, trials=args.trials, seed=args.seed)
     rows = [("kind", "vertices", "trials", "passes", "ok", "skipped")]
     rows += [(c.kind, " ".join(str(v) for v in c.vertices), c.trials, c.passes, c.ok, c.skipped)
              for c in rep.checks]
@@ -282,7 +268,7 @@ def _cmd_check_coxeter(args):
 
 def _cmd_reduce(args):
     q = _load_quiver(args.quiver)
-    tr = reduce_to_dominant(q, WeightVec(args.d), RootVec(args.v), args.lam, args.m)
+    tr = reduce_to_dominant(q, args.d, args.v, args.lam, args.m)
     payload = {
         "steps": [
             {"vertex": st.vertex, "kind": st.kind, "v_after": list(st.v_after)}
@@ -300,11 +286,10 @@ def _cmd_reduce(args):
 
 def _cmd_strata(args):
     q = _load_quiver(args.quiver)
-    d, v = WeightVec(args.d), RootVec(args.v)
     if args.v_prime is not None:
-        dim = stratum_dimension(q, d, v, RootVec(args.v_prime))
+        dim = stratum_dimension(q, args.d, args.v, args.v_prime)
         return {"d": args.d, "v": args.v, "v_prime": args.v_prime, "dimension": dim}, None
-    rep = codim_report(q, d, v)
+    rep = codim_report(q, args.d, args.v)
     rows = [("v_prime", "dimension", "codimension")]
     rows += [(" ".join(str(c) for c in st.v_prime), st.dimension, st.codimension)
              for st in rep.strata]
@@ -315,7 +300,7 @@ def _cmd_strata(args):
 
 def _cmd_count(args):
     q = _load_quiver(args.quiver)
-    dims = _dims(args)
+    dims = DimData(args.d, args.v)
     for c in args.lam.coords:
         if not isinstance(c, int):
             raise RangeViolation("point counts need integer lambda coordinates")

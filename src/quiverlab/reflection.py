@@ -412,8 +412,7 @@ def reduce_to_dominant(q, d: WeightVec, v: RootVec, lam: WeightVec,
 def j_embed(s: FramedPoint, v_target: RootVec) -> FramedPoint:
     """Zero-pad a point up to larger fiber dimensions (closed immersion)."""
     q = s.quiver
-    if len(v_target) != q.n:
-        raise RangeViolation("target dims have wrong length")
+    v_target = _check_len(q, v_target, "v_target", RootVec)
     for k in range(q.n):
         if v_target[k] < s.dims.v[k]:
             raise RangeViolation("target dims must dominate the current dims")

@@ -28,35 +28,37 @@ def v_plus(s: FramedPoint) -> RootVec:
     return RootVec(reachable_dims(s))
 
 
-def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
-    """Dimension of the locus in the zero fiber with label v_prime.
+def _codimension(cd, slacks, u) -> int:
+    """Codimension in delta_V of the stratum v' = v - u, with slacks = d - Cv:
 
-    With u = v - v' this is
+        u . (d - Cv) + u^T C u / 2
 
-        dim S - sum v_i^2 - (sum u_i d_i - u^T C v) - u^T C u / 2
-
-    where the last term is an integer because C has even diagonal.
+    an integer because C has even diagonal.  On a proper stratum u >= 0 and
+    u != 0; for finite type C is positive definite, so u^T C u / 2 >= 1.
+    Hence codim >= 1 when d - Cv is dominant (slacks >= 0), and codim >= 2
+    when it is regular (slacks >= 1): the paper's bound behind normality.
     """
-    cd = cartan_data(q)
-    n = cd.n
-    for nm, vec in (("d", d), ("v", v), ("v_prime", v_prime)):
-        if len(vec) != n:
-            raise RangeViolation(f"{nm} has length {len(vec)}, quiver has {n} vertices")
-    dims = DimData(d, v)
-    dims.check(q)  # names a negative entry of d or v before the v' bounds
-    for k in range(n):
-        if not (0 <= v_prime[k] <= v[k]):
-            raise RangeViolation(f"need 0 <= v'_{k} <= v_{k}")
-    u = [v[k] - v_prime[k] for k in range(n)]
-    cv = [sum(cd.cartan[i][j] * v[j] for j in range(n)) for i in range(n)]
-    cu = [sum(cd.cartan[i][j] * u[j] for j in range(n)) for i in range(n)]
-    ucv = sum(u[i] * cv[i] for i in range(n))
-    ucu = sum(u[i] * cu[i] for i in range(n))
+    cu = [sum(cij * uj for cij, uj in zip(row, u)) for row in cd.cartan]
+    ucu = sum(ui * ci for ui, ci in zip(u, cu))
     if ucu % 2 != 0:
         raise AssertionError("u^T C u must be even")
-    dim_s = dims.space_dimension(q)
-    group = sum(v[k] ** 2 for k in range(n))
-    return dim_s - group - (sum(u[k] * d[k] for k in range(n)) - ucv) - ucu // 2
+    return sum(ui * si for ui, si in zip(u, slacks)) + ucu // 2
+
+
+def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
+    """Dimension of the locus in the zero fiber with label v_prime:
+    delta_V = dim S - sum v_i^2, less the `_codimension` of u = v - v'."""
+    dims = DimData(d, v)
+    dims.check(q)
+    d, v = dims
+    v_prime = _check_len(q, v_prime, "v_prime", RootVec)
+    for k in range(len(v)):
+        if not (0 <= v_prime[k] <= v[k]):
+            raise RangeViolation(f"need 0 <= v'_{k} <= v_{k}")
+    cd = cartan_data(q)
+    u = [a - b for a, b in zip(v.coords, v_prime.coords)]
+    delta_v = dims.space_dimension(q) - sum(x * x for x in v.coords)
+    return delta_v - _codimension(cd, dominance(cd, d, v).slacks, u)
 
 
 class StratumInfo(NamedTuple):
@@ -87,19 +89,19 @@ class CodimReport(NamedTuple):
 
 def codim_report(q, d: WeightVec, v: RootVec) -> CodimReport:
     """Dimensions and codimensions (against delta_V) of every stratum v' <= v."""
-    n = cartan_data(q).n
-    delta_v = stratum_dimension(q, d, v, v)
-    d, v = _check_len(q, d, "d"), _check_len(q, v, "v", RootVec)
-    dom = dominance(q, d, v)
+    dims = DimData(d, v)
+    dims.check(q)
+    d, v = dims
+    cd = cartan_data(q)
+    dom = dominance(cd, d, v)
+    delta_v = dims.space_dimension(q) - sum(x * x for x in v.coords)
     infos = []
     min_proper = None
-    for combo in itertools.product(*(range(v[k] + 1) for k in range(n))):
-        vp = RootVec(combo)
-        dim = stratum_dimension(q, d, v, vp)
-        codim = delta_v - dim
+    for combo in itertools.product(*(range(x + 1) for x in v.coords)):
+        codim = _codimension(cd, dom.slacks, [a - b for a, b in zip(v.coords, combo)])
         if combo != v.coords and (min_proper is None or codim < min_proper):
             min_proper = codim
-        infos.append(StratumInfo(combo, dim, codim))
+        infos.append(StratumInfo(combo, delta_v - codim, codim))
     return CodimReport(
         d.coords, v.coords, delta_v, tuple(infos), dom.dominant, dom.regular, min_proper
     )

@@ -414,10 +414,16 @@ class TestDimensionSequences:
 
     @pytest.mark.parametrize("name", sorted(set(DIMENSION_CALLS) - {"reflect_weight"}))
     def test_wrong_length_still_named(self, name):
-        # stratum_dimension, and codim_report through it, name it as a RangeViolation
-        error = RangeViolation if name in ("codim_report", "stratum_dimension") else ShapeMismatch
-        with pytest.raises(error, match=r"^d has length 3, quiver has 2 vertices$"):
+        with pytest.raises(ShapeMismatch, match=r"^d has length 3, quiver has 2 vertices$"):
             DIMENSION_CALLS[name]((2, 1, 0), self.V)
+
+    @pytest.mark.parametrize("nm, call", [
+        ("v_prime", lambda vec: stratum_dimension(A2, (2, 1), (2, 1), vec)),
+        ("v_target", lambda vec: j_embed(FramedPoint.zero(A2, DimData((2, 1), (2, 1))), vec)),
+    ], ids=["stratum_dimension-v_prime", "j_embed-v_target"])
+    def test_wrong_length_of_other_vectors_named(self, nm, call):
+        with pytest.raises(ShapeMismatch, match=f"^{nm} has length 3, quiver has 2 vertices$"):
+            call((2, 1, 0))
 
     def test_reduction_reflects(self):
         assert reduce_to_dominant(A2, self.D, self.V, (1, 2)).word == (1,)
@@ -510,7 +516,7 @@ class TestEmbedding:
         s = FramedPoint.zero(q, dims)
         with pytest.raises(RangeViolation):
             j_embed(s, RootVec((0, 1)))
-        with pytest.raises(RangeViolation):
+        with pytest.raises(ShapeMismatch):
             j_embed(s, RootVec((1,)))
 
 

@@ -14,6 +14,7 @@ from quiverlab import (
     FramedPoint,
     RangeViolation,
     RootVec,
+    ShapeMismatch,
     WeightVec,
     codim_report,
     count_points_Fq,
@@ -75,7 +76,7 @@ class TestStratumDimension:
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((2,)))
         with pytest.raises(RangeViolation):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((-1,)))
-        with pytest.raises(RangeViolation):
+        with pytest.raises(ShapeMismatch):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((0, 0)))
 
     @pytest.mark.parametrize("d, v, v_prime, message", [
@@ -84,7 +85,7 @@ class TestStratumDimension:
         ((1, 1), (1, 1), (0, 1, 1), "v_prime has length 3, quiver has 2 vertices"),
     ], ids=["d", "v", "v_prime"])
     def test_length_error_names_the_vector(self, d, v, v_prime, message):
-        with pytest.raises(RangeViolation, match=f"^{message}$"):
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
             stratum_dimension(dynkin_quiver("A2"), WeightVec(d), RootVec(v), RootVec(v_prime))
 
 
