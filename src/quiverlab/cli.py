@@ -304,26 +304,13 @@ def _cmd_count(args):
     for c in args.lam.coords:
         if not isinstance(c, int):
             raise RangeViolation("point counts need integer lambda coordinates")
-    per_prime = []
+    results = [count_points_Fq(q, dims, args.lam, p, budget=args.budget) for p in args.p]
     rows = [("p", "label", "count")]
-    results = []
-    for p in args.p:
-        res = count_points_Fq(q, dims, args.lam, p, budget=args.budget)
-        results.append(res)
-        strata = [
-            {"v_plus": list(vp), "count": c} for vp, c in res.strata
-        ]
-        per_prime.append(
-            {
-                "p": res.p,
-                "space_dimension": res.space_dimension,
-                "total": res.total,
-                "strata": strata,
-            }
-        )
-        for vp, c in res.strata:
-            rows.append((p, " ".join(str(x) for x in vp), c))
-        rows.append((p, "total", res.total))
+    for res in results:
+        rows += [(res.p, " ".join(str(x) for x in vp), c) for vp, c in res.strata]
+        rows.append((res.p, "total", res.total))
+    per_prime = [{**res._asdict(), "strata": [{"v_plus": list(vp), "count": c}
+                                              for vp, c in res.strata]} for res in results]
     payload = {"per_prime": per_prime}
     if len(results) >= 2:
         slopes = {}
