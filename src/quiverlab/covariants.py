@@ -131,11 +131,12 @@ def _summand_dims(delta: ChiData, dims, q):
     """(sources, targets, size, source dim, target dim) of delta's block
     matrix, where size(summand) is v_i for ("V", i, h) and 1 otherwise.
     Every framing vector and covector must be (vertex of q, basis index of
-    D_i)."""
+    D_i); a bool, equal to 0 or 1, names no vertex."""
     sources, targets = delta.summands(q)
     for name in ("vectors", "covectors"):
         for k, x in enumerate(getattr(delta, name)):
-            if not (isinstance(x, (tuple, list)) and len(x) == 2 and x[0] in q.vertices):
+            if not (isinstance(x, (tuple, list)) and len(x) == 2
+                    and type(x[0]) is not bool and x[0] in q.vertices):
                 raise RangeViolation(f"chi {name}[{k}] = {x!r} is not a pair (vertex of the quiver, basis index)")
             di = dims.d_of(q, x[0])
             if type(x[1]) is not int or not 0 <= x[1] < di:

@@ -477,9 +477,13 @@ class TestErrorsAndExitCodes:
         ({"vectors": 5}, "chi JSON entry ['vectors'] must be a list of [vertex, basis index] pairs, not 5"),
         ({"entries": [{"key": "av", "expr": "e1"}]},
          "chi JSON entry ['entries'][0]['key'] must be a list of a kind and indices, not 'av'"),
+        # true equals 1 but names no vertex
+        ({"vectors": [[True, 0]]},
+         "chi vectors[0] = (True, 0) is not a pair (vertex of the quiver, basis index)"),
     ], ids=["copies-not-list", "unknown-kind", "copies-too-long", "repeated-key", "no-summand",
             "vector-index-negative", "vector-index-d", "vector-vertex", "covector-index",
-            "entries-not-list", "entries-dict", "expr-not-string", "vectors-not-list", "key-not-list"])
+            "entries-not-list", "entries-dict", "expr-not-string", "vectors-not-list", "key-not-list",
+            "vector-vertex-true"])
     def test_chi_file_malformed_entry(self, tmp_path, worked_point, a1_chi_file, change, message):
         obj = json.loads(a1_chi_file.read_text())
         obj.update(change)

@@ -191,9 +191,10 @@ class TestChiData:
         ({"vectors": ((1, 2),)}, "chi vectors[0] = (1, 2) needs a basis index 0 <= index < d_1 = 2"),
         ({"vectors": ((1, 1.0),)}, "chi vectors[0] = (1, 1.0) needs a basis index"),
         ({"covectors": ((1, 0), (1, 3))}, "chi covectors[1] = (1, 3) needs a basis index"),
+        ({"vectors": ((True, 0),)}, "chi vectors[0] = (True, 0) is not a pair (vertex of the quiver, basis index)"),
     ], ids=["copies-not-list", "unknown-kind", "arity", "copies-too-long", "no-source-summand",
             "no-target-summand", "vector-vertex", "vector-not-pair", "vector-index-negative", "vector-index-d",
-            "vector-index-float", "covector-index"])
+            "vector-index-float", "covector-index", "vector-vertex-true"])
     def test_malformed_chi_data_rejected(self, change, message):
         q, chi = a1_chi()
         chi = ChiData(**{**chi.__dict__, **change})
