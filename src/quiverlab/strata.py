@@ -55,10 +55,9 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     for k in range(len(v)):
         if not (0 <= v_prime[k] <= v[k]):
             raise RangeViolation(f"need 0 <= v'_{k} <= v_{k}")
-    cd = cartan_data(q)
     u = [a - b for a, b in zip(v.coords, v_prime.coords)]
     delta_v = dims.space_dimension(q) - sum(x * x for x in v.coords)
-    return delta_v - _codimension(cd, dominance(cd, d, v).slacks, u)
+    return delta_v - _codimension(cartan_data(q), dominance(q, d, v).slacks, u)
 
 
 class StratumInfo(NamedTuple):

@@ -145,14 +145,6 @@ class TestChiData:
         back = ChiData.from_json(q, obj)
         assert back == chi
 
-    def test_json_repeated_key_named(self):
-        q, chi = a1_chi()
-        obj = chi.to_json()
-        obj["entries"] *= 2
-        with pytest.raises(QuiverLabError,
-                           match=re.escape("chi JSON entry ['entries'][1]['key'] repeats the key ['av', 1, 1, 1]")):
-            ChiData.from_json(q, obj)
-
     def test_condition_violations(self):
         q = dynkin_quiver("A2")
         dims = DimData(WeightVec((1, 1)), RootVec((1, 1)))

@@ -500,6 +500,7 @@ MISSING = object()  # in place of a value: the entry is deleted
     ("chi", ("entries",), 5, QuiverLabError),
     ("chi", ("entries", 0, "key"), "av", QuiverLabError),
     ("chi", ("entries", 0, "expr"), 5, QuiverLabError),
+    ("chi", ("entries",), A1_CHI["entries"] * 2, QuiverLabError),  # a repeated key
     ("quiver", ("arrows",), MISSING, QuiverLabError),
     ("point", ("delta", "1"), MISSING, QuiverLabError),
     ("chi", ("entries", 0, "expr"), MISSING, QuiverLabError),
