@@ -149,6 +149,15 @@ def _summand_dims(delta: ChiData, dims, q):
     return sources, targets, size, src, tgt
 
 
+def _assemble(field, heights, widths, blocks):
+    """The sum(heights) x sum(widths) matrix whose block (r, c) is
+    blocks[r, c], 0-based, and zero where blocks has no entry."""
+    if not (heights and widths):
+        return Mat.zeros(field, sum(heights), sum(widths))
+    return block([[blocks[r, c] if (r, c) in blocks else Mat.zeros(field, h, w)
+                   for c, w in enumerate(widths)] for r, h in enumerate(heights)])
+
+
 def eval_covariant(delta: ChiData, s: FramedPoint):
     """det of the assembled block matrix; BalanceViolated when not square.
 
@@ -159,36 +168,28 @@ def eval_covariant(delta: ChiData, s: FramedPoint):
     sources, targets, size, src, tgt = _summand_dims(delta, s.dims, q)
     if src != tgt:
         raise BalanceViolated(f"source dim {src} != target dim {tgt}")
-    at = {delta.ends(key): key for key in delta.entries}
 
     def framing(x):
         """(vertex, basis index) of a_l for ("A", l), of b_l for ("B", l)."""
         return (delta.vectors if x[0] == "A" else delta.covectors)[x[1] - 1]
 
-    rows = []
-    for t in targets:
-        row = []
-        for u in sources:
-            key = at.get((u, t))
-            if key is None:
-                row.append(Mat.zeros(field, size(t), size(u)))
-                continue
-            e = delta.entries[key]
-            want = tuple(x[1] if x[0] == "V" else framing(x)[0] for x in (u, t))
-            if (e.source, e.target) != want:
-                raise ShapeMismatch(
-                    f"entry {key} runs {e.source}->{e.target}, block wants {want[0]}->{want[1]}"
-                )
-            m = evaluate(e, s)
-            if u[0] == "A":
-                vert, idx = framing(u)
-                m = m * s.gamma[vert].column_vec(idx)
-            if t[0] == "B":
-                vert, idx = framing(t)
-                m = (s.delta[vert] * m).submatrix([idx], range(m.cols))
-            row.append(m)
-        rows.append(row)
-    return det(block(rows)) if rows else field.one()
+    blocks = {}
+    for key, e in delta.entries.items():
+        u, t = delta.ends(key)
+        want = tuple(x[1] if x[0] == "V" else framing(x)[0] for x in (u, t))
+        if (e.source, e.target) != want:
+            raise ShapeMismatch(
+                f"entry {key} runs {e.source}->{e.target}, block wants {want[0]}->{want[1]}"
+            )
+        m = evaluate(e, s)
+        if u[0] == "A":
+            vert, idx = framing(u)
+            m = m * s.gamma[vert].column_vec(idx)
+        if t[0] == "B":
+            vert, idx = framing(t)
+            m = (s.delta[vert] * m).submatrix([idx], range(m.cols))
+        blocks[targets.index(t), sources.index(u)] = m
+    return det(_assemble(field, list(map(size, targets)), list(map(size, sources)), blocks))
 
 
 def validate_chi_data(delta: ChiData, m: WeightVec, dims, q) -> list:
@@ -369,10 +370,8 @@ def _fS_values(shapes, fam: BlockFamily):
     the slots' first matrices (zero where a slot has none) is stored once,
     and the matrix of f_S is it with block (i, j) scaled by s_ij."""
     field = next((m.field for m in fam.mats.values()), QQ)
-    if not fam.y_dims:
-        return [field.one() for _ in shapes]
-    whole = block([[fam.mats.get((i, j, 1)) or Mat.zeros(field, y, x)
-                    for j, x in enumerate(fam.x_dims, 1)] for i, y in enumerate(fam.y_dims, 1)])
+    whole = _assemble(field, fam.y_dims, fam.x_dims,
+                      {(i - 1, j - 1): m for (i, j, qd), m in fam.mats.items() if qd == 1})
     # the (row block, column block) of each stored entry, row-major
     cell = [(i, j) for i, y in enumerate(fam.y_dims) for _ in range(y)
             for j, x in enumerate(fam.x_dims) for _ in range(x)]
@@ -391,37 +390,23 @@ def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat
     and det of the assembled square matrix.
     """
     field = next((m.field for m in fam.mats.values()), alpha.field if alpha is not None else QQ)
-    a_cols = alpha.cols if alpha is not None else 0
-    b_rows = beta.rows if beta is not None else 0
-    rows = []
-    for i, y in enumerate(fam.y_dims, 1):
-        row = []
-        for j, x in enumerate(fam.x_dims, 1):
-            acc = None  # the sum starts at its first term: no zero matrix to add to
-            for qd, c in zip(range(1, fam.mult(i, j) + 1), phi.get((i, j), ())):
-                m = fam.mats.get((i, j, qd))
-                if m is not None:
-                    acc = m.scale(c) if acc is None else acc + m.scale(c)
-            row.append(acc if acc is not None else Mat.zeros(field, y, x))
-        if a_cols:
-            if i in fam.border_in and alpha is not None:
-                row.append(fam.border_in[i] * alpha)
-            else:
-                row.append(Mat.zeros(field, y, a_cols))
-        rows.append(row)
-    if b_rows:
-        row = []
-        for j, x in enumerate(fam.x_dims, 1):
-            if j in fam.border_out and beta is not None:
-                row.append(beta * fam.border_out[j])
-            else:
-                row.append(Mat.zeros(field, b_rows, x))
-        if a_cols:
-            row.append(Mat.zeros(field, b_rows, a_cols))
-        rows.append(row)
-    if not rows:
-        return field.one()
-    m = block(rows)
+    heights, widths, blocks = list(fam.y_dims), list(fam.x_dims), {}
+    for i in range(1, len(fam.y_dims) + 1):
+        for j in range(1, len(fam.x_dims) + 1):
+            terms = [fam.mats[i, j, qd].scale(c)
+                     for qd, c in zip(range(1, fam.mult(i, j) + 1), phi.get((i, j), ()))
+                     if (i, j, qd) in fam.mats]
+            if terms:  # the sum starts at its first term: no zero matrix to add to
+                blocks[i - 1, j - 1] = sum(terms[1:], terms[0])
+    if alpha is not None and alpha.cols:
+        widths.append(alpha.cols)
+        blocks.update(((i, len(fam.x_dims)), fam.border_in[i + 1] * alpha)
+                      for i in range(len(fam.y_dims)) if i + 1 in fam.border_in)
+    if beta is not None and beta.rows:
+        heights.append(beta.rows)
+        blocks.update(((len(fam.y_dims), j), beta * fam.border_out[j + 1])
+                      for j in range(len(fam.x_dims)) if j + 1 in fam.border_out)
+    m = _assemble(field, heights, widths, blocks)
     if m.rows != m.cols:
         raise ShapeMismatch(f"assembled matrix is {m.rows}x{m.cols}, not square")
     return det(m)
