@@ -269,9 +269,10 @@ def reachable_dims(s: FramedPoint):
 
 def certify_semistable(s: FramedPoint, delta: ChiData, m: WeightVec) -> bool:
     """Nonvanishing of a weight-m covariant at s certifies chi_m-semistability."""
-    for i, _vert in enumerate(s.quiver.vertices):
-        if delta.target_copies[i] - delta.source_copies[i] != m[i]:
-            raise BalanceViolated("covariant weight does not match the character")
+    m = _check_len(s.quiver, m, "m")
+    delta.summands(s.quiver)
+    if delta.weight() != m.coords:
+        raise BalanceViolated("covariant weight does not match the character")
     return eval_covariant(delta, s) != s.field.zero()
 
 

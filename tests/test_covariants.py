@@ -74,6 +74,8 @@ class TestChiData:
         dims = DimData(WeightVec((2,)), RootVec((1,)))
         with pytest.raises(ShapeMismatch, match=f"m has length {len(m)}, quiver has 1 vertices"):
             validate_chi_data(chi, WeightVec(m), dims, q)
+        with pytest.raises(ShapeMismatch, match=f"m has length {len(m)}, quiver has 1 vertices"):
+            certify_semistable(a1_point(), chi, WeightVec(m))
 
     def test_value_on_points(self):
         q, chi = a1_chi()
@@ -83,6 +85,12 @@ class TestChiData:
         assert eval_covariant(chi, z) == QQ.zero()
         assert certify_semistable(s, chi, WeightVec((1,)))
         assert not certify_semistable(z, chi, WeightVec((1,)))
+
+    def test_value_of_empty_matrix_is_one(self):
+        # one target copy of V_1 with v = 0 and nothing else: a 0x0 matrix
+        q = dynkin_quiver("A1")
+        s = FramedPoint.zero(q, DimData(WeightVec((2,)), RootVec((0,))))
+        assert eval_covariant(ChiData((1,), (0,), (), (), {}), s) == QQ.one()
 
     def test_certify_checks_weight(self):
         _, chi = a1_chi()
@@ -377,10 +385,18 @@ class TestBlockDeterminants:
         got = eval_phi_ab(fam, {(1, 1): (QQ.one(),)}, alpha, beta)
         assert got == det(mat(QQ, [[2, 3], [5, 0]]))
 
-    def test_phi_not_square(self):
-        fam = random_block_family((2,), (1,), random.Random(1))
-        with pytest.raises(ShapeMismatch):
-            eval_phi_ab(fam, {(1, 1): (QQ.one(),)})
+    @pytest.mark.parametrize("fam, alpha, shape", [
+        (random_block_family((2,), (1,), random.Random(1)), None, "2x1"),
+        (BlockFamily((), (2,), {}), None, "0x2"),
+        (BlockFamily((), (), {}), Mat.zeros(QQ, 0, 1), "0x1"),
+    ], ids=["2x1", "no-rows", "border-column-only"])
+    def test_phi_not_square(self, fam, alpha, shape):
+        with pytest.raises(ShapeMismatch, match=f"^assembled matrix is {shape}, not square$"):
+            eval_phi_ab(fam, {(1, 1): (QQ.one(),)}, alpha)
+
+    def test_phi_of_empty_matrix_is_one(self):
+        # one block row of height 0 and no block column: a 0x0 matrix
+        assert eval_phi_ab(BlockFamily((0,), (), {}), {}) == QQ.one()
 
 
 class TestRankProbe:
