@@ -20,6 +20,7 @@ from .quiver import RootVec, WeightVec, _check_len, cartan_data, dominance
 from .repspace import DimData, FramedPoint, moment_map
 
 DEFAULT_BUDGET = 10_000_000
+MAX_STRATA = 1_000_000  # codim_report refuses a v with more strata v' <= v
 
 
 def v_plus(s: FramedPoint) -> RootVec:
@@ -52,9 +53,9 @@ def stratum_dimension(q, d: WeightVec, v: RootVec, v_prime: RootVec) -> int:
     dims.check(q)
     d, v = dims
     v_prime = _check_len(q, v_prime, "v_prime", RootVec)
-    for k in range(len(v)):
-        if not (0 <= v_prime[k] <= v[k]):
-            raise RangeViolation(f"need 0 <= v'_{k} <= v_{k}")
+    for vert, a, b in zip(q.vertices, v_prime.coords, v.coords):
+        if not 0 <= a <= b:
+            raise RangeViolation(f"v_prime at vertex {vert} is {a}; need 0 <= v'_i <= v_i = {b}")
     u = [a - b for a, b in zip(v.coords, v_prime.coords)]
     delta_v = dims.space_dimension(q) - sum(x * x for x in v.coords)
     return delta_v - _codimension(cartan_data(q), dominance(q, d, v).slacks, u)
@@ -87,10 +88,15 @@ class CodimReport(NamedTuple):
 
 
 def codim_report(q, d: WeightVec, v: RootVec) -> CodimReport:
-    """Dimensions and codimensions (against delta_V) of every stratum v' <= v."""
+    """Dimensions and codimensions (against delta_V) of every stratum v' <= v;
+    BudgetExceeded when there are more than MAX_STRATA of them."""
     dims = DimData(d, v)
     dims.check(q)
     d, v = dims
+    count = math.prod(x + 1 for x in v.coords)
+    if count > MAX_STRATA:
+        raise BudgetExceeded(f"v has prod(v_i + 1) = {count} strata v' <= v, "
+                             f"more than the limit {MAX_STRATA}")
     cd = cartan_data(q)
     dom = dominance(cd, d, v)
     delta_v = dims.space_dimension(q) - sum(x * x for x in v.coords)

@@ -318,6 +318,13 @@ class TestErrorsAndExitCodes:
         assert code == 1 and out == ""
         assert "v_prime has length 3, quiver has 2 vertices" in err
 
+    def test_strata_too_many(self, capsys):
+        code, out, err = invoke(capsys, "strata", "--quiver", "D4", "--d", "1,1,1,1",
+                                "--v", "99,99,99,99")
+        assert code == 1 and out == ""
+        assert err == ("error: v has prod(v_i + 1) = 100000000 strata v' <= v, "
+                       "more than the limit 1000000\n")
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

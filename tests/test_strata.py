@@ -72,9 +72,9 @@ class TestStratumDimension:
 
     def test_range_checks(self):
         q = dynkin_quiver("A1")
-        with pytest.raises(RangeViolation):
+        with pytest.raises(RangeViolation, match=r"^v_prime at vertex 1 is 2; need 0 <= v'_i <= v_i = 1$"):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((2,)))
-        with pytest.raises(RangeViolation):
+        with pytest.raises(RangeViolation, match=r"^v_prime at vertex 1 is -1; need 0 <= v'_i <= v_i = 1$"):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((-1,)))
         with pytest.raises(ShapeMismatch):
             stratum_dimension(q, WeightVec((2,)), RootVec((1,)), RootVec((0, 0)))
@@ -120,6 +120,15 @@ class TestCodimReport:
         rep = codim_report(q, WeightVec((2,)), RootVec((0,)))
         assert rep.min_proper_codim is None
         assert rep.codim_ge_1 and rep.codim_ge_2  # vacuously
+
+    @pytest.mark.parametrize("name, d, v, count", [
+        ("A1", (1,), (10**6,), 10**6 + 1),
+        ("D4", (1, 1, 1, 1), (99, 99, 99, 99), 10**8),
+    ], ids=["A1-one-past-the-limit", "D4-v99"])
+    def test_too_many_strata_refused(self, name, d, v, count):
+        # refused before any stratum is built: 10^8 strata would hold about 20 GB
+        with pytest.raises(BudgetExceeded, match=f"= {count} strata v' <= v, more than the limit 1000000$"):
+            codim_report(dynkin_quiver(name), d, v)
 
     def test_predictions_hold_on_grid(self):
         # dominance => proper codim >= 1; regularity => proper codim >= 2
