@@ -42,7 +42,7 @@ from quiverlab import (
     sample_fiber,
     validate_chi_data,
 )
-from util import a1_point, a1_setup, a2_setup, mat, random_chi_data
+from util import a1_point, a1_setup, a2_setup, mat, phi_ab_oracle, random_chi_data
 
 
 def a1_chi():
@@ -384,6 +384,50 @@ class TestBlockDeterminants:
         beta = mat(QQ, [[1]])
         got = eval_phi_ab(fam, {(1, 1): (QQ.one(),)}, alpha, beta)
         assert got == det(mat(QQ, [[2, 3], [5, 0]]))
+
+    @staticmethod
+    def random_bordered(field, rng):
+        """A family with 1-2 block rows and columns of sizes 0-2, multiplicity
+        1 or 2, about a fifth of its slot matrices and border blocks missing,
+        phi with 0-3 coefficients per slot (some slots absent), and 0-2
+        border rows and columns; square but for about one in seven.  alpha
+        or beta is None only where it would have no columns or rows, and
+        alpha only when there is a slot matrix, since eval_phi_ab reads its
+        field off them.  The empty-sided matrices have tests of their own."""
+        def rand(r, c):
+            return random_matrix(field, r, c, rng, 10)
+
+        square = rng.random() < 0.85
+        while True:
+            y, x = ([rng.choice((0, 1, 1, 2, 2)) for _ in range(rng.randint(1, 2))] for _ in "yx")
+            b_rows, a_cols = rng.randint(0, 2), rng.randint(0, 2)
+            if (sum(y) + b_rows == sum(x) + a_cols) == square:
+                break
+        y0, x0 = rng.randint(max(b_rows, 1), 2), rng.randint(max(a_cols, 1), 2)  # full rank borders
+        r = {(i, j): rng.randint(1, 2) for i in range(1, len(y) + 1) for j in range(1, len(x) + 1)}
+        mats = {(i, j, q): rand(y[i - 1], x[j - 1]) for (i, j), mult in r.items()
+                for q in range(1, mult + 1) if rng.random() < 0.8}
+        border_in = {i: rand(yi, x0) for i, yi in enumerate(y, 1) if rng.random() < 0.8}
+        border_out = {j: rand(y0, xj) for j, xj in enumerate(x, 1) if rng.random() < 0.8}
+        phi = {slot: tuple(field.random(rng, 5) for _ in range(rng.choice((0, 1, 1, 2, 3))))
+               for slot in r if rng.random() < 0.9}
+        alpha = None if not a_cols and mats and rng.random() < 0.5 else rand(x0, a_cols)
+        beta = None if not b_rows and rng.random() < 0.5 else rand(b_rows, y0)
+        return BlockFamily(tuple(y), tuple(x), mats, r, y0, x0, border_in, border_out), phi, alpha, beta
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), QQI], ids=["Q", "F7", "Qi"])
+    def test_phi_bordered_against_oracle(self, field):
+        rng = random.Random(71)
+        nonzero = 0
+        for _ in range(100):
+            fam, phi, alpha, beta = self.random_bordered(field, rng)
+            try:
+                got = eval_phi_ab(fam, phi, alpha, beta)
+            except ShapeMismatch as e:
+                got = str(e)
+            assert got == phi_ab_oracle(field, fam, phi, alpha, beta), (fam, phi, alpha, beta)
+            nonzero += not isinstance(got, str) and got != field.zero()
+        assert nonzero >= 25
 
     @pytest.mark.parametrize("fam, alpha, shape", [
         (random_block_family((2,), (1,), random.Random(1)), None, "2x1"),

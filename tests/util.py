@@ -158,6 +158,58 @@ def stratum_dimension_oracle(q, d, v, v_prime):
     return dim_s - sum(x * x for x in v) - (ud - form(u, v)) - form(u, u) // 2
 
 
+def phi_ab_oracle(field, fam, phi, alpha=None, beta=None):
+    """The value of `eval_phi_ab(fam, phi, alpha, beta)` over field, written
+    from its docstring entry by entry: rows Y_1..Y_n, then the border row B~
+    when beta has rows; columns X_1..X_m, then the border column A~ when
+    alpha has columns.  Interior entry (r, c) of block (i, j) is the sum of
+    phi[(i, j)][q] A^{ij,q}[r, c] over the q <= r_ij that have a matrix; the
+    border column is A^{i0} alpha, the border row beta A^{0j}, the corner
+    zero.  sympy takes the determinant: over F_p of the integer residues,
+    reduced mod p, over Q(i) with I.  A non-square matrix gives the message
+    of eval_phi_ab's ShapeMismatch instead."""
+    import sympy
+
+    def rat(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def sym(x):
+        if field.kind == "Fp":
+            return sympy.Integer(x.val)
+        return rat(x.re) + sympy.I * rat(x.im) if field.kind == "Qi" else rat(x)
+
+    a_cols = alpha.cols if alpha is not None else 0
+    b_rows = beta.rows if beta is not None else 0
+    row_at = list(itertools.accumulate(fam.y_dims, initial=0))  # row_at[-1]: B~'s first row
+    col_at = list(itertools.accumulate(fam.x_dims, initial=0))  # col_at[-1]: A~'s first column
+    rows, cols = row_at[-1] + b_rows, col_at[-1] + a_cols
+    if rows != cols:
+        return f"assembled matrix is {rows}x{cols}, not square"
+    m = sympy.zeros(rows, cols)
+    for i, y in enumerate(fam.y_dims, 1):
+        for j, x in enumerate(fam.x_dims, 1):
+            for q, c in enumerate(phi.get((i, j), ())[: fam.mult(i, j)], 1):
+                a = fam.mats.get((i, j, q))
+                for r, k in itertools.product(range(y), range(x)) if a is not None else ():
+                    m[row_at[i - 1] + r, col_at[j - 1] + k] += sym(c) * sym(a[r, k])
+        if i in fam.border_in:
+            a = fam.border_in[i]
+            for r, k in itertools.product(range(y), range(a_cols)):
+                m[row_at[i - 1] + r, col_at[-1] + k] = sum(
+                    sym(a[r, t]) * sym(alpha[t, k]) for t in range(a.cols))
+    for j, x in enumerate(fam.x_dims, 1):
+        if j in fam.border_out:
+            a = fam.border_out[j]
+            for r, k in itertools.product(range(b_rows), range(x)):
+                m[row_at[-1] + r, col_at[j - 1] + k] = sum(
+                    sym(beta[r, t]) * sym(a[t, k]) for t in range(a.rows))
+    d = sympy.expand(m.det())
+    if field.kind == "Fp":
+        return field.coerce(int(d))
+    re, im = (Fraction(int(z.p), int(z.q)) for z in d.as_real_imag())
+    return ql.GaussianRational(re, im) if field.kind == "Qi" else re
+
+
 def cli_env():
     """Environment for `python -m quiverlab.cli` children.
 
