@@ -11,6 +11,9 @@ The standalone block-matrix part (contingency shapes S, the matrices Phi_S
 and their determinants f_S) is the generic-multiplicity case used to span
 the degree-one piece of the covariant ring; `basis_rank_check` probes its
 linear independence numerically but exactly.
+
+Every determinant here, of a covariant, of Phi_S or of a bordered Phi, is
+taken of one `_assemble`d block matrix: the blocks given, zero elsewhere.
 """
 
 from __future__ import annotations
