@@ -190,7 +190,9 @@ def phi_ab_oracle(field, fam, phi, alpha=None, beta=None):
         for j, x in enumerate(fam.x_dims, 1):
             for q, c in enumerate(phi.get((i, j), ())[: fam.mult(i, j)], 1):
                 a = fam.mats.get((i, j, q))
-                for r, k in itertools.product(range(y), range(x)) if a is not None else ():
+                if a is None:
+                    continue
+                for r, k in itertools.product(range(y), range(x)):
                     m[row_at[i - 1] + r, col_at[j - 1] + k] += sym(c) * sym(a[r, k])
         if i in fam.border_in:
             a = fam.border_in[i]
