@@ -20,10 +20,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .covariants import ChiData, eval_covariant, validate_chi_data
 from .errors import QuiverLabError, RangeViolation, ShapeMismatch
 from .fields import field_from_name
-from .paths import lusztig_invariants
 from .quiver import (
     Quiver,
     WeightVec,
@@ -37,15 +35,10 @@ from .quiver import (
     is_finite_type,
     variety_dimension,
 )
-from .reflection import (
-    check_coxeter,
-    reduce_to_dominant,
-    reflect_point,
-    reflect_word,
-    verify_Z_conditions,
-)
 from .repspace import DimData, FramedPoint, sample_fiber
-from .strata import codim_report, count_points_Fq, growth_slope, stratum_dimension
+
+# paths, covariants, reflection and strata are imported by the commands
+# that call them, so that a command starts on the modules it uses.
 
 _DYNKIN = re.compile(r"^[AaDd]\d+$")
 
@@ -198,12 +191,16 @@ def _cmd_sample(args):
 
 
 def _cmd_reflect(args):
+    from .reflection import reflect_point
+
     s, lam, m = _load_point(args)
     res = reflect_point(s, args.vertex, lam, m, side=args.side)
     return _point_payload(res.point, res.lam, res.m, extra={"side": res.side}), None
 
 
 def _cmd_reflect_word(args):
+    from .reflection import reflect_word
+
     s, lam, m = _load_point(args)
     word = [_vertex_token(tok) for tok in args.word.split(",")]
     out = reflect_word(s, word, lam, m)
@@ -212,6 +209,8 @@ def _cmd_reflect_word(args):
 
 
 def _cmd_invariants(args):
+    from .paths import lusztig_invariants
+
     s, _, _ = _load_point(args)
     inv = lusztig_invariants(s, args.max_len)
     entries = [
@@ -228,6 +227,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_covariant(args):
+    from .covariants import ChiData, eval_covariant, validate_chi_data
+
     if args.point is not None:
         s, _, _ = _load_point(args)
         q = s.quiver
@@ -257,6 +258,8 @@ def _cmd_covariant(args):
 
 
 def _cmd_check_coxeter(args):
+    from .reflection import check_coxeter
+
     q = _load_quiver(args.quiver)
     rep = check_coxeter(q, args.d, args.v, args.lam, args.m, trials=args.trials, seed=args.seed)
     rows = [("kind", "vertices", "trials", "passes", "ok", "skipped")]
@@ -267,6 +270,8 @@ def _cmd_check_coxeter(args):
 
 
 def _cmd_reduce(args):
+    from .reflection import reduce_to_dominant
+
     q = _load_quiver(args.quiver)
     tr = reduce_to_dominant(q, args.d, args.v, args.lam, args.m)
     payload = {
@@ -285,6 +290,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_strata(args):
+    from .strata import codim_report, stratum_dimension
+
     q = _load_quiver(args.quiver)
     if args.v_prime is not None:
         dim = stratum_dimension(q, args.d, args.v, args.v_prime)
@@ -299,6 +306,8 @@ def _cmd_strata(args):
 
 
 def _cmd_count(args):
+    from .strata import count_points_Fq, growth_slope
+
     q = _load_quiver(args.quiver)
     dims = DimData(args.d, args.v)
     for c in args.lam.coords:
@@ -328,6 +337,8 @@ def _cmd_count(args):
 
 
 def _cmd_verify(args):
+    from .reflection import verify_Z_conditions
+
     s, lam, _ = _load_point(args)
     s2, _, _ = _load_point(args, args.point2)
     rep = verify_Z_conditions(s, s2, args.vertex, lam)
@@ -337,94 +348,116 @@ def _cmd_verify(args):
 # -- parser --------------------------------------------------------------------
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text", "csv"), default="json",
-        help="output rendering (csv only for tabular commands)",
-    )
-    common.add_argument("-o", "--output", help="write to this file instead of stdout")
-    # the representation space, for commands that read no point file
-    space = argparse.ArgumentParser(add_help=False)
-    space.add_argument("--quiver", required=True)
-    space.add_argument("--d", type=_int_vec, required=True)
-    space.add_argument("--v", type=_int_vec, required=True)
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
-    params.add_argument("--m", type=_weight_vec)
-    # a point file; these lambda and m override the ones it embeds
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("point")
-    point.add_argument("--lambda", dest="lam", type=_weight_vec)
-    point.add_argument("--m", type=_weight_vec)
+def _arg(*flags, **kwargs):
+    """One add_argument call, kept as data."""
+    return flags, kwargs
 
+
+_COMMON = (
+    _arg("--format", choices=("json", "text", "csv"), default="json",
+         help="output rendering (csv only for tabular commands)"),
+    _arg("-o", "--output", help="write to this file instead of stdout"),
+)
+# the representation space, for commands that read no point file
+_SPACE = (
+    _arg("--quiver", required=True),
+    _arg("--d", type=_int_vec, required=True),
+    _arg("--v", type=_int_vec, required=True),
+)
+_PARAMS = (
+    _arg("--lambda", dest="lam", type=_weight_vec, required=True),
+    _arg("--m", type=_weight_vec),
+)
+# a point file; these lambda and m override the ones it embeds
+_POINT = (
+    _arg("point"),
+    _arg("--lambda", dest="lam", type=_weight_vec),
+    _arg("--m", type=_weight_vec),
+)
+
+# name -> (handler, summary, arguments after _COMMON), in the order of the usage
+_COMMANDS = {
+    "info": (_cmd_info, "Cartan data, finite type, dimensions", (
+        _arg("--quiver", required=True),
+        _arg("--d", type=_int_vec),
+        _arg("--v", type=_int_vec),
+        _arg("--weyl", action="store_true", help="also report the order of the Weyl group"),
+    )),
+    "sample": (_cmd_sample, "sample a point on the lambda moment fiber", (
+        *_SPACE, *_PARAMS,
+        _arg("--seed", type=int, default=0),
+        _arg("--field", default="Q", help="Q, Q(i), or Fp:<prime>"),
+        _arg("--height", type=int, default=10),
+        _arg("--retries", type=int, default=25),
+    )),
+    "reflect": (_cmd_reflect, "reflect a point at one vertex", (
+        *_POINT,
+        _arg("--vertex", type=_vertex_token, required=True),
+        _arg("--side", choices=("auto", "kernel", "cokernel"), default="auto"),
+    )),
+    "reflect-word": (_cmd_reflect_word, "reflect along a word of vertices", (
+        *_POINT,
+        _arg("--word", required=True, help="comma separated vertices, leftmost first"),
+    )),
+    "invariants": (_cmd_invariants, "Lusztig invariants of a point", (
+        _arg("point"),
+        _arg("--max-len", type=int, default=4),
+    )),
+    "covariant": (_cmd_covariant, "evaluate or validate chi-data", (
+        _arg("point", nargs="?"),
+        _arg("--chi", required=True, help="chi-data JSON file"),
+        _arg("--quiver"),
+        _arg("--d", type=_int_vec),
+        _arg("--v", type=_int_vec),
+        _arg("--m", type=_weight_vec, help="also check chi-goodness for this weight"),
+    )),
+    "check-coxeter": (_cmd_check_coxeter, "Coxeter relation report", (
+        *_SPACE, *_PARAMS,
+        _arg("--trials", type=int, default=50),
+        _arg("--seed", type=int, default=0),
+    )),
+    "reduce": (_cmd_reduce, "dominance reduction trace", (*_SPACE, *_PARAMS)),
+    "strata": (_cmd_strata, "stratum dimensions and codimensions", (
+        *_SPACE,
+        _arg("--v-prime", type=_int_vec, help="report a single stratum"),
+    )),
+    "count": (_cmd_count, "stratum point counts of the fiber over F_p", (
+        *_SPACE,
+        _arg("--lambda", dest="lam", type=_weight_vec, required=True),
+        _arg("--p", "--prime", dest="p", type=_int_vec, required=True,
+             help="comma separated primes"),
+        _arg("--budget", type=int, help="override the enumeration budget"),
+    )),
+    "verify": (_cmd_verify, "check the reflection conditions on a pair", (
+        _arg("point"),
+        _arg("point2"),
+        _arg("--vertex", type=_vertex_token, required=True),
+        _arg("--lambda", dest="lam", type=_weight_vec),
+    )),
+}
+
+
+def _build_parser(command=None):
+    """The parser of every subcommand, or, given a command name, the same
+    top parser holding that one subparser."""
     top = argparse.ArgumentParser(prog="quiverlab", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, summary, *parents):
-        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+    # one subparser keeps the full command list in the top usage line, which
+    # an unrecognized argument prints; the dest names a missing command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        func, summary, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        return p
-
-    p = cmd("info", _cmd_info, "Cartan data, finite type, dimensions")
-    p.add_argument("--quiver", required=True)
-    p.add_argument("--d", type=_int_vec)
-    p.add_argument("--v", type=_int_vec)
-    p.add_argument("--weyl", action="store_true", help="also report the order of the Weyl group")
-
-    p = cmd("sample", _cmd_sample, "sample a point on the lambda moment fiber", space, params)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", default="Q", help="Q, Q(i), or Fp:<prime>")
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--retries", type=int, default=25)
-
-    p = cmd("reflect", _cmd_reflect, "reflect a point at one vertex", point)
-    p.add_argument("--vertex", type=_vertex_token, required=True)
-    p.add_argument("--side", choices=("auto", "kernel", "cokernel"), default="auto")
-
-    p = cmd("reflect-word", _cmd_reflect_word, "reflect along a word of vertices", point)
-    p.add_argument("--word", required=True, help="comma separated vertices, leftmost first")
-
-    p = cmd("invariants", _cmd_invariants, "Lusztig invariants of a point")
-    p.add_argument("point")
-    p.add_argument("--max-len", type=int, default=4)
-
-    p = cmd("covariant", _cmd_covariant, "evaluate or validate chi-data")
-    p.add_argument("point", nargs="?")
-    p.add_argument("--chi", required=True, help="chi-data JSON file")
-    p.add_argument("--quiver")
-    p.add_argument("--d", type=_int_vec)
-    p.add_argument("--v", type=_int_vec)
-    p.add_argument("--m", type=_weight_vec, help="also check chi-goodness for this weight")
-
-    p = cmd("check-coxeter", _cmd_check_coxeter, "Coxeter relation report", space, params)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
-    cmd("reduce", _cmd_reduce, "dominance reduction trace", space, params)
-
-    p = cmd("strata", _cmd_strata, "stratum dimensions and codimensions", space)
-    p.add_argument("--v-prime", type=_int_vec, help="report a single stratum")
-
-    p = cmd("count", _cmd_count, "stratum point counts of the fiber over F_p", space)
-    p.add_argument("--lambda", dest="lam", type=_weight_vec, required=True)
-    p.add_argument(
-        "--p", "--prime", dest="p", type=_int_vec, required=True,
-        help="comma separated primes",
-    )
-    p.add_argument("--budget", type=int, help="override the enumeration budget")
-
-    p = cmd("verify", _cmd_verify, "check the reflection conditions on a pair")
-    p.add_argument("point")
-    p.add_argument("point2")
-    p.add_argument("--vertex", type=_vertex_token, required=True)
-    p.add_argument("--lambda", dest="lam", type=_weight_vec)
-
+        for flags, kwargs in (*_COMMON, *arguments):
+            p.add_argument(*flags, **kwargs)
     return top
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         payload, csv_rows = args.func(args)
     except (QuiverLabError, OSError, ValueError, KeyError) as e:

@@ -968,6 +968,44 @@ def test_help_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: quiverlab")
 
 
+# argvs that parse, for each subcommand; no file is read before parsing ends
+PARSABLE = {
+    "info": ["--quiver", "A2"],
+    "sample": ["--quiver", "A2", "--d", "2,1", "--v", "1,1", "--lambda", "1,1"],
+    "reflect": ["pt.json", "--vertex", "1"],
+    "reflect-word": ["pt.json", "--word", "1,2"],
+    "invariants": ["pt.json"],
+    "covariant": ["pt.json", "--chi", "chi.json"],
+    "check-coxeter": ["--quiver", "A2", "--d", "2,2", "--v", "1,1", "--lambda", "1,1"],
+    "reduce": ["--quiver", "A2", "--d", "1,1", "--v", "2,0", "--lambda", "0,0"],
+    "strata": ["--quiver", "A1", "--d", "2", "--v", "1"],
+    "count": ["--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0", "--p", "3"],
+    "verify": ["pt.json", "rpt.json", "--vertex", "1"],
+}
+
+
+def parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nosuch"],
+    *([name, "--help"] for name in PARSABLE),
+    *([name] for name in PARSABLE),
+    *([name, *rest, "--d", "x"] for name, rest in PARSABLE.items()),
+    *([name, *rest, "--nosuch"] for name, rest in PARSABLE.items()),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_run_parses_like_the_full_parser(capsys, argv):
+    """run builds the subparser of argv[0] alone; its exit code, stdout and
+    stderr are those of the parser of every subcommand."""
+    assert PARSABLE.keys() == subcommands().keys()
+    assert (parser_exit(capsys, run, argv)
+            == parser_exit(capsys, lambda a: _build_parser().parse_args(a), argv))
+
+
 VERIFY_FAILING_TEXT = """\
 ab_identity = False
 all_pass = False
