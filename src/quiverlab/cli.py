@@ -69,10 +69,19 @@ def _vertex_token(tok):
         return tok
 
 
+def _read_json(path, what):
+    """The JSON document in the file `path`; one that is not JSON is a
+    QuiverLabError that names the file and its role `what`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise QuiverLabError(f"{what} file {path} is not JSON: {e}") from None
+
+
 def _load_quiver(name):
     if os.path.exists(name):
-        with open(name) as fh:
-            return Quiver.from_json(json.load(fh))
+        return Quiver.from_json(_read_json(name, "quiver"))
     if _DYNKIN.match(name):
         return dynkin_quiver(name)
     raise RangeViolation(f"quiver {name!r}: no such file and not a Dynkin name")
@@ -82,8 +91,7 @@ def _load_point(args, path=None):
     """(point, lambda, m) from the point file `path`, args.point by default;
     a --lambda or --m flag wins over the weight the file embeds.  A command
     that takes --lambda needs one of the two for its first point."""
-    with open(args.point if path is None else path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.point if path is None else path, "point")
     s, lam, m = FramedPoint.from_json(obj), _point_weight(obj, "lambda"), _point_weight(obj, "m")
     flags = vars(args)
     lam, m = flags.get("lam") or lam, flags.get("m") or m
@@ -241,8 +249,7 @@ def _cmd_covariant(args):
         dims = None
         if args.d is not None and args.v is not None:
             dims = DimData(args.d, args.v)
-    with open(args.chi) as fh:
-        chi = ChiData.from_json(q, json.load(fh))
+    chi = ChiData.from_json(q, _read_json(args.chi, "chi-data"))
     payload = {"weight": list(chi.weight())}
     if s is not None:
         val = eval_covariant(chi, s)
@@ -468,8 +475,12 @@ def run(argv=None) -> int:
         return 2
     text = _render(args, payload, csv_rows)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -361,6 +361,30 @@ class TestErrorsAndExitCodes:
         assert f"argument {option}: invalid _weight_vec value: '1/0,1'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["info", "--quiver", "A1"], ".", "Is a directory"),
+        (["strata", "--quiver", "A1", "--d", "2", "--v", "1"], "nonexistent/x",
+         "No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_unwritable_output(self, capsys, tmp_path, argv, target, reason):
+        path = tmp_path / target
+        code, out, err = invoke(capsys, *argv, "-o", str(path))
+        assert (code, out, err) == (1, "", f"error: cannot write {path}: {reason}\n")
+
+    @pytest.mark.parametrize("argv, role", [
+        (["verify", "{pt}", "{bad}", "--vertex", "1"], "point"),
+        (["covariant", "{pt}", "--chi", "{bad}"], "chi-data"),
+        (["info", "--quiver", "{bad}"], "quiver"),
+        (["reflect", "{bad}", "--vertex", "1"], "point"),
+    ], ids=["verify", "covariant", "info", "reflect"])
+    def test_input_that_is_not_json_is_named(self, capsys, tmp_path, worked_point, argv, role):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        code, out, err = invoke(capsys, *(a.format(pt=worked_point, bad=bad) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {role} file {bad} is not JSON: "
+                       "Expecting value: line 1 column 1 (char 0)\n")
+
     @pytest.mark.parametrize("extra, message", [
         (["--lambda", "0,0,5"], "lambda has length 3, quiver has 2 vertices"),
         (["--lambda", "0", "--m", "1,2,3"], "lambda has length 1, quiver has 2 vertices"),
