@@ -362,18 +362,25 @@ def random_block_family(y_dims, x_dims, rng, field=QQ, height=10):
     return BlockFamily(tuple(y_dims), tuple(x_dims), mats)
 
 
+def _family_field(fam: BlockFamily, *more):
+    """The field of the first matrix among fam's slot and border matrices
+    and `more` (None entries skipped); Q when there is none."""
+    mats = (*fam.mats.values(), *fam.border_in.values(), *fam.border_out.values(), *more)
+    return next((m.field for m in mats if m is not None), QQ)
+
+
 def eval_fS(shape: ContingencyMatrix, fam: BlockFamily):
     """det of the block matrix whose (i, j) block is s_ij A^{ij}."""
     if shape.row_sums() != tuple(fam.y_dims) or shape.col_sums() != tuple(fam.x_dims):
         raise ShapeMismatch("contingency margins do not match the block dims")
-    return _fS_values([shape], fam)[0]
+    return _fS_values([shape], fam, _family_field(fam))[0]
 
 
-def _fS_values(shapes, fam: BlockFamily):
-    """f_S at fam for each shape S, from one assembly: the block matrix of
-    the slots' first matrices (zero where a slot has none) is stored once,
-    and the matrix of f_S is it with block (i, j) scaled by s_ij."""
-    field = next((m.field for m in fam.mats.values()), QQ)
+def _fS_values(shapes, fam: BlockFamily, field):
+    """f_S at fam over `field` for each shape S, from one assembly: the
+    block matrix of the slots' first matrices (zero where a slot has none)
+    is stored once, and the matrix of f_S is it with block (i, j) scaled by
+    s_ij."""
     whole = _assemble(field, fam.y_dims, fam.x_dims,
                       {(i - 1, j - 1): m for (i, j, qd), m in fam.mats.items() if qd == 1})
     # the (row block, column block) of each stored entry, row-major
@@ -393,7 +400,7 @@ def eval_phi_ab(fam: BlockFamily, phi: dict, alpha: Mat | None = None, beta: Mat
 
     and det of the assembled square matrix.
     """
-    field = next((m.field for m in fam.mats.values()), alpha.field if alpha is not None else QQ)
+    field = _family_field(fam, alpha, beta)
     heights, widths, blocks = list(fam.y_dims), list(fam.x_dims), {}
     for i in range(1, len(fam.y_dims) + 1):
         for j in range(1, len(fam.x_dims) + 1):
@@ -428,6 +435,6 @@ def basis_rank_check(y_dims, x_dims, samples, seed=0, field=QQ, height=10) -> in
     if not shapes:
         return 0
     rng = _random.Random(seed)
-    rows = [_fS_values(shapes, random_block_family(y_dims, x_dims, rng, field, height))
+    rows = [_fS_values(shapes, random_block_family(y_dims, x_dims, rng, field, height), field)
             for _ in range(samples)]
     return rank(Mat.from_rows(field, rows))

@@ -13,6 +13,7 @@ from quiverlab import (
     ChiData,
     ContingencyMatrix,
     DimData,
+    FpScalar,
     FramedPoint,
     Mat,
     PrimeField,
@@ -442,6 +443,15 @@ class TestBlockDeterminants:
         # one block row of height 0 and no block column: a 0x0 matrix
         assert eval_phi_ab(BlockFamily((0,), (), {}), {}) == QQ.one()
 
+    @pytest.mark.parametrize("fam, beta", [
+        (BlockFamily((), (1,), {}), Mat(PrimeField(7), 1, 1, [1])),
+        (BlockFamily((), (1, 1), {}, border_out={1: Mat(PrimeField(7), 1, 1, [3])}),
+         Mat(PrimeField(7), 2, 1, [1, 2])),
+    ], ids=["beta", "border-out"])
+    def test_phi_field_without_slot_matrices(self, fam, beta):
+        got = eval_phi_ab(fam, {}, beta=beta)
+        assert isinstance(got, FpScalar) and (got.p, got.val) == (7, 0)
+
 
 class TestRankProbe:
     def test_small_values(self):
@@ -459,6 +469,11 @@ class TestRankProbe:
         y, x = (2, 1), (1, 1, 1)
         n = len(enumerate_S_XY(y, x))
         assert basis_rank_check(y, x, samples=n + 3, seed=1, field=PrimeField(1000003)) == n
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "F1000003"])
+    def test_empty_margins(self, field):
+        # one shape, the empty matrix, whose f_S is the determinant 1 of a 0x0 matrix
+        assert basis_rank_check((), (), 4, field=field) == 1
 
 
 class TestDeterminantIdentities:
