@@ -382,7 +382,7 @@ _POINT = (
     _arg("--m", type=_weight_vec),
 )
 
-# name -> (handler, summary, arguments after _COMMON), in the order of the usage
+# name -> (handler, summary, arguments after _COMMON), in the order the usage lists
 _COMMANDS = {
     "info": (_cmd_info, "Cartan data, finite type, dimensions", (
         _arg("--quiver", required=True),
@@ -448,8 +448,9 @@ def _build_parser(command=None):
     """The parser of every subcommand, or, given a command name, the same
     top parser holding that one subparser."""
     top = argparse.ArgumentParser(prog="quiverlab", description=__doc__)
-    # one subparser keeps the full command list in the top usage line, which
-    # an unrecognized argument prints; the dest names a missing command
+    # with one subparser the metavar keeps every command in the top usage line
+    # that an unrecognized argument prints; with all of them it stays unset,
+    # so that a missing or unknown command is named "argument command"
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
