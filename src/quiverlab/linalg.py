@@ -53,6 +53,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
+    BudgetExceeded,
     NoSolution,
     NotSquare,
     ShapeMismatch,
@@ -594,6 +595,10 @@ def kron(a, b):
     return _mat(a.field, a.rows * b.rows, a.cols * b.cols, data, a._den * b._den)
 
 
+# BlockSystem.matrix refuses a system with more coefficients than this
+MAX_SYSTEM_ENTRIES = 1_000_000
+
+
 class BlockSystem:
     """Linear equations sum_k L_k X_k R_k = C in matrix unknowns X_k.
 
@@ -639,8 +644,14 @@ class BlockSystem:
         self._eqs.append((terms, rhs))
 
     def matrix(self):
-        """The assembled coefficient matrix A and right-hand side column c."""
+        """The assembled coefficient matrix A and right-hand side column c;
+        BudgetExceeded, before any is allocated, when A would have more than
+        MAX_SYSTEM_ENTRIES entries."""
         field = self.field
+        rows = sum(c.rows * c.cols for _, c in self._eqs)
+        if rows * self.cols > MAX_SYSTEM_ENTRIES:
+            raise BudgetExceeded(f"linear system of {rows} x {self.cols} = {rows * self.cols} "
+                                 f"coefficients exceeds the limit {MAX_SYSTEM_ENTRIES}")
         den = lcm(*[c._den for _, c in self._eqs],
                   *[(1 if L is None else L._den) * (1 if R is None else R._den)
                     for terms, _ in self._eqs for L, _, R in terms])

@@ -25,7 +25,10 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidQuiver, NotFiniteType, QuiverLabError, RangeViolation, ShapeMismatch
-from .linalg import _det_bareiss_int
+
+# a quiver has at most this many vertices, as its Cartan tables are n x n;
+# `info --quiver A120 --weyl` takes about 0.9 s (2 cores, Python 3.11)
+MAX_VERTICES = 120
 
 
 class _Record:
@@ -88,6 +91,8 @@ class Quiver(_Record):
         self._validate()
 
     def _validate(self):
+        if self.n > MAX_VERTICES:
+            raise InvalidQuiver(f"quiver has {self.n} vertices, more than the limit {MAX_VERTICES}")
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise InvalidQuiver("duplicate vertices")
@@ -281,6 +286,8 @@ def dynkin_quiver(name):
     """
     kind, num = name[:1].upper(), name[1:]
     num = int(num) if num.isdecimal() else 0
+    if num > MAX_VERTICES:  # before the O(num) edge list
+        raise InvalidQuiver(f"quiver has {num} vertices, more than the limit {MAX_VERTICES}")
     if kind == "A" and num >= 1:
         return doubled_quiver(range(1, num + 1), [(k, k + 1) for k in range(1, num)])
     if kind == "D" and num >= 4:
@@ -453,13 +460,42 @@ def dominance(qc, d: WeightVec, v: RootVec) -> Dominance:
 
 
 def is_finite_type(qc) -> bool:
-    """Positive definiteness of the Cartan matrix via leading principal minors."""
-    cd = _as_cartan(qc)
-    for k in range(1, cd.n + 1):
-        m = [list(row[:k]) for row in cd.cartan[:k]]
-        if _det_bareiss_int(m) <= 0:
+    """Positive definiteness of the Cartan matrix (Sylvester's criterion).
+
+    One fraction-free (Bareiss) elimination without row swaps: its k-th
+    pivot is the k-th leading principal minor, so the first pivot <= 0
+    answers no."""
+    a = [list(row) for row in _as_cartan(qc).cartan]
+    prev = 1
+    for k, row in enumerate(a):
+        pivot = row[k]
+        if pivot <= 0:
             return False
+        for below in a[k + 1:]:
+            f = below[k]
+            for j in range(k + 1, len(row)):
+                below[j] = (pivot * below[j] - f * row[j]) // prev  # exact
+        prev = pivot
     return True
+
+
+def _orbit(start, moves):
+    """The orbit of `start` under the maps `moves`, breadth first, as
+    {image: word} in the order the images are first reached.  The moves are
+    tried in index order, and an image first reached by move i from x gets
+    the word (i,) + word(x): the rightmost letter acts first, as in
+    `WeylElement.word`.  A move that fixes x may return x itself, which is
+    then skipped without hashing."""
+    words = {start: ()}
+    queue = [start]
+    for x in queue:  # the loop reaches what it appends
+        w = words[x]
+        for i, move in enumerate(moves):
+            y = move(x)
+            if y is not x and y not in words:
+                words[y] = (i,) + w
+                queue.append(y)
+    return words
 
 
 class WeylElement(NamedTuple):
@@ -480,11 +516,6 @@ class WeylElement(NamedTuple):
 
     def __hash__(self):
         return hash(self.matrix)
-
-    def apply_coroot(self, u: CorootVec) -> CorootVec:
-        return CorootVec(
-            tuple(sum(r * c for r, c in zip(row, u.coords)) for row in self.matrix)
-        )
 
 
 def _generator_matrix(cd, i):
@@ -521,64 +552,24 @@ def _weyl_elements(cd):
     if not is_finite_type(cd):
         raise NotFiniteType("Weyl group is infinite")
     n = cd.n
-    gens = [_generator_matrix(cd, i) for i in range(n)]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    seen = {ident: ()}
-    frontier = [ident]
-    order = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            w = seen[m]
-            for i, g in enumerate(gens):
-                prod = _matmul_int(g, m)  # s_i acting after m: word (i, *w)
-                if prod not in seen:
-                    seen[prod] = (i,) + w
-                    new_frontier.append(prod)
-                    order.append(prod)
-        frontier = new_frontier
-    return tuple(WeylElement(m, seen[m]) for m in order)
-
-
-def _positive_roots(cd):
-    """The positive roots of a Cartan matrix of finite type, by height: the
-    simple roots, closed under beta -> beta + alpha_i whenever
-    (beta, alpha_i) < 0.  For a symmetric Cartan matrix that adds a root
-    exactly when beta + alpha_i is one, and every positive root of height
-    k + 1 is such a sum of one of height k."""
-    n = cd.n
-    level = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    roots = []
-    while level:
-        roots += level
-        up = {}
-        for beta in level:
-            for i, row in enumerate(cd.cartan):
-                if sum(c * b for c, b in zip(row, beta)) < 0:
-                    up[beta[:i] + (beta[i] + 1,) + beta[i + 1:]] = None
-        level = list(up)
-    return roots
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # s_i acting after m: word (i, *word(m))
+    moves = [lambda m, g=_generator_matrix(cd, i): _matmul_int(g, m) for i in range(n)]
+    return tuple(WeylElement(m, w) for m, w in _orbit(ident, moves).items())
 
 
 def _weyl_order(cd):
     """|W| for a Cartan matrix of finite type, without listing W: the
     product of m_j + 1 over the exponents m_j, which are the parts of the
     partition dual to (r_1, r_2, ...), r_k the number of positive roots of
-    height k (Kostant).  A disjoint union needs no split, as the dual of a
-    sum of partitions is the union of their duals."""
-    r = Counter(sum(beta) for beta in _positive_roots(cd))  # height k -> r_k
+    height k (Kostant).  The coroot orbits list the roots up to sign, so
+    |sum u| is the height.  A disjoint union needs no split, as the dual of
+    a sum of partitions is the union of their duals."""
+    r = Counter(abs(sum(u)) for u in _coroot_orbits(cd))  # height k -> r_k
     order = 1
     for j in range(1, cd.n + 1):  # r_1 = n, so there are n exponents
         order *= 1 + sum(rk >= j for rk in r.values())
     return order
-
-
-def _apply_word_weight(cd, word, x: WeightVec) -> WeightVec:
-    """sigma(x) for sigma = s_{w_0} ... s_{w_k} (rightmost acts first)."""
-    cur = x
-    for i in reversed(list(word)):
-        cur = reflect_weight(cd, i, cur)
-    return cur
 
 
 class GenericityResult(NamedTuple):
@@ -597,15 +588,30 @@ def _iter_box(caps):
 
 
 def _coroot_orbits(cd):
-    """The Weyl orbits of the simple coroots, each coroot once up to sign."""
-    elements = enumerate_weyl(cd)
-    seen = set()
-    for i in range(cd.n):
-        alpha = CorootVec(tuple(1 if j == i else 0 for j in range(cd.n)))
-        for el in elements:
-            u = el.apply_coroot(alpha).coords
-            if u not in seen and tuple(-c for c in u) not in seen:
-                seen.add(u)
+    """The Weyl orbits of the simple coroots as plain tuples, each coroot
+    once up to sign, in the order `_orbit` reaches them.  An orbit holds
+    -alpha_i = s_i alpha_i, so it is closed under sign, and a simple coroot
+    already listed has its orbit listed."""
+    n = cd.n
+
+    def reflect(i, row):  # s_i: u_i -> u_i - (C u)_i, over row's nonzero (j, c_ij)
+        def move(u):
+            t = u[i]
+            for j, c in row:
+                t -= c * u[j]
+            return u if t == u[i] else u[:i] + (t,) + u[i + 1:]
+        return move
+
+    moves = [reflect(i, [(j, c) for j, c in enumerate(row) if c])
+             for i, row in enumerate(cd.cartan)]
+    seen = set()  # both signs of each coroot listed
+    for i in range(n):
+        alpha = tuple(int(j == i) for j in range(n))
+        if alpha in seen:
+            continue
+        for u in _orbit(alpha, moves):
+            if u not in seen:
+                seen.update((u, tuple(-c for c in u)))
                 yield u
 
 
@@ -639,11 +645,20 @@ def genericity(qc, m: WeightVec, lam: WeightVec, v: RootVec, mode="Uv", d: Weigh
     if mode not in ("Uv", "UvTilde", "Gv", "Hinf"):
         raise RangeViolation(f"unknown genericity mode {mode!r}")
     k = 1 if mode == "Uv" else _k_constant(cd)
+    if mode in ("Gv", "Hinf") and not is_finite_type(cd):
+        raise NotFiniteType("Weyl group is infinite")
     if mode == "Gv":
-        chambers = ((el.word, _apply_word_weight(cd, el.word, m),
-                     _apply_word_weight(cd, el.word, lam),
-                     _iter_box(tuple(k * c for c in dot_action(cd, el.word, d, v).coords)))
-                    for el in enumerate_weyl(cd))
+        d = _check_len(cd, d, "d").coords
+        moves = [lambda t, i=i: (reflect_weight(cd, i, t[0]).coords,
+                                 reflect_weight(cd, i, t[1]).coords,
+                                 tuple(_dot_once(cd, d, t[2], i)))
+                 for i in range(cd.n)]
+        orbit = _orbit((m.coords, lam.coords, v.coords), moves)
+        # each chamber sigma (m, lambda, v) once, with the first word reaching
+        # it; RootVec names an image of v that is not integral (d is not)
+        chambers = ((sigma, WeightVec(ms), WeightVec(ls),
+                     _iter_box(tuple(k * c for c in RootVec(vs).coords)))
+                    for (ms, ls, vs), sigma in orbit.items())
     elif mode == "Hinf":
         chambers = [(None, m, lam, _coroot_orbits(cd))]
     else:

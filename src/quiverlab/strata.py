@@ -140,7 +140,6 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     The budget bounds the points visited: the call refuses to start when
     p^(dim B + dim gamma) exceeds it (10^7 by default).
     """
-    field = PrimeField(p)
     space_dim = dims.space_dimension(q)
     _check_len(q, lam, "lambda")
     size = dims.sizes(q)
@@ -152,6 +151,7 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
         raise BudgetExceeded(
             f"p^(dim B + dim gamma) = {p}^{free_dim} exceeds the enumeration budget {cap}"
         )
+    field = PrimeField(p)
     level = {vert: Mat.scalar(field, size["V", vert], lam[k])
              for k, vert in enumerate(q.vertices)}  # lambda_i Id
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from quiverlab import (
     QQ, QQI, FramedPoint, PrimeField, WeightVec, moment_matches, reflect_point, sample_fiber,
 )
 from quiverlab.cli import _build_parser, main, run
+from quiverlab.quiver import MAX_VERTICES
 from util import a1_point, a2_setup, cli_env, renamed_arrows
 
 
@@ -610,6 +612,45 @@ def test_fuzzed_vectors_end_in_an_exit_code(cmd, quiver, d, v, lam):
     except SystemExit as e:  # argparse usage errors
         code = e.code
     assert code in (0, 1, 2)
+
+
+# argv of inputs that once ran out of memory or time, and of some that never
+# did: a quiver too large for its n x n tables, a prime too large for trial
+# division, a fiber too large for its linear system
+SWEEP = {
+    "info-A99999": ["info", "--quiver", "A99999"],
+    "info-A300": ["info", "--quiver", "A300"],
+    "info-largest-weyl": ["info", "--quiver", f"A{MAX_VERTICES}", "--weyl"],
+    "info-D4-weyl": ["info", "--quiver", "D4", "--weyl"],
+    "count-huge-p": ["count", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0",
+                     "--p", "1000000000000000003"],
+    "count": ["count", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0", "--p", "2,3"],
+    "sample-huge-system": ["sample", "--quiver", "A1", "--d", "400", "--v", "200",
+                           "--lambda", "1", "--seed", "3"],
+    "sample-huge-p": ["sample", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0",
+                      "--field", "Fp:1000000000000000003", "--seed", "3"],
+    "sample-p-beyond-the-test": ["sample", "--quiver", "A1", "--d", "2", "--v", "1",
+                                 "--lambda", "0", "--field", f"Fp:{2**89 - 1}", "--seed", "3"],
+    "strata": ["strata", "--quiver", "D4", "--d", "1,0,0,1", "--v", "1,1,1,2"],
+}
+
+
+@pytest.mark.parametrize("argv", SWEEP.values(), ids=SWEEP.keys())
+def test_every_input_ends_in_bounded_time_and_memory(argv):
+    """In a child capped at 1 GiB of address space and 10 s, a command exits
+    0, or exits 1 with one `error:` line: no traceback, MemoryError or kill."""
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverlab.cli", *argv], capture_output=True, env=cli_env(),
+        text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    lines = proc.stderr.splitlines()
+    if proc.returncode == 0:
+        assert lines == []
+    else:
+        assert proc.returncode == 1 and len(lines) == 1 and lines[0].startswith("error: "), \
+            proc.stderr
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: Q, Q(i), and prime fields."""
 
+import math
 import operator
+import random
 import re
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from quiverlab import (
     WrongField,
     field_from_name,
 )
+from quiverlab.fields import _is_prime
 
 
 def gi(re, im=0):
@@ -96,6 +99,44 @@ class TestPrimeField:
     def test_rejects_fractions(self):
         with pytest.raises(WrongField):
             PrimeField(5).coerce(Fraction(1, 2))
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_10_5(self):
+        assert [p for p in range(-3, 10**5) if _is_prime(p)] == \
+            [p for p in range(-3, 10**5) if trial_division_is_prime(p)]
+
+    # Carmichael numbers fool the Fermat test to every coprime base; psi_k,
+    # the least strong pseudoprime to the first k primes as bases, fools
+    # Miller-Rabin on those k bases (psi_1, psi_2, psi_3, psi_4, psi_6, psi_9
+    # and psi_12)
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                                   825265, 321197185, 2047, 1373653, 25326001, 3215031751,
+                                   341550071728321, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n) and not sympy.isprime(n)
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1, 2**64 - 59, 10**24 + 7])
+    def test_large_primes(self, p):
+        assert _is_prime(p) and sympy.isprime(p)
+        assert PrimeField(p).p == p
+
+    def test_agrees_with_sympy_on_random_large_odd_numbers(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randrange(10**12, 3 * 10**24) | 1
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1])
+    def test_beyond_the_exact_range_is_refused_by_name(self, p):
+        with pytest.raises(WrongField, match=f"^{p} is too large: primality is decided only "
+                                             r"below 3\.317 \* 10\^24$"):
+            PrimeField(p)
 
     def test_hash_agrees_with_equal_residues(self):
         f = PrimeField(7)

@@ -14,6 +14,7 @@ from quiverlab import (
     QQ,
     QQI,
     BlockSystem,
+    BudgetExceeded,
     FpScalar,
     Mat,
     NoSolution,
@@ -424,6 +425,21 @@ class TestBlockSystem:
         part, hom = sys_.solve()
         assert part == {"u": mat(QQ, [[-2, 0]]), "w": mat(QQ, [[2]])}
         assert hom == [{"u": mat(QQ, [[-1, 1]]), "w": mat(QQ, [[0]])}]
+
+    def test_coefficient_bound(self):
+        # 1000 equations in the entries of a 1 x width unknown; the factors
+        # are zero, so the matrix costs its allocation only
+        assert linalg.MAX_SYSTEM_ENTRIES == 1000 * 1000
+        systems = {}
+        for width in (1000, 1001):
+            systems[width] = BlockSystem(QQ)
+            systems[width].unknown("x", 1, width)
+            systems[width].equation([(Mat.zeros(QQ, 1000, 1), "x", Mat.zeros(QQ, width, 1))],
+                                    Mat.zeros(QQ, 1000, 1))
+        assert systems[1000].matrix()[0].shape() == (1000, 1000)
+        with pytest.raises(BudgetExceeded, match="^linear system of 1000 x 1001 = 1001000 "
+                                                 "coefficients exceeds the limit 1000000$"):
+            systems[1001].matrix()
 
     def test_inconsistent(self):
         sys_ = BlockSystem(QQ)

@@ -42,6 +42,12 @@ def a2_point(seed=0, d=(2, 1), v=(1, 1), lam=(0, 0)):
     return q, s
 
 
+def b_point(q, dims, **arrows):
+    """The point whose B blocks are the given rows by arrow id, zero elsewhere."""
+    return FramedPoint.build(q, dims, QQ, lambda blk, r, c: mat(QQ, arrows[blk.key])
+                             if blk.part == "B" and blk.key in arrows else Mat.zeros(QQ, r, c))
+
+
 class TestLiterals:
     def test_path_round_trip(self):
         q = dynkin_quiver("A3")
@@ -298,6 +304,44 @@ class TestOrbitDecision:
         t = FramedPoint(q, dims, QQ, {}, {1: mat(QQ, [[0]])}, {1: mat(QQ, [[1]])})
         dec = orbit_equivalent(s, t)
         assert dec.kind == "no"
+
+    def test_no_forward_intertwiner_no(self):
+        # the rigid pair of the test above, the other way round: g * 0 = 1 has
+        # no solution, and both framing loops delta gamma are 0
+        q = dynkin_quiver("A1")
+        dims = DimData(WeightVec((1,)), RootVec((1,)))
+        s = FramedPoint(q, dims, QQ, {}, {1: mat(QQ, [[0]])}, {1: mat(QQ, [[1]])})
+        t = FramedPoint(q, dims, QQ, {}, {1: mat(QQ, [[1]])}, {1: mat(QQ, [[0]])})
+        assert not hom_space(s, t).exists
+        assert orbit_equivalent(s, t) == ("no", None, "no intertwiner in one direction")
+
+    def test_hom_dimensions_differ_no(self):
+        # unframed A2, v = (1, 2): hom(s, t) needs (0 1) g_2 = 0, a 3-dimensional
+        # set, and hom(t, s) needs g_1 (0 1) = 0, a 4-dimensional one
+        q, dims = a2_setup(d=(0, 0), v=(1, 2))
+        s = FramedPoint.zero(q, dims)
+        t = b_point(q, dims, h1b=[[0, 1]])
+        assert (hom_space(s, t).dimension, hom_space(t, s).dimension) == (3, 4)
+        assert orbit_equivalent(s, t) == ("no", None, "hom dimensions differ between directions")
+
+    def test_random_stage_yes(self):
+        # A1, d = 1, v = 2, zero point: hom(s, s) is every 2 x 2 g; the
+        # particular solution is 0, and the scan's combinations
+        # [[t, t^2], [t^3, t^4]] are all singular; a random one is not
+        q = dynkin_quiver("A1")
+        s = FramedPoint.zero(q, DimData(WeightVec((1,)), RootVec((2,))))
+        dec = orbit_equivalent(s, s)
+        assert (dec.kind, dec.reason) == ("yes", "random combination")
+        assert group_act(dec.witness, s) == s
+
+    def test_singular_hom_set_is_unknown(self):
+        # unframed A2, v = (1, 1): t = 0 lies in the orbit closure of s, and
+        # every g in hom(s, t) has g_2 = 0, so no combination is invertible
+        q, dims = a2_setup(d=(0, 0), v=(1, 1))
+        s = b_point(q, dims, h1=[[1]])
+        dec = orbit_equivalent(s, FramedPoint.zero(q, dims))
+        assert dec == ("unknown", None,
+                       "positive-dimensional hom set, all tried combinations singular")
 
     def test_invariant_mismatch_no(self):
         s = a1_point(gamma=(1, 0), delta=(1, 0))

@@ -30,6 +30,8 @@ from quiverlab import (
     reflect_weight,
     variety_dimension,
 )
+from quiverlab.quiver import MAX_VERTICES
+from util import finite_type_by_minors
 
 
 def kronecker():
@@ -305,6 +307,38 @@ class TestWeylGroup:
         cd = cartan_data(q)
         assert quiver._weyl_order(cd) == len(enumerate_weyl(cd))
 
+    def test_hinf_and_gv_do_not_list_the_group(self, monkeypatch):
+        from quiverlab import quiver
+
+        def refuse(cd):
+            raise AssertionError("the Weyl group was listed")
+
+        monkeypatch.setattr(quiver, "_weyl_elements", refuse)
+        q, v, d = dynkin_quiver("D4"), RootVec((1, 1, 1, 2)), WeightVec((1, 0, 0, 1))
+        hinf = genericity(q, WeightVec((0, -2, 2, 2)), WeightVec((-2, 1, 0, 0)), v, "Hinf")
+        assert hinf == (False, CorootVec((1, 2, 1, 1)), None)
+        assert genericity(q, WeightVec((0,) * 4), WeightVec((1,) * 4), v, "Hinf").ok
+        gv = genericity(q, WeightVec((-2, -1, -1, 2)), WeightVec((-1, 2, 0, 2)), v, "Gv", d=d)
+        assert gv == (False, CorootVec((2, 0, 2, 1)), (3, 1, 2, 0, 1, 3, 1, 2, 0, 1, 0))
+        assert quiver._weyl_order(cartan_data(q)) == 192
+
+    @pytest.mark.parametrize("name", [*(f"A{n}" for n in range(1, 12)),
+                                      *(f"D{n}" for n in range(4, 12))])
+    def test_finite_type_agrees_with_the_minors(self, name):
+        cd = cartan_data(dynkin_quiver(name))
+        assert is_finite_type(cd) and finite_type_by_minors(cd)
+
+    def test_finite_type_agrees_with_the_minors_on_random_graphs(self):
+        rng = random.Random(26)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))] if n > 1 else []
+            cd = cartan_data(doubled_quiver(range(n), edges))
+            verdicts.append(is_finite_type(cd))
+            assert verdicts[-1] == finite_type_by_minors(cd), edges
+        assert 100 < sum(verdicts) < 300  # both answers are exercised
+
     def test_finite_type_families(self):
         for name in ["A1", "A2", "A5", "D4", "D6"]:
             assert is_finite_type(dynkin_quiver(name))
@@ -312,6 +346,30 @@ class TestWeylGroup:
     def test_triangle_not_finite(self):
         tri = doubled_quiver([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
         assert not is_finite_type(tri)
+
+
+class TestSizeBound:
+    LIMIT = f"more than the limit {MAX_VERTICES}$"
+
+    def test_the_largest_quivers_build(self):
+        assert MAX_VERTICES >= 30
+        for kind in "AD":
+            assert dynkin_quiver(f"{kind}{MAX_VERTICES}").n == MAX_VERTICES
+
+    @pytest.mark.parametrize("build", [
+        lambda n: dynkin_quiver(f"A{n}"),
+        lambda n: dynkin_quiver(f"D{n}"),
+        lambda n: doubled_quiver(range(n), [(k, k + 1) for k in range(n - 1)]),
+        lambda n: Quiver.from_json({"vertices": list(range(n)), "arrows": []}),
+    ], ids=["A", "D", "doubled", "json"])
+    def test_one_vertex_more_is_refused(self, build):
+        n = MAX_VERTICES + 1
+        with pytest.raises(InvalidQuiver, match=f"^quiver has {n} vertices, " + self.LIMIT):
+            build(n)
+
+    def test_a_huge_dynkin_name_is_refused_before_its_edges(self):
+        with pytest.raises(InvalidQuiver, match="^quiver has 10000000000000 vertices, " + self.LIMIT):
+            dynkin_quiver("A10000000000000")
 
 
 class TestGenericity:

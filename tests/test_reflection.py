@@ -160,6 +160,14 @@ class TestVerifier:
         assert not rep.away_gamma
         assert any("gamma[2]" in t for t in rep.messages)
 
+    def test_zero_pair_is_no_exact_sequence(self):
+        # at vertex 2, a: V_2 -> T_2 = D_2 and b: T_2 -> V_2 are zero on both sides
+        q = doubled_quiver([1, 2], [])
+        z = FramedPoint.zero(q, DimData(WeightVec((1, 2)), RootVec((1, 1))))
+        rep = verify_Z_conditions(z, z, 2, WeightVec((0, 0)))
+        assert rep == (True, True, True, False, True, True,
+                       ("a' not injective", "b not surjective"))
+
     def test_tampered_dims_reported_not_crashed(self):
         s2 = self.res.point
         vt = list(s2.dims.v.coords)
@@ -214,6 +222,17 @@ class TestReflectWord:
         for idx in [0, 1, 0]:
             seq.append(reflect_weight(q, idx, seq[-1]))
         assert seq[1:] == [WeightVec((-1, 2)), WeightVec((1, -2)), WeightVec((-1, -1))]
+
+    def test_undefined_step_reported_with_its_prefix(self):
+        # vertex 1 reflects (lambda_1 = 1); at vertex 2 the point is zero, so
+        # with lambda_2 = 0 neither side applies although m_2 = 1
+        q = doubled_quiver([1, 2], [])
+        dims = DimData(WeightVec((1, 2)), RootVec((1, 1)))
+        s = FramedPoint(q, dims, QQ, {}, {1: mat(QQ, [[1]]), 2: mat(QQ, [[0, 0]])},
+                        {1: mat(QQ, [[1]]), 2: mat(QQ, [[0], [0]])})
+        with pytest.raises(ReflectionUndefined, match=r"^step 1 \(prefix \[1, 2\]\): at vertex 2: "
+                                                      "b_i not surjective and a_i not injective$"):
+            reflect_word(s, [1, 2], WeightVec((1, 0)), WeightVec((0, 1)))
 
     def test_undefined_prefix_reported(self):
         q, dims = a2_setup(d=(2, 2), v=(1, 1))

@@ -249,6 +249,14 @@ class TestCounting:
         with pytest.raises(WrongField):
             count_points_Fq(q, dims, WeightVec((0,)), 4)
 
+    @pytest.mark.parametrize("p", [10**18 + 3, 10**18, 2**89 - 1])
+    def test_budget_is_checked_before_the_field(self, p):
+        # the budget refuses these at once, prime, composite or beyond the
+        # range of the primality test
+        q, dims = a1_setup(d=2, v=1)
+        with pytest.raises(BudgetExceeded, match=rf"= {p}\^2 exceeds the enumeration budget"):
+            count_points_Fq(q, dims, WeightVec((0,)), p)
+
 
 # (quiver, d, v, lambda, primes): each case has at most 5^6 points, few enough
 # for the brute-force oracle; A2 with v = (1, 0) has a vertex with v_i = 0 and

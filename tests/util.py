@@ -117,6 +117,16 @@ def moment_points(case, count=3):
     return [ql.FramedPoint.random(q, dims, field, rng) for _ in range(count)]
 
 
+def finite_type_by_minors(cd):
+    """Positive definiteness of a Cartan matrix from one Bareiss
+    determinant per leading principal minor: the reference for
+    `is_finite_type`."""
+    from quiverlab.linalg import _det_bareiss_int
+
+    return all(_det_bareiss_int([list(row[:k]) for row in cd.cartan[:k]]) > 0
+               for k in range(1, cd.n + 1))
+
+
 def brute_force_count(q, dims, lam, p):
     """The fiber mu = lambda over F_p, stratum by stratum, found by testing
     every one of the p^dim points of the representation space: the oracle
