@@ -18,16 +18,20 @@ Kernels are pinned per field:
   * over Q and F_p one int core builds no Fraction or FpScalar: matmul
     takes one integer dot product per entry over den_a den_b, `rref` is a
     fraction-free Gauss-Jordan on the stored rows (one denominator scales
-    them all) that takes the rows fewest nonzeros first, to limit fill-in,
-    and divides each updated row by its content, add and sub
-    work over the lcm of the two denominators, `solve_right` reads its
-    solution off the stored rref, and `det` is Bareiss over _den^n (over
-    F_p on the residues: det is an integer polynomial in the entries, so it
-    commutes with Z -> F_p).  Of the kernels only `_mat`, which reduces
-    stored ints mod p and divides them by den mod p, and `_rref_int`, which
-    reduces each updated row mod p, know about F_p.  The accessors (`m[r, c]`,
-    `row_list`, `col_list`, `to_lists`, `trace`) and `det` hand out
-    Fractions or FpScalars;
+    them all) that meets the rows one by one, fewest nonzeros first, to
+    limit fill-in, keeps its pivot rows primitive over Q, and stops once
+    every column is a pivot, add and sub work over the lcm of the two
+    denominators, `solve_right` eliminates the stored rows of [a | c] with
+    pivots only in a's columns, so that it too stops at full column rank,
+    reads its solution off the pivot rows and checks every other row at it
+    by substitution, and `det` is Bareiss over _den^n (over F_p on the
+    residues: det is an integer polynomial in the entries, so it commutes
+    with Z -> F_p).  Of the kernels only `_mat`, which reduces stored ints
+    mod p and divides them by den mod p, `_rref_int`, which reduces each
+    updated row mod p, and the substitution check of `solve_right`, which
+    compares mod p, know about F_p.  The accessors (`m[r, c]`, `row_list`,
+    `col_list`, `to_lists`, `trace`) and `det` hand out Fractions or
+    FpScalars;
   * over Q(i) `rref` and `det` use Gauss-Jordan with exact field division
     (`_rref_field`); every other kernel is the generic one, over the
     denominator 1.  `_rref_field` is also the tests' reference elimination
@@ -48,6 +52,7 @@ product is a zero matrix of the right shape and det of the 0 x 0 matrix is 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -388,56 +393,73 @@ def block(grid):
 
 
 def _rref_int(m, ncols, p=0):
-    """Fraction-free Gauss-Jordan on int rows (mutates m); returns the pivots.
+    """Fraction-free Gauss-Jordan on int rows, row by row (mutates m);
+    returns the pivots, all below ncols.
 
-    The rows are first stable-sorted by their number of nonzero entries,
-    fewest first (Markowitz's heuristic): a column then pivots on the first
-    of the sparsest rows that reach it, and its updates fill in fewer
-    entries.  `_rref_field` keeps the rows in their given order, so the tests
-    compare this core against an elimination that does not reorder.  Each
-    elimination scales the target row so that the pivot row's multiple
-    is integral, subtracts that multiple on the pivot row's nonzero columns,
-    reduces the row mod p when p is a prime (the rows are residues over
-    F_p), then divides the row by its content.
-    Permuting and scaling rows leaves the reduced echelon form unchanged, so
-    on return row r divided by its entry at pivots[r] is row r of it; later
-    rows are zero.
+    The rows are stable-sorted fewest nonzeros first (Markowitz's
+    heuristic), so the pivot rows are the sparsest that span and fill in
+    less; `_rref_field` keeps the given order, so the tests compare this core
+    against an elimination that does not reorder.  Each row in turn is
+    reduced against the pivot rows so far; if it is still nonzero before
+    ncols, its first nonzero column becomes a pivot and is cleared from the
+    earlier pivot rows.  An update scales the target row so that the pivot
+    row's multiple is integral and subtracts it.  Over Q a new or updated
+    pivot row is divided by its content; over F_p (p a prime) each update is
+    reduced mod p instead.  Once every column below ncols is a pivot the
+    core stops, leaving the rows it has not met as they are.
+
+    On return m holds the pivot rows in column order, then the others.  As
+    permuting and scaling rows keeps the reduced echelon form, row r over
+    its entry at pivots[r] is row r of it when the other rows lie in the
+    pivot rows' span: always when ncols is the width, and checked by
+    `solve_right` otherwise.
     """
-    m.sort(key=lambda row: len(row) - row.count(0))
-    nrows = len(m)
-    pivots = []
+    if len(m) > 1:  # sorting one row still calls the key: F_p counts eliminate many
+        m.sort(key=lambda row: len(row) - row.count(0))
+    cols = range(ncols)
+    pivots = []  # the pivot rows are m[:r], in the order they were found
     r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
+    for k, row in enumerate(m):
+        for prow, c in zip(m, pivots):
+            if row[c]:
+                row = _update(row, prow, c, p)
+        c = next(compress(cols, row), None)
+        if c is None:
+            m[k] = row
             continue
-        m[r], m[i] = m[i], m[r]
-        prow = m[r]
-        g = gcd(*prow)
-        if g > 1:
-            prow[:] = [x // g for x in prow]
-        pv = prow[c]
-        support = [(j, x) for j, x in enumerate(prow) if x]
-        for i in range(nrows):
-            f = m[i][c]
-            if i == r or not f:
-                continue
-            g = gcd(pv, f)
-            a, b = pv // g, f // g
-            row = m[i] if a == 1 else [x * a for x in m[i]]
-            for j, x in support:
-                row[j] -= b * x
-            if p:
-                row = [x % p for x in row]
-            g = gcd(*row)
-            m[i] = [x // g for x in row] if g > 1 else row
+        if not p:
+            row = _primitive(row)
+        for i in range(r):
+            if m[i][c]:
+                prow = _update(m[i], row, c, p)
+                m[i] = prow if p else _primitive(prow)
+        m[k] = m[r]
+        m[r] = row
         pivots.append(c)
         r += 1
+        if r == ncols:
+            break
+    if r > 1 and pivots != sorted(pivots):
+        order = sorted(range(r), key=pivots.__getitem__)
+        m[:r] = [m[i] for i in order]
+        pivots = [pivots[i] for i in order]
     return pivots
+
+
+def _update(row, prow, c, p):
+    """row with column c cleared by prow, as `_rref_int` updates a row."""
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if p:
+        return [(a * x - b * y) % p for x, y in zip(row, prow)]
+    return [a * x - b * y for x, y in zip(row, prow)]
+
+
+def _primitive(row):
+    """row divided by its content."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _rref_field(m, field):
@@ -490,25 +512,30 @@ def rref(a):
 
 
 def _eliminate(a):
-    """(R, pivots) of a, from one elimination: the body of `rref`."""
+    """(R, pivots) of a, from one elimination: the body of `rref`.  Over Q
+    and F_p the int core runs on the stored rows (a times _den, with the same
+    rref) to the last column, so the rows after its pivot rows are zero."""
     m = a._rows()
     n = a.cols
     if a.field.kind == "Qi":
         pivots, _ = _rref_field(m, a.field)
         return Mat(a.field, a.rows, n, [x for row in m for x in row]), tuple(pivots)
-    # the stored rows are the rows of a times _den, with the same rref; row r
-    # of it is m[r] / m[r][pivots[r]], put over the lcm of the pivots (over
-    # F_p each pivot is below p, so the lcm is a unit)
     pivots = _rref_int(m, n, a.field.p if a.field.kind == "Fp" else 0)
-    den = lcm(*[m[r][p] for r, p in enumerate(pivots)])
-    data = []
-    for r, row in enumerate(m):
-        if r < len(pivots):
-            s = den // row[pivots[r]]
-            data.extend([x * s for x in row])
-        else:
-            data.extend([0] * n)
+    data, den = _reduced(m, pivots)
+    data += [0] * (n * (a.rows - len(pivots)))
     return _mat(a.field, a.rows, n, data, den), tuple(pivots)
+
+
+def _reduced(m, pivots):
+    """(entries, den) of the reduced echelon rows read off the pivot rows
+    `_rref_int` leaves first in m: m[r] / m[r][pivots[r]] over the lcm of
+    the pivot entries, a unit over F_p (each is below p)."""
+    den = lcm(*[row[c] for row, c in zip(m, pivots)])
+    data = []
+    for row, c in zip(m, pivots):
+        s = den // row[c]
+        data += [x * s for x in row]
+    return data, den
 
 
 def rank(a):
@@ -561,22 +588,39 @@ def solve_right(a, c):
     Raises NoSolution when inconsistent.  When underdetermined the particular
     solution has all free variables zero; `homogeneous` is a basis of
     ker(a), so the full solution set is particular + span(homogeneous) placed
-    column by column.  One elimination serves both: the first a.cols columns
-    of rref([a | c]) are rref(a), with the same pivots.
+    column by column.  One elimination serves both.  Over Q and F_p the int
+    core eliminates the stored rows of [a | c] with pivots only in a's
+    columns, so it stops at the last pivot when a has full column rank; x and
+    the kernel are read off the pivot rows, and every other row, met or not,
+    is checked at x by substitution.  Over Q(i) the first a.cols columns of
+    rref([a | c]) are rref(a).
     """
     if a.rows != c.rows:
         raise ShapeMismatch(f"solve {a.shape()} with rhs {c.shape()}")
-    aug = hstack([a, c])
-    R, pivots = rref(aug)
-    for p in pivots:
-        if p >= a.cols:
+    field, n, k = a.field, a.cols, c.cols
+    p = field.p if field.kind == "Fp" else 0
+    rest = []  # the rows checked by substitution
+    if field.kind == "Qi":
+        R, pivots = rref(hstack([a, c]))
+        if pivots and pivots[-1] >= n:
             raise NoSolution("inconsistent linear system")
-    n, k, w = a.cols, c.cols, R.cols
+    else:
+        (ad, cd), _ = _common([a, c])
+        m = [ad[i * n : (i + 1) * n] + cd[i * k : (i + 1) * k] for i in range(a.rows)]
+        pivots = _rref_int(m, n, p)
+        R = _wrap(field, len(pivots), n + k, *_reduced(m, pivots))
+        rest = m[len(pivots):]
+    w, den = R.cols, R._den
     x = [0] * (n * k)
-    for r, p in enumerate(pivots):
-        x[p * k : (p + 1) * k] = R._d[r * w + n : (r + 1) * w]
-    part = _mat(a.field, n, k, x, R._den)
-    return SolveResult(part, _kernel_from_rref(R, pivots, n))
+    for r, q in enumerate(pivots):
+        x[q * k : (q + 1) * k] = R._d[r * w + n : (r + 1) * w]
+    xs = [x[j::k] for j in range(k)]
+    for row in rest:
+        for j, xj in enumerate(xs):
+            s = sum(map(mul, row, xj)) - row[n + j] * den  # row . x / den - rhs, times den
+            if s % p if p else s:
+                raise NoSolution("inconsistent linear system")
+    return SolveResult(_mat(field, n, k, x, den), _kernel_from_rref(R, pivots, n))
 
 
 def kron(a, b):
@@ -780,12 +824,18 @@ def _span_completion(cols):
     r pivot columns of cols, a basis of their span, then the unit vectors
     that complete them, greedily in index order; P is those columns.
     rref([cols | I]) is E [cols | I] and the identity on P, so E, its right
-    block, is P^-1."""
+    block, is P^-1.  [cols | I] is built as its stored rows, [cols | _den I],
+    and P is read off them."""
     n, k = cols.rows, cols.cols
-    full = hstack([cols, Mat.identity(cols.field, n)])
-    R, pivots = rref(full)
-    r = sum(p < k for p in pivots)
-    return full.submatrix(range(n), pivots), R.submatrix(range(n), range(k, k + n)), r
+    w, den = k + n, cols._den
+    data = []
+    for i in range(n):
+        data += cols._d[i * k : (i + 1) * k] + [0] * i + [den] + [0] * (n - 1 - i)
+    R, pivots = rref(_wrap(cols.field, n, w, data, den))
+    basis = [data[i * w + q] for i in range(n) for q in pivots]
+    inv = [x for i in range(n) for x in R._d[i * w + k : (i + 1) * w]]
+    r = sum(q < k for q in pivots)
+    return _mat(cols.field, n, n, basis, den), _mat(cols.field, n, n, inv, R._den), r
 
 
 def random_matrix(field, rows, cols, rng, height=10):

@@ -20,6 +20,7 @@ import random as _random
 from typing import NamedTuple
 
 from .errors import (
+    BudgetExceeded,
     MomentMismatch,
     RangeViolation,
     RankTooLarge,
@@ -290,6 +291,10 @@ class CoxeterReport(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
+# check_coxeter refuses more relation checks x trials than this
+MAX_RELATION_TRIALS = 3250
+
+
 def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | None = None,
                   trials=50, seed=0) -> CoxeterReport:
     """Sample fiber points and test the Coxeter relations of the reflections
@@ -297,6 +302,8 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
     non-adjacent pairs, the braid relation for single-edge pairs (multi-edge
     pairs are skipped), plus kernel/cokernel side agreement where
     lambda_i != 0.  Results are informational when (m, lambda) is not generic.
+    BudgetExceeded, before the first sample, when the checks that sample
+    times trials exceed MAX_RELATION_TRIALS.
     """
     if trials < 0:
         raise RangeViolation(f"trials is {trials}; it must be >= 0")
@@ -305,6 +312,12 @@ def check_coxeter(q, d: WeightVec, v: RootVec, lam: WeightVec, m: WeightVec | No
     dims = DimData(d, v)
     lam, m = _check_weights(q, lam, m)
     m_eff = m if m is not None else WeightVec((0,) * cd.n)
+    # the involutions, side agreements and pair relations that sample, as below
+    relations = (sum((lam[i] != 0 or m_eff[i] != 0) + (lam[i] != 0) for i in range(cd.n))
+                 + sum(cd.adjacency[i][j] <= 1 for i, j in itertools.combinations(range(cd.n), 2)))
+    if relations * trials > MAX_RELATION_TRIALS:
+        raise BudgetExceeded(f"{relations} relation checks x {trials} trials = {relations * trials} "
+                             f"exceeds the limit {MAX_RELATION_TRIALS}")
     gen = genericity(cd, m_eff, lam, v, mode="Uv").ok
     checks = []
 

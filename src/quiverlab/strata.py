@@ -138,7 +138,8 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     all in the stratum reachable_dims, which reads only B and gamma.
 
     The budget bounds the points visited: the call refuses to start when
-    p^(dim B + dim gamma) exceeds it (10^7 by default).
+    p^(dim B + dim gamma) exceeds it (10^7 by default), and when |p| >= 2
+    it decides that from the exponent alone once 2^exponent does.
     """
     space_dim = dims.space_dimension(q)
     _check_len(q, lam, "lambda")
@@ -147,7 +148,8 @@ def count_points_Fq(q, dims: DimData, lam: WeightVec, p: int, budget=None) -> Co
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 0:
         raise RangeViolation(f"budget is {cap}; it must be >= 0")
-    if p ** free_dim > cap:
+    # p^k >= 2^k > cap once k >= cap.bit_length(): refused before any power
+    if (abs(p) >= 2 and free_dim >= cap.bit_length()) or p ** free_dim > cap:
         raise BudgetExceeded(
             f"p^(dim B + dim gamma) = {p}^{free_dim} exceeds the enumeration budget {cap}"
         )

@@ -616,7 +616,8 @@ def test_fuzzed_vectors_end_in_an_exit_code(cmd, quiver, d, v, lam):
 
 # argv of inputs that once ran out of memory or time, and of some that never
 # did: a quiver too large for its n x n tables, a prime too large for trial
-# division, a fiber too large for its linear system
+# division, a power too large to compute, a fiber too large for its linear
+# system, a Coxeter battery of too many relation checks x trials
 SWEEP = {
     "info-A99999": ["info", "--quiver", "A99999"],
     "info-A300": ["info", "--quiver", "A300"],
@@ -625,6 +626,8 @@ SWEEP = {
     "count-huge-p": ["count", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0",
                      "--p", "1000000000000000003"],
     "count": ["count", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0", "--p", "2,3"],
+    "count-huge-p-and-dimension": ["count", "--quiver", "A1", "--d", "3000", "--v", "3000",
+                                   "--lambda", "0", "--p", "1000000000000000003"],
     "sample-huge-system": ["sample", "--quiver", "A1", "--d", "400", "--v", "200",
                            "--lambda", "1", "--seed", "3"],
     "sample-huge-p": ["sample", "--quiver", "A1", "--d", "2", "--v", "1", "--lambda", "0",
@@ -632,6 +635,8 @@ SWEEP = {
     "sample-p-beyond-the-test": ["sample", "--quiver", "A1", "--d", "2", "--v", "1",
                                  "--lambda", "0", "--field", f"Fp:{2**89 - 1}", "--seed", "3"],
     "strata": ["strata", "--quiver", "D4", "--d", "1,0,0,1", "--v", "1,1,1,2"],
+    "check-coxeter-A40": ["check-coxeter", "--quiver", "A40", "--d", ",".join(["1"] * 40),
+                          "--v", ",".join(["1"] * 40), "--lambda", ",".join(["1"] * 40)],
 }
 
 

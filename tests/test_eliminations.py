@@ -287,11 +287,13 @@ def test_reflect_word_stacks(monkeypatch):
 def test_hom_system_elimination_work(monkeypatch):
     # D4 points reflected along both sides of a braid relation reach
     # v = (3, 3, 1, 1), where the hom system is the largest elimination of a
-    # fiber-orbit op.  The int core takes one gcd per pivot (the pivot row's
-    # content) and two per row update (the multiplier's and the updated row's
-    # content), so the gcd calls count its work.  With the sparsest rows
-    # first it pivots on the one-block gamma and delta rows before the
-    # two-block arrow rows (350 calls in the order the rows are built)
+    # fiber-orbit op.  The int core takes one gcd per row update (the
+    # multiplier's), one per pivot and one per update of an earlier pivot row
+    # (their content), so the gcd calls count its work.  solve_right
+    # eliminates [a | c] with pivots only in a's columns, so the core stops
+    # once the 20 unknowns are pivots and the rows it has not met are only
+    # checked by substitution (262 calls eliminating all 46 rows column by
+    # column, 350 in the order the rows are built)
     lam = WeightVec((1, 1, 1, 1))
     s = fiber("D4", (1, 1, 1, 1), (1, 1, 1, 1), lam.coords, 7)
     t1, t2 = (reflect_word(s, word, lam).point for word in ([1, 2, 1], [2, 1, 2]))
@@ -310,8 +312,8 @@ def test_hom_system_elimination_work(monkeypatch):
         return fn(*args)
 
     monkeypatch.setattr(linalg, "gcd", counted)
-    linalg._rref_int(rows, a.cols + 1)
-    assert len(gcds) == 262
+    linalg._rref_int(rows, a.cols)
+    assert len(gcds) == 71
 
 
 def test_count_visits_b_and_gamma_only(monkeypatch):

@@ -41,7 +41,7 @@ from quiverlab import (
     vstack,
 )
 from quiverlab import DimData, RootVec, WeightVec, dynkin_quiver, group_act, hom_space, linalg
-from quiverlab import random_group, sample_fiber
+from quiverlab import random_group, reflect_word, sample_fiber
 from util import check_stored, entries, mat
 
 
@@ -1408,6 +1408,128 @@ class TestRowOrder:
             assert outcome(reverse.solve) == want
             kinds.add(isinstance(want, str))
         assert kinds == {False, True}
+
+
+# -- the early stop and the substitution check --------------------------------
+
+
+def field_solve(a, c):
+    """(particular, kernel basis) of a x = c read off `_rref_field` of
+    [a | c], or "NoSolution": the reference that solves over Q and F_p are
+    checked against."""
+    R, piv = field_rref(hstack([a, c]))
+    if piv and piv[-1] >= a.cols:
+        return "NoSolution"
+    x = [a.field.zero()] * (a.cols * c.cols)
+    for r, p in enumerate(piv):
+        for j in range(c.cols):
+            x[p * c.cols + j] = R[r, a.cols + j]
+    return Mat(a.field, a.cols, c.cols, x), linalg._kernel_from_rref(R, piv, a.cols)
+
+
+def tall_systems(field, seed, count=12):
+    """(a, x0, dense) with a tall of full column rank, c = a x0 consistent:
+    n >= 5 rows of one nonzero each that span, and a few more rows of one or
+    two nonzeros, shuffled among the dense rows, whose indices are dense.
+    With at most two right-hand sides, a row of [a | c] that spans has at
+    most 4 nonzeros and a dense one at least 5, so the int core meets the
+    rows that span first and stops before it meets a dense row."""
+    rng = random.Random(seed)
+
+    def nonzero():
+        x = 0
+        while not field.coerce(x):
+            x = field.random(rng, 9) if field.kind == "Q" else rng.randrange(1, 10**6)
+        return x
+
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 7)
+        rows = []
+        for j in list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 3))]:
+            row = [0] * n
+            row[j] = nonzero()
+            if len(rows) >= n and rng.random() < 0.5:
+                row[rng.randrange(n)] = nonzero()
+            rows.append(row)
+        dense = [[nonzero() for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        order = list(range(len(rows) + len(dense)))
+        rng.shuffle(order)
+        merged = rows + dense
+        a = Mat.from_rows(field, [merged[i] for i in order])
+        out.append((a, random_matrix(field, n, rng.randint(1, 2), rng, 9),
+                    [k for k, i in enumerate(order) if i >= len(rows)]))
+    return out
+
+
+def random_tall_systems(field, seed, count=12):
+    """(a, x0) with a random, tall and of full column rank."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        a = random_matrix(field, n + rng.randint(1, 6), n, rng, 9)
+        if len(field_rref(a)[1]) == n:
+            out.append((a, random_matrix(field, n, rng.randint(1, 3), rng, 9)))
+    return out
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
+FIELD_IDS = ["Q", "F7", "F1000003"]
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_consistent_tall_systems(self, field):
+        # a full column rank: the solve is x0 and the kernel is empty, as the
+        # elimination of every row of [a | c] gives
+        cases = [(a, x0) for a, x0, _ in tall_systems(field, 61)] + random_tall_systems(field, 62)
+        for a, x0 in cases:
+            c = a * x0
+            sol = solve_right(a, c)
+            assert (sol.particular, sol.homogeneous) == field_solve(a, c) == (x0, [])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_one_inconsistent_row_the_core_does_not_meet(self, field):
+        rng = random.Random(63)
+        for a, x0, dense in tall_systems(field, 61):
+            c = a * x0
+            bad = rng.choice(dense)
+            j = rng.randrange(c.cols)
+            d = entries(c)
+            d[bad * c.cols + j] += 1
+            c = Mat(field, c.rows, c.cols, d)
+            assert field_solve(a, c) == "NoSolution"
+            with pytest.raises(NoSolution):
+                solve_right(a, c)
+            # the row is not met: the core leaves it as it was, after the pivots
+            rows = hstack([a, c])._rows()
+            row, before = rows[bad], list(rows[bad])
+            pivots = linalg._rref_int(rows, a.cols, field.p if field.kind == "Fp" else 0)
+            assert len(pivots) == a.cols
+            assert any(r is row for r in rows[a.cols:]) and row == before
+
+    def test_the_d4_hom_system_stops_early(self, monkeypatch):
+        # the D4 braid system of tests/test_eliminations.py: 46 equations in
+        # 20 unknowns.  The core meets the rows sparsest first and stops at
+        # its 20th pivot, after 32 rows: the 14 densest are left as they
+        # were, the same lists, unchanged, at the end
+        lam = WeightVec((1, 1, 1, 1))
+        q = dynkin_quiver("D4")
+        s = sample_fiber(q, DimData(WeightVec((1, 1, 1, 1)), RootVec((1, 1, 1, 1))), lam, seed=7)
+        t1, t2 = (reflect_word(s, word, lam).point for word in ([1, 2, 1], [2, 1, 2]))
+        systems = []
+        real = linalg.solve_right
+        monkeypatch.setattr(linalg, "solve_right", lambda a, c: systems.append((a, c)) or real(a, c))
+        hom_space(t1, t2)
+        monkeypatch.undo()
+        [(a, c)] = systems
+        rows = hstack([a, c])._rows()
+        met = sorted(rows, key=lambda row: len(row) - row.count(0))
+        before = [list(row) for row in met]
+        assert len(linalg._rref_int(rows, a.cols)) == a.cols == 20
+        left = [r is row and row == b for r, row, b in zip(rows, met, before)]
+        assert len(rows) == 46 and left[-15:] == [False] + [True] * 14
 
 
 # -- one stored form on every field ---------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from quiverlab import (
     QQ,
     QQI,
+    BudgetExceeded,
     DimData,
     FramedPoint,
     Mat,
@@ -42,6 +43,7 @@ from quiverlab import (
     variety_dimension,
     verify_Z_conditions,
 )
+from quiverlab import reflection
 from util import a1_point, a1_setup, a2_setup, mat, renamed_arrows
 
 
@@ -336,6 +338,25 @@ class TestCoxeterChecks:
         q = dynkin_quiver("A1")
         with pytest.raises(RangeViolation, match="trials is -1; it must be >= 0"):
             check_coxeter(q, WeightVec((2,)), RootVec((1,)), WeightVec((1,)), trials=-1)
+
+    def test_relation_checks_times_trials_is_bounded(self, monkeypatch):
+        # A2 at lambda = (1, 1) samples 5 checks: 2 involutions, 2 side
+        # agreements and the braid.  One trial past the limit is refused
+        # before the first sample; at the limit the sampling starts
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(reflection, "sample_fiber", sample)
+        q = dynkin_quiver("A2")
+        args = (q, WeightVec((1, 1)), RootVec((1, 1)), WeightVec((1, 1)))
+        trials = reflection.MAX_RELATION_TRIALS // 5
+        with pytest.raises(BudgetExceeded, match=rf"5 relation checks x {trials + 1} trials"):
+            check_coxeter(*args, trials=trials + 1)
+        with pytest.raises(Sampled):
+            check_coxeter(*args, trials=trials)
 
     def test_zero_trials_pass_vacuously(self):
         q = dynkin_quiver("A1")

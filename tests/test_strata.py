@@ -242,6 +242,20 @@ class TestCounting:
         with pytest.raises(BudgetExceeded, match=r"p\^\(dim B \+ dim gamma\) = 7\^2 exceeds"):
             count_points_Fq(q, dims, WeightVec((0,)), 7, budget=48)
 
+    def test_a_huge_power_is_refused_from_its_exponent(self):
+        # 2^k > budget once k >= budget.bit_length(), so p^k is not computed
+        q, dims = a1_setup(d=3000, v=3000)
+        with pytest.raises(BudgetExceeded, match=r"= 1000000000000000003\^9000000 exceeds"):
+            count_points_Fq(q, dims, WeightVec((0,)), 10**18 + 3)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_the_exponent_test_is_exact(self, p):
+        # dim gamma = 2: p^2 is admitted, p^2 - 1 is refused
+        q, dims = a1_setup(d=2, v=1)
+        assert count_points_Fq(q, dims, WeightVec((0,)), p, budget=p * p).total > 0
+        with pytest.raises(BudgetExceeded, match=rf"= {p}\^2 exceeds"):
+            count_points_Fq(q, dims, WeightVec((0,)), p, budget=p * p - 1)
+
     def test_composite_p_rejected(self):
         from quiverlab import WrongField
 
